@@ -74,16 +74,3 @@ def resample(values: np.ndarray, m: int) -> np.ndarray:
     if values.shape[0] == m:
         return values.copy()
     return scipy.signal.resample(values, m, axis=0)
-
-
-def circulant(first_column: np.ndarray) -> np.ndarray:
-    """Dense circulant matrix C[j, k] = c[(j - k) mod m]."""
-    c = np.asarray(first_column)
-    m = c.shape[0]
-    j = np.arange(m)
-    return c[(j[:, None] - j[None, :]) % m]
-
-
-def periodic_mean(values: np.ndarray) -> np.ndarray:
-    """Trapezoid-rule mean over one period (exact mean on a periodic grid)."""
-    return np.mean(np.asarray(values), axis=0)

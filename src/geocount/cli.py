@@ -14,7 +14,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +125,6 @@ class RunConfig:
     ds: float = 0.04
     ds_max: float = 0.12
     max_steps: int = 400
-    raw: dict = field(default_factory=dict)
 
 
 def _get_int(sec, key, default, lo=None, hi=None):
@@ -339,18 +338,15 @@ def _census_warnings(census, out: Out) -> None:
 def _oriented_rows(census):
     """(row id, partner id, entry, d, loop) per oriented iterate in range."""
     out = []
-    for entry in census.entries:
-        d = 1
-        while d * entry.result.length <= census.max_length + 1e-12:
-            base = entry.result.loop if d == 1 else loops.cover(entry.result.loop, d)
-            fwd = f"{entry.ident}.{d}+"
-            rev = f"{entry.ident}.{d}-"
-            if entry.self_reverse:
-                out.append((fwd, fwd, entry, d, base))
-            else:
-                out.append((fwd, rev, entry, d, base))
-                out.append((rev, fwd, entry, d, loops.reverse(base)))
-            d += 1
+    for entry, d in solver.iterates(census):
+        base = entry.result.loop if d == 1 else loops.cover(entry.result.loop, d)
+        fwd = f"{entry.ident}.{d}+"
+        rev = f"{entry.ident}.{d}-"
+        if entry.self_reverse:
+            out.append((fwd, fwd, entry, d, base))
+        else:
+            out.append((fwd, rev, entry, d, base))
+            out.append((rev, fwd, entry, d, loops.reverse(base)))
     return out
 
 

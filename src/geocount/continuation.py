@@ -1,9 +1,9 @@
 """Branch continuation of closed geodesics along one-parameter metric paths.
 
 A branch is followed in the combined space (loop nodes, t) by pseudo
-arclength: each corrector solve is a bordered Newton system whose extra
-column absorbs the rotation symmetry and whose extra rows impose the node-0
-gauge and the arclength normalization, so simple folds in t are ordinary
+arclength: each tangent and corrector solve is the gauge-bordered Newton
+system described in the ``solver`` module docstring, extended by the
+dR/dt column and the arclength row, so simple folds in t are ordinary
 regular points of the extended system.
 
 Event detection watches the primitive monodromy trace along the branch:
@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import _spectral, geometry, jacobi, loops, solver, weights
 from .geometry import GeometryError, MetricSpec
@@ -131,6 +129,13 @@ def _trace(result: solver.GeodesicResult) -> tuple:
     return float(np.trace(mono.matrix).real), data, mono
 
 
+def _param_derivative(path, t, nodes, h=1e-6):
+    """Central difference dR/dt of the residual at fixed nodes, flattened."""
+    rp = solver.residual_field(path.at(t + h), nodes)[0]
+    rm = solver.residual_field(path.at(t - h), nodes)[0]
+    return ((rp - rm) / (2.0 * h)).reshape(-1)
+
+
 def _branch_tangent(path, t, nodes, prev=None):
     """Unit tangent of the branch in scaled (nodes, t) coordinates.
 
@@ -138,21 +143,10 @@ def _branch_tangent(path, t, nodes, prev=None):
     the mesh-independent norm mean|dX_i|^2 + dt^2; ``prev`` fixes the
     orientation (continuation direction), otherwise dt > 0 is chosen.
     """
-    spec = path.at(t)
     n, m = nodes.shape
-    jac = solver._fd_jacobian(spec, nodes)
-    h = 1e-6
-    rp = solver.residual_field(path.at(t + h), nodes)[0]
-    rm = solver.residual_field(path.at(t - h), nodes)[0]
-    r_t = ((rp - rm) / (2.0 * h)).reshape(-1)
-    vel = (np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)) * (0.5 * n)
-    w = vel.reshape(-1)
-    w = w / np.linalg.norm(w)
-    gauge = np.zeros(n * m)
-    gauge[:m] = vel[0] / np.linalg.norm(vel[0])
-    bordered = scipy.sparse.bmat(
-        [[jac, w[:, None]], [gauge[None, :], None]], format="csc")
-    sol = scipy.sparse.linalg.splu(bordered).solve(np.concatenate([-r_t, [0.0]]))
+    jac = solver._fd_jacobian(path.at(t), nodes)
+    r_t = _param_derivative(path, t, nodes)
+    sol = solver._bordered_solve(jac, nodes, np.concatenate([-r_t, [0.0]]))
     dx_dt = sol[:-1].reshape(n, m)
     tau = np.concatenate([dx_dt.reshape(-1) / math.sqrt(n), [1.0]])
     tau = tau / np.linalg.norm(tau)
@@ -185,25 +179,11 @@ def _corrector(path, nodes, t, tau, s_target_point, ds, tol=1e-10, max_iter=16):
         if res <= tol and fdef <= 1e-10 and abs(arc) <= 1e-10:
             return nodes, t
         jac = solver._fd_jacobian(spec, nodes)
-        h = 1e-6
-        rp = solver.residual_field(path.at(t + h), nodes)[0]
-        rm = solver.residual_field(path.at(t - h), nodes)[0]
-        r_t = ((rp - rm) / (2.0 * h)).reshape(-1)
-        vel = (np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)) * (0.5 * n)
-        wv = vel.reshape(-1)
-        wv = wv / np.linalg.norm(wv)
-        gauge = np.zeros(n * m + 2)
-        gauge[:m] = vel[0] / np.linalg.norm(vel[0])
-        arc_row = np.concatenate([tau[:-1] / sqn, [tau[-1]], [0.0]])
-        top = scipy.sparse.hstack(
-            [jac, scipy.sparse.csc_matrix(r_t[:, None]),
-             scipy.sparse.csc_matrix(wv[:, None])], format="csc")
-        big = scipy.sparse.vstack(
-            [top, scipy.sparse.csc_matrix(gauge[None, :]),
-             scipy.sparse.csc_matrix(arc_row[None, :])], format="csc")
+        r_t = _param_derivative(path, t, nodes)
+        arc_row = np.concatenate([tau[:-1] / sqn, [tau[-1]]])
         rhs = np.concatenate([-full.reshape(-1), [0.0], [-arc]])
         try:
-            sol = scipy.sparse.linalg.splu(big).solve(rhs)
+            sol = solver._bordered_solve(jac, nodes, rhs, r_t, arc_row)
         except RuntimeError:
             return None
         delta_nodes = sol[:n * m].reshape(n, m)
@@ -466,8 +446,7 @@ def spawn_doubled_branch(
             cand = solver.refine_to_geodesic(
                 DiscreteLoop(spec_t, geometry.surface_project(spec_t, seed_nodes)),
                 tol=tol)
-        except (solver.RefineError, solver.StallError, solver.DivergenceError,
-                geometry.BandExitError, GeometryError):
+        except (solver.RefineError, solver.StallError, GeometryError):
             return None
         if loops.primitive_decompose(cand.loop).degree != 1:
             return None
@@ -708,8 +687,7 @@ def _fold_side_detail(path, event, t_val, tol):
         try:
             seed_nodes = geometry.surface_project(spec_t, base + eps * kick_dir)
             cand = solver.refine_to_geodesic(DiscreteLoop(spec_t, seed_nodes), tol=tol)
-        except (solver.RefineError, solver.StallError, solver.DivergenceError,
-                geometry.BandExitError, GeometryError):
+        except (solver.RefineError, solver.StallError, GeometryError):
             continue
         if abs(cand.length - base_len) > 0.5 * max(1.0, base_len):
             continue

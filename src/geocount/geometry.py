@@ -18,7 +18,7 @@ conformal gradients) is analytic and vectorized over arrays of points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -125,8 +125,6 @@ _HARMONICS: dict[tuple[int, int], Callable] = {
     (3, 0): _h30, (3, 1): _h31, (3, -1): _h3m1, (3, 2): _h32, (3, -2): _h3m2,
     (3, 3): _h33, (3, -3): _h3m3,
 }
-
-HARMONIC_DEGREES = tuple(sorted(_HARMONICS))
 
 
 # ---------------------------------------------------------------------------
@@ -541,23 +539,9 @@ def _tangent_pair(nu):
     return t1, t2
 
 
-def shape_operator(spec: MetricSpec, x, v, w) -> np.ndarray:
-    """Second fundamental form <S v, w> = v . Hess F . w / |grad F| at x."""
-    x = np.asarray(x, dtype=float)
-    h = constraint_hess(spec, x)
-    g = constraint_grad(spec, x)
-    return np.einsum("...i,...ij,...j->...", v, h, w) / np.linalg.norm(g, axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # charts (surfaces only)
 # ---------------------------------------------------------------------------
-
-def charts(spec: MetricSpec) -> tuple[int, ...]:
-    """Chart indices covering the surface (always two for these families)."""
-    _require_surface(spec)
-    return (0, 1)
-
 
 def _require_surface(spec):
     if spec.ambient_dim != 3:

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.integrate
 
 from . import _spectral, geometry, loops, solver
-from .geometry import GeometryError, MetricSpec
+from .geometry import MetricSpec
 from .loops import DiscreteLoop
 
 KERNEL_SCALE = 1e-6
@@ -193,9 +193,8 @@ class IndexResult:
     near_zero: tuple        # eigenvalues within 100 tau, for inspection
 
 
-def index_nullity(data: JacobiOperatorData, d: int = 1) -> IndexResult:
-    """Morse index and nullity of the degree-d cover via the direct route."""
-    h = quadratic_form_matrix(data, d)
+def _index_result(data: JacobiOperatorData, d: int, h: np.ndarray) -> IndexResult:
+    """Count the eigenvalues of one degree-d form against the kernel band."""
     ev = np.linalg.eigvalsh(h)
     tau = kernel_threshold(data, d)
     iota = int(np.sum(ev > tau))
@@ -206,22 +205,17 @@ def index_nullity(data: JacobiOperatorData, d: int = 1) -> IndexResult:
     near = tuple(float(e) for e in ev[np.abs(ev) <= 100.0 * tau])
     return IndexResult(d=d, iota=iota, nu=nu, tau=tau, eigen_gap=gap,
                        borderline=borderline, near_zero=near)
+
+
+def index_nullity(data: JacobiOperatorData, d: int = 1) -> IndexResult:
+    """Morse index and nullity of the degree-d cover via the direct route."""
+    return _index_result(data, d, quadratic_form_matrix(data, d))
 
 
 def sector_index_nullity(data: JacobiOperatorData, d: int, j: int) -> IndexResult:
     """Index and nullity of the lambda = exp(2 pi i j / d) Floquet sector."""
     lam = complex(math.cos(2.0 * math.pi * j / d), math.sin(2.0 * math.pi * j / d))
-    h = quadratic_form_matrix(data, d, sector=lam)
-    ev = np.linalg.eigvalsh(h)
-    tau = kernel_threshold(data, d)
-    iota = int(np.sum(ev > tau))
-    nu = int(np.sum(np.abs(ev) <= tau))
-    outside = np.abs(ev[np.abs(ev) > tau])
-    gap = float(np.min(outside)) if outside.size else float("inf")
-    borderline = bool(np.any((np.abs(ev) > tau) & (np.abs(ev) < 10.0 * tau)))
-    near = tuple(float(e) for e in ev[np.abs(ev) <= 100.0 * tau])
-    return IndexResult(d=d, iota=iota, nu=nu, tau=tau, eigen_gap=gap,
-                       borderline=borderline, near_zero=near)
+    return _index_result(data, d, quadratic_form_matrix(data, d, sector=lam))
 
 
 def sector_decomposition(data: JacobiOperatorData, d: int):
@@ -409,21 +403,20 @@ class JacobiReport:
 def jacobi_report(source, d_max: int = 2, field_d: int | None = None) -> JacobiReport:
     """Full two-route stability report for one closed geodesic."""
     data = source if isinstance(source, JacobiOperatorData) else build_operator(source)
-    indices = tuple(index_nullity(data, d) for d in range(1, d_max + 1))
     mono = monodromy(data)
     floq = {d: floquet_nullity(mono, d) for d in range(1, max(d_max, 4) + 1)}
+    indices = []
     sector_checks = {}
     agree = True
-    for res in indices:
-        if res.nu != floq[res.d]:
-            agree = False
-        _, _, ok = sector_decomposition(data, res.d)
-        sector_checks[res.d] = ok
-        if not ok:
+    for d in range(1, d_max + 1):
+        _, direct, ok = sector_decomposition(data, d)
+        indices.append(direct)
+        sector_checks[d] = ok
+        if direct.nu != floq[d] or not ok:
             agree = False
     resonances = {d: floq[d] > 0 for d in range(1, 5)}
     fields = detect_lambda_jacobi(data, field_d or d_max, mono=mono)
     return JacobiReport(
-        data=data, indices=indices, mono=mono, floquet_nullities=floq,
+        data=data, indices=tuple(indices), mono=mono, floquet_nullities=floq,
         fields=fields, resonances=resonances, routes_agree=agree,
         sector_checks=sector_checks)

@@ -14,22 +14,36 @@ critical points of length.
 
 The Newton corrector uses a finite-difference Jacobian built from four
 perturbation colors (the stencil only couples neighbors, so nodes with equal
-index mod 4 have disjoint residual footprints) and a bordered linear system
-that pins the rotation gauge: the correction may not slide node 0 along the
-curve.
+index mod 4 have disjoint residual footprints).
+
+Every Newton step in the package, here and in branch continuation, solves
+one gauge-bordered linear system (``_bordered_solve``):
+
+    [ J    c    w ] [ dx ]   [ r   ]
+    [ g^T  0    0 ] [ dt ] = [ 0   ]
+    [ a^T  a_t  0 ] [ mu ]   [ r_a ]
+
+J is the residual Jacobian in the flattened node coordinates.  The column w
+is the unit central-difference velocity, the exact symmetry direction of the
+continuous problem, with multiplier mu; the gauge row g is the unit tangent
+at node 0, so the correction may not slide node 0 along the curve.  Together
+they remove the rotation near-nullspace without biasing the geometry.
+Refinement uses only this core.  Continuation adds the optional column
+c = dR/dt for the path parameter and the arclength row (a, a_t), so simple
+folds in t are regular points of the extended system.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from . import _spectral, geometry, loops
+from . import geometry, loops
 from .geometry import BandExitError, GeometryError, MetricSpec
 from .loops import DiscreteLoop
 
@@ -75,6 +89,12 @@ def residual_field(spec: MetricSpec, nodes: np.ndarray):
     return full, tan, f
 
 
+def _velocity(nodes: np.ndarray) -> np.ndarray:
+    """Central-difference velocity (N, m) on the unit parameter interval."""
+    n = nodes.shape[0]
+    return (np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)) * (0.5 * n)
+
+
 def _fd_jacobian(spec: MetricSpec, nodes: np.ndarray) -> scipy.sparse.csc_matrix:
     """Colored central-difference Jacobian of the residual, sparse (Nm, Nm).
 
@@ -106,6 +126,34 @@ def _fd_jacobian(spec: MetricSpec, nodes: np.ndarray) -> scipy.sparse.csc_matrix
     return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n * m, n * m)).tocsc()
 
 
+def _bordered_solve(jac, nodes, rhs, extra_col=None, extra_row=None):
+    """Solve the gauge-bordered Newton system of the module docstring.
+
+    ``rhs`` covers every row: the residual rows, the gauge row and, with
+    ``extra_col`` (length Nm) and ``extra_row`` (length Nm + 1, the last
+    entry in the extra column), the extra row.  The unknowns are ordered
+    (dx, [dt,] mu).  Raises CollapseError when the loop velocity vanishes;
+    a singular system raises splu's RuntimeError.
+    """
+    vel = _velocity(nodes)
+    n, m = nodes.shape
+    w = vel.reshape(-1)
+    wn = np.linalg.norm(w)
+    if wn < 1e-12 * n:
+        raise CollapseError("loop velocity collapsed during refinement")
+    w = w / wn
+    gauge = np.zeros(n * m)
+    gauge[:m] = vel[0] / np.linalg.norm(vel[0])
+    if extra_col is None:
+        blocks = [[jac, w[:, None]], [gauge[None, :], None]]
+    else:
+        blocks = [[jac, extra_col[:, None], w[:, None]],
+                  [gauge[None, :], None, None],
+                  [extra_row[None, :-1], extra_row[None, -1:], None]]
+    bordered = scipy.sparse.bmat(blocks, format="csc")
+    return scipy.sparse.linalg.splu(bordered).solve(rhs)
+
+
 @dataclass(frozen=True)
 class GeodesicResult:
     """A converged closed geodesic with its refinement diagnostics."""
@@ -121,8 +169,7 @@ class GeodesicResult:
 
 def _scaled_residual(spec, nodes):
     _, tan, f = residual_field(spec, nodes)
-    n = nodes.shape[0]
-    v = (np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)) * (0.5 * n)
+    v = _velocity(nodes)
     ell = float(np.mean(geometry.speed(spec, nodes, v)))
     scale = max(1.0, ell * ell)
     return float(np.max(np.linalg.norm(tan, axis=1))) / scale, float(np.max(np.abs(f))), ell
@@ -149,10 +196,7 @@ def refine_to_geodesic(
 ) -> GeodesicResult:
     """Newton-refine a seed loop to a closed geodesic of its metric.
 
-    The linear system is bordered: the velocity field (the exact symmetry
-    direction of the continuous problem) is adjoined as an extra column and a
-    gauge row demands that node 0 not move along the curve tangent, which
-    removes the rotation near-nullspace without biasing the geometry.  Far
+    Each step solves the gauge-bordered system of the module docstring.  Far
     from a solution the Newton step is globalized by a backtracking line
     search on the squared residual; near a solution full steps are taken and
     convergence is quadratic.
@@ -179,19 +223,11 @@ def refine_to_geodesic(
         full, _, _ = residual_field(spec, nodes)
         merit = float(np.sum(full * full))
         jac = _fd_jacobian(spec, nodes)
-        vel = (np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)) * (0.5 * n)
-        w = vel.reshape(-1)
-        wn = np.linalg.norm(w)
-        if wn < 1e-12 * n:
-            raise CollapseError("loop velocity collapsed during refinement")
-        w = w / wn
-        gauge = np.zeros(n * m)
-        gauge[:m] = vel[0] / np.linalg.norm(vel[0])
-        bordered = scipy.sparse.bmat(
-            [[jac, w[:, None]], [gauge[None, :], None]], format="csc")
         rhs = np.concatenate([-full.reshape(-1), [0.0]])
         try:
-            sol = scipy.sparse.linalg.splu(bordered).solve(rhs)
+            sol = _bordered_solve(jac, nodes, rhs)
+        except CollapseError:   # a RuntimeError, but not a singular system
+            raise
         except RuntimeError as exc:
             raise StallError(f"singular corrector system: {exc}") from exc
         delta = sol[:-1].reshape(n, m)
@@ -289,16 +325,7 @@ def _census_seeds(spec: MetricSpec, mesh: int, planes: int, seed: int):
     rng = np.random.default_rng(seed)
     rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
     if spec.family == "revolution":
-        out = []
-        lo, hi = spec.data[2]
-        zs = np.linspace(lo, hi, 41)[1:-1]
-        impl_r = geometry._impl(spec)
-        rp = impl_r.profile(zs)[1]
-        for i in range(len(zs) - 1):
-            if rp[i] == 0.0 or rp[i] * rp[i + 1] < 0.0:
-                z0 = scipy.optimize.brentq(lambda z: impl_r.profile(z)[1], zs[i], zs[i + 1])
-                out.append(loops.parallel_circle(spec, z0, mesh))
-        return out
+        return [loops.parallel_circle(spec, z, mesh) for z in parallel_heights(spec)]
     if spec.ambient_dim != 3:
         raise GeometryError("the census currently requires a two-dimensional surface")
     seeds = []
@@ -417,14 +444,18 @@ def synthesize_cover(entry_result: GeodesicResult, d: int, tol: float = 1e-10) -
     return refine_to_geodesic(tiled, tol=tol)
 
 
-def iterate_table(census: Census):
-    """All (entry, degree, length) with degree >= 1 and length <= max_length."""
-    rows = []
+def iterates(census: Census):
+    """Yield (entry, degree) for every iterate up to max_length, entry-major."""
     for e in census.entries:
         d = 1
         while d * e.result.length <= census.max_length + 1e-12:
-            rows.append((e, d, d * e.result.length))
+            yield e, d
             d += 1
+
+
+def iterate_table(census: Census):
+    """All (entry, degree, length) with degree >= 1 and length <= max_length."""
+    rows = [(e, d, d * e.result.length) for e, d in iterates(census)]
     rows.sort(key=lambda r: (r[2], r[0].ident, r[1]))
     return rows
 
@@ -445,11 +476,6 @@ class ShootResult:
     defect: float             # |q dphi - 2 pi p| for the best (p, q)
     length: float | None
     leaves_band: bool
-
-
-def _gauss_nodes(order: int = 96):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
 
 
 def clairaut_shoot(
@@ -507,7 +533,7 @@ def clairaut_shoot(
 
     mid = 0.5 * (z_plus + z_minus)
     half = 0.5 * (z_plus - z_minus)
-    u, w = _gauss_nodes()
+    u, w = np.polynomial.legendre.leggauss(96)
     z = mid + half * np.sin(0.5 * np.pi * u)
     jac = half * 0.5 * np.pi * np.cos(0.5 * np.pi * u)
     r, rp, _ = impl.profile(z)
@@ -532,8 +558,8 @@ def clairaut_shoot(
     closes = defect < closure_tol
     return ShootResult(
         clairaut=c, turning=(float(z_minus), float(z_plus)), delta_phi=float(delta_phi),
-        osc_length=float(osc_len), closes=bool(closes), p=p if closes else p,
-        q=q if closes else q, defect=float(defect),
+        osc_length=float(osc_len), closes=bool(closes), p=p, q=q,
+        defect=float(defect),
         length=float(q * osc_len) if closes else None, leaves_band=False)
 
 

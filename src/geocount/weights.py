@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, jacobi, loops, solver
+from . import jacobi, loops, solver
 from .geometry import GeometryError, MetricSpec
 
 
@@ -131,21 +131,14 @@ def build_count_table(census: solver.Census, reports: dict | None = None) -> Cou
         records.append(weight(rep, ident=entry.ident, length=entry.result.length))
     by_ident = {r.ident: r for r in records}
 
-    raw = []
-    for entry in census.entries:
-        rec = by_ident[entry.ident]
-        orient = 1 if entry.self_reverse else 2
-        d = 1
-        while d * rec.length <= census.max_length + 1e-12:
-            n_d = rec.n1 if d == 1 else rec.n2 if d == 2 else 0
-            raw.append((d * rec.length, entry.ident, d, orient, orient * n_d))
-            d += 1
-    raw.sort(key=lambda r: (r[0], r[1], r[2]))
     rows = []
     cum = 0
-    for ell, ident, d, orient, contrib in raw:
+    for entry, d, ell in solver.iterate_table(census):
+        rec = by_ident[entry.ident]
+        orient = 1 if entry.self_reverse else 2
+        contrib = orient * (rec.n1 if d == 1 else rec.n2 if d == 2 else 0)
         cum += contrib
-        rows.append(CountRow(length=ell, ident=ident, d=d,
+        rows.append(CountRow(length=ell, ident=entry.ident, d=d,
                              orientations=orient, contribution=contrib, cumulative=cum))
     collisions = tuple(
         (i, i + 1) for i in range(len(rows) - 1)

@@ -97,6 +97,21 @@ def test_sector_sums_match_direct_covers(ellipsoid_reports, waist_report):
             assert len(sectors) == d
 
 
+def test_jacobi_report_solves_each_direct_cover_once(waist_report, monkeypatch):
+    # the direct cover spectrum comes from the sector decomposition, which
+    # needs it for its consistency check anyway
+    degrees = []
+    original = jacobi.index_nullity
+
+    def counting(data, d=1):
+        degrees.append(d)
+        return original(data, d)
+
+    monkeypatch.setattr(jacobi, "index_nullity", counting)
+    jacobi.jacobi_report(waist_report.data, d_max=2)
+    assert sorted(degrees) == [1, 2]
+
+
 def test_eigen_gap_clears_the_kernel_threshold(ellipsoid_reports):
     for rep in ellipsoid_reports.values():
         for d in (1, 2):

@@ -124,6 +124,28 @@ def test_parallel_heights():
     assert np.allclose(hs, [-np.sqrt(0.2), np.sqrt(0.2)], atol=1e-10)
 
 
+def test_revolution_census_seeds_close_critical_parallels():
+    # r' = -(z - 0.01)(z - 0.04): two geodesic parallels closer together
+    # than a coarse height grid can separate
+    spec = MetricSpec.revolution("poly", (1.0, -0.0004, 0.025, -1.0 / 3.0), (-1.0, 1.0))
+    assert np.allclose(sorted(solver.parallel_heights(spec)), [0.01, 0.04], atol=1e-10)
+    census = solver.find_all(spec, 7.0, mesh=128, planes=24)
+    assert len(census.entries) == 2
+
+
+def test_refinement_keeps_collapse_apart_from_a_singular_solve(ellipsoid_spec, monkeypatch):
+    with pytest.raises(solver.CollapseError):
+        solver._bordered_solve(None, np.zeros((16, 3)), np.zeros(49))
+    seed = loops.great_circle_seed(ellipsoid_spec, np.eye(3)[0], np.eye(3)[1], 64)
+    for raised, expected in ((solver.CollapseError("collapsed"), solver.CollapseError),
+                             (RuntimeError("singular matrix"), solver.StallError)):
+        def fail(*args, raised=raised):
+            raise raised
+        monkeypatch.setattr(solver, "_bordered_solve", fail)
+        with pytest.raises(expected):
+            solver.refine_to_geodesic(seed)
+
+
 def test_synthesize_cover_doubles_the_orbit(ellipsoid_census):
     entry = ellipsoid_census.entries[0]
     cover = solver.synthesize_cover(entry.result, 2)
