@@ -172,8 +172,9 @@ def _corrector(path, nodes, t, tau, s_target_point, ds, tol=1e-10, max_iter=16):
             geometry.check_band(spec, nodes)
         except geometry.BandExitError:
             return None
-        full, tan, f = solver.residual_field(spec, nodes)
-        res, fdef, _ = solver._scaled_residual(spec, nodes)
+        fields = solver.residual_field(spec, nodes)
+        full = fields[0]
+        res, fdef, _ = solver._scaled_residual(spec, nodes, fields)
         arc = float(np.dot((nodes - s_target_point[0]).reshape(-1) / sqn, tau[:-1])
                     + (t - s_target_point[1]) * tau[-1] - ds)
         if res <= tol and fdef <= 1e-10 and abs(arc) <= 1e-10:

@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-_FAMILIES = ("ellipsoid", "revolution", "conformal_sphere")
 _PROFILE_KINDS = ("poly", "cosh", "ellipse")
 
 
@@ -136,25 +135,54 @@ class MetricSpec:
     """Immutable, hashable description of a metric on a sphere.
 
     Use the classmethod constructors; ``data`` is a canonicalized tuple whose
-    layout depends on the family.
+    layout depends on the family.  Every construction, direct or through a
+    classmethod, validates the parameters once.
     """
 
     family: str
     data: tuple
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family == "ellipsoid":
+            a = self.data
+            if len(a) < 3:
+                raise GeometryError("ellipsoid needs at least 3 coefficients")
+            if not all(np.isfinite(a)) or min(a) <= 0.0:
+                raise GeometryError("ellipsoid coefficients must be finite and positive")
+        elif self.family == "revolution":
+            self._check_revolution()
+        elif self.family == "conformal_sphere":
+            for l, m, c in self.data:
+                if (l, m) not in _HARMONICS:
+                    raise GeometryError(f"unsupported harmonic degree ({l}, {m})")
+                if not np.isfinite(c):
+                    raise GeometryError("harmonic coefficients must be finite")
+        else:
             raise GeometryError(f"unknown metric family {self.family!r}")
+
+    def _check_revolution(self):
+        kind, c, (lo, hi) = self.data
+        if kind not in _PROFILE_KINDS:
+            raise GeometryError(f"unknown profile kind {kind!r}")
+        if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
+            raise GeometryError("z band must be a finite increasing pair")
+        if kind == "cosh" and (len(c) != 2 or c[0] <= 0.0):
+            raise GeometryError("cosh profile takes (scale, center) with scale > 0")
+        if kind == "ellipse":
+            if len(c) != 2 or c[0] <= 0.0 or c[1] <= 0.0:
+                raise GeometryError("ellipse profile takes positive (equator, pole)")
+            if max(abs(lo), abs(hi)) >= c[1]:
+                raise GeometryError("z band must lie strictly between the poles")
+        if kind == "poly" and len(c) == 0:
+            raise GeometryError("poly profile needs at least one coefficient")
+        zs = np.linspace(lo, hi, 257)
+        if np.min(_impl(self).profile(zs)[0]) <= 0.0:
+            raise GeometryError("profile radius must stay positive on the band")
 
     @classmethod
     def ellipsoid(cls, axes) -> "MetricSpec":
         """Ellipsoid sum (a_j x_j)^2 = 1; ``axes`` lists the a_j."""
-        a = tuple(float(v) for v in axes)
-        if len(a) < 3:
-            raise GeometryError("ellipsoid needs at least 3 coefficients")
-        if not all(np.isfinite(a)) or min(a) <= 0.0:
-            raise GeometryError("ellipsoid coefficients must be finite and positive")
-        return cls("ellipsoid", a)
+        return cls("ellipsoid", tuple(float(v) for v in axes))
 
     @classmethod
     def revolution(cls, kind: str, coeffs, z_band) -> "MetricSpec":
@@ -167,26 +195,8 @@ class MetricSpec:
         The surface is only used on z_band = (z_lo, z_hi); evaluations
         outside a small margin raise BandExitError.
         """
-        if kind not in _PROFILE_KINDS:
-            raise GeometryError(f"unknown profile kind {kind!r}")
         c = tuple(float(v) for v in coeffs)
-        lo, hi = (float(z_band[0]), float(z_band[1]))
-        if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-            raise GeometryError("z band must be a finite increasing pair")
-        if kind == "cosh" and (len(c) != 2 or c[0] <= 0.0):
-            raise GeometryError("cosh profile takes (scale, center) with scale > 0")
-        if kind == "ellipse":
-            if len(c) != 2 or c[0] <= 0.0 or c[1] <= 0.0:
-                raise GeometryError("ellipse profile takes positive (equator, pole)")
-            if max(abs(lo), abs(hi)) >= c[1]:
-                raise GeometryError("z band must lie strictly between the poles")
-        if kind == "poly" and len(c) == 0:
-            raise GeometryError("poly profile needs at least one coefficient")
-        spec = cls("revolution", (kind, c, (lo, hi)))
-        zs = np.linspace(lo, hi, 257)
-        if np.min(_impl(spec).profile(zs)[0]) <= 0.0:
-            raise GeometryError("profile radius must stay positive on the band")
-        return spec
+        return cls("revolution", (kind, c, (float(z_band[0]), float(z_band[1]))))
 
     @classmethod
     def conformal_sphere(cls, terms) -> "MetricSpec":
@@ -195,17 +205,15 @@ class MetricSpec:
         ``terms`` is an iterable of (l, m, coefficient) with 0 <= l <= 3 and
         |m| <= l; Y_{l,m} are the unnormalized real solid harmonics (m >= 0
         cosine type, m < 0 sine type) restricted to the unit sphere.
-        Duplicate (l, m) entries are summed.
+        Duplicate (l, m) entries are summed and zero sums dropped; an
+        unsupported (l, m) is kept, so that validation rejects it.
         """
         acc: dict[tuple[int, int], float] = {}
         for item in terms:
             l, m, c = int(item[0]), int(item[1]), float(item[2])
-            if (l, m) not in _HARMONICS:
-                raise GeometryError(f"unsupported harmonic degree ({l}, {m})")
-            if not np.isfinite(c):
-                raise GeometryError("harmonic coefficients must be finite")
             acc[(l, m)] = acc.get((l, m), 0.0) + c
-        canon = tuple((l, m, c) for (l, m), c in sorted(acc.items()) if c != 0.0)
+        canon = tuple((l, m, c) for (l, m), c in sorted(acc.items())
+                      if c != 0.0 or (l, m) not in _HARMONICS)
         return cls("conformal_sphere", canon)
 
     @property

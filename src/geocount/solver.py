@@ -12,9 +12,19 @@ samples of a closed geodesic with O(1/N^2) node error; lengths are then read
 off spectrally, which restores O(1/N^4) accuracy because geodesics are
 critical points of length.
 
-The Newton corrector uses a finite-difference Jacobian built from four
-perturbation colors (the stencil only couples neighbors, so nodes with equal
-index mod 4 have disjoint residual footprints).
+The Newton corrector uses a colored central-difference Jacobian (Curtis,
+Powell & Reid 1974): the stencil only couples neighbors, so nodes with equal
+index mod 4 have disjoint residual footprints and one perturbed loop probes
+a whole color class.  The 4m probes (color, coordinate) are stacked into one
+(4m, N, m) array, so a Jacobian costs two residual evaluations, one on the
++h stack and one on the -h stack.  Its CSC pattern (three m x m blocks per
+column block) is fixed by (N, m); ``indptr``, ``indices``, the unit probe
+stack and the index that gathers the central differences straight into the
+CSC ``data`` are built once per (N, m) and cached.  The bordered matrix
+below is assembled from the Jacobian's arrays directly, in the layout that
+``scipy.sparse.bmat`` gives: explicit zeros of J are kept, exact zeros of
+the dense border rows and columns are dropped, so the sparse LU orders the
+same structure.
 
 Every Newton step in the package, here and in branch continuation, solves
 one gauge-bordered linear system (``_bordered_solve``):
@@ -37,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.optimize
@@ -69,23 +80,27 @@ _CONSTRAINT_TOL = 1e-11
 
 
 def residual_field(spec: MetricSpec, nodes: np.ndarray):
-    """Full residual (N, m), its tangential part, and the constraint values."""
-    n = nodes.shape[0]
-    xp = np.roll(nodes, -1, axis=0)
-    xm = np.roll(nodes, 1, axis=0)
+    """Full residual (..., N, m), its tangential part, and the constraint values.
+
+    ``nodes`` is one loop (N, m) or a stack of loops (..., N, m) on the same
+    mesh; every loop in a stack is evaluated independently.
+    """
+    n = nodes.shape[-2]
+    xp = np.roll(nodes, -1, axis=-2)
+    xm = np.roll(nodes, 1, axis=-2)
     d2 = (xp - 2.0 * nodes + xm) * (n * n)
     v = (xp - xm) * (0.5 * n)
     f = geometry.constraint(spec, nodes)
     g = geometry.constraint_grad(spec, nodes)
-    gn = np.linalg.norm(g, axis=1, keepdims=True)
+    gn = np.linalg.norm(g, axis=-1, keepdims=True)
     nu = g / gn
     acc = d2
     if spec.family == "conformal_sphere":
         du = geometry.conformal_grad(spec, nodes)
-        acc = acc + 2.0 * np.sum(du * v, axis=1, keepdims=True) * v \
-            - np.sum(v * v, axis=1, keepdims=True) * du
-    tan = acc - np.sum(acc * nu, axis=1, keepdims=True) * nu
-    full = tan + (n * n * f)[:, None] * nu
+        acc = acc + 2.0 * np.sum(du * v, axis=-1, keepdims=True) * v \
+            - np.sum(v * v, axis=-1, keepdims=True) * du
+    tan = acc - np.sum(acc * nu, axis=-1, keepdims=True) * nu
+    full = tan + (n * n * f)[..., None] * nu
     return full, tan, f
 
 
@@ -95,35 +110,78 @@ def _velocity(nodes: np.ndarray) -> np.ndarray:
     return (np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)) * (0.5 * n)
 
 
+@lru_cache(maxsize=32)
+def _jacobian_pattern(n: int, m: int):
+    """Unit color bumps and the fixed CSC pattern of the (Nm, Nm) Jacobian.
+
+    Returns (units, indptr, indices, gather): ``units[c * m + d]`` is 1 at
+    coordinate d of every node j with j mod 4 == c; column j*m + d holds rows
+    i*m + k for the neighbors i of j in sorted order, and ``gather`` indexes
+    the flattened (4m, N, m) difference stack at those entries.
+    """
+    units = np.zeros((4 * m, n, m))
+    for color in range(4):
+        for d in range(m):
+            units[color * m + d, color::4, d] = 1.0
+    j = np.arange(n)
+    nbrs = np.sort(np.stack([(j - 1) % n, j, (j + 1) % n], axis=1), axis=1)
+    rows = (nbrs[:, :, None] * m + np.arange(m)).reshape(n, 1, 3 * m)
+    probe = (j % 4)[:, None] * m + np.arange(m)           # (n, m): bump of column j*m + d
+    gather = (probe[:, :, None] * (n * m) + rows).reshape(-1)
+    indices = np.broadcast_to(rows, (n, m, 3 * m)).reshape(-1).astype(np.int32)
+    indptr = np.arange(0, 3 * m * n * m + 1, 3 * m, dtype=np.int32)
+    for arr in (units, indptr, indices, gather):
+        arr.flags.writeable = False
+    return units, indptr, indices, gather
+
+
 def _fd_jacobian(spec: MetricSpec, nodes: np.ndarray) -> scipy.sparse.csc_matrix:
     """Colored central-difference Jacobian of the residual, sparse (Nm, Nm).
 
     Perturbing node j only touches residual rows j-1, j, j+1, so all nodes in
-    one color class (index mod 4) are probed in a single residual evaluation.
+    one color class (index mod 4) are probed by one perturbed loop.  The 4m
+    probe loops are evaluated as one stack per sign of the step.
     """
     n, m = nodes.shape
     h = _FD_STEP * max(1.0, float(np.max(np.abs(nodes))))
-    rows, cols, data = [], [], []
-    row_offsets = np.array([-1, 0, 1])
-    for color in range(4):
-        js = np.arange(color, n, 4)
-        for d in range(m):
-            bump = np.zeros_like(nodes)
-            bump[js, d] = h
-            rp = residual_field(spec, nodes + bump)[0]
-            rm = residual_field(spec, nodes - bump)[0]
-            diff = (rp - rm) / (2.0 * h)
-            for off in row_offsets:
-                ridx = (js + off) % n
-                block = diff[ridx]  # (len(js), m)
-                for comp in range(m):
-                    rows.append(ridx * m + comp)
-                    cols.append(js * m + d)
-                    data.append(block[:, comp])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n * m, n * m)).tocsc()
+    units, indptr, indices, gather = _jacobian_pattern(n, m)
+    bump = units * h
+    rp = residual_field(spec, nodes + bump)[0].reshape(-1)
+    rm = residual_field(spec, nodes - bump)[0].reshape(-1)
+    data = (rp[gather] - rm[gather]) / (2.0 * h)
+    return scipy.sparse.csc_matrix((data, indices, indptr), shape=(n * m, n * m))
+
+
+def _bordered_matrix(jac, right, below):
+    """CSC of [[J, right], [below]] with the zeros of the dense borders dropped.
+
+    ``right`` is dense (Nm, c), ``below`` dense (r, Nm + c).  Explicit zeros of
+    J are kept and zeros of the borders dropped, exactly as
+    ``scipy.sparse.bmat`` builds it, so the LU sees the same structure.
+    """
+    size = jac.shape[1]
+    jcount = np.diff(jac.indptr)
+    keep = below[:, :size] != 0.0
+    start = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(jcount + np.sum(keep, axis=0), out=start[1:])
+    tail = np.concatenate([right, below[:, size:]]).T   # (c, Nm + r), one row per column
+    tail_keep = tail != 0.0
+    nnz_left = int(start[-1])
+    indptr = np.concatenate([start, nnz_left + np.cumsum(np.sum(tail_keep, axis=1))])
+    data = np.empty(int(indptr[-1]))
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    pos = np.arange(jac.nnz) + np.repeat(start[:-1] - jac.indptr[:-1], jcount)
+    data[pos] = jac.data
+    indices[pos] = jac.indices
+    border = np.nonzero(keep)                             # (row, column) of each kept entry
+    pos = start[border[1]] + jcount[border[1]] + np.cumsum(keep, axis=0)[border] - 1
+    data[pos] = below[border]
+    indices[pos] = size + border[0]
+    cols, rows = np.nonzero(tail_keep)
+    data[nnz_left:] = tail[cols, rows]
+    indices[nnz_left:] = rows
+    shape = (size + below.shape[0],) * 2
+    return scipy.sparse.csc_matrix((data, indices, indptr.astype(np.int32)), shape=shape)
 
 
 def _bordered_solve(jac, nodes, rhs, extra_col=None, extra_row=None):
@@ -142,15 +200,15 @@ def _bordered_solve(jac, nodes, rhs, extra_col=None, extra_row=None):
     if wn < 1e-12 * n:
         raise CollapseError("loop velocity collapsed during refinement")
     w = w / wn
-    gauge = np.zeros(n * m)
-    gauge[:m] = vel[0] / np.linalg.norm(vel[0])
     if extra_col is None:
-        blocks = [[jac, w[:, None]], [gauge[None, :], None]]
+        right = w[:, None]
+        below = np.zeros((1, n * m + 1))
     else:
-        blocks = [[jac, extra_col[:, None], w[:, None]],
-                  [gauge[None, :], None, None],
-                  [extra_row[None, :-1], extra_row[None, -1:], None]]
-    bordered = scipy.sparse.bmat(blocks, format="csc")
+        right = np.stack([extra_col, w], axis=1)
+        below = np.zeros((2, n * m + 2))
+        below[1, :-1] = extra_row
+    below[0, :m] = vel[0] / np.linalg.norm(vel[0])
+    bordered = _bordered_matrix(jac, right, below)
     return scipy.sparse.linalg.splu(bordered).solve(rhs)
 
 
@@ -167,8 +225,12 @@ class GeodesicResult:
     convergence_order: float | None
 
 
-def _scaled_residual(spec, nodes):
-    _, tan, f = residual_field(spec, nodes)
+def _scaled_residual(spec, nodes, fields=None):
+    """Scaled tangential residual, worst constraint defect and mean speed.
+
+    ``fields`` is ``residual_field(spec, nodes)`` when the caller holds it.
+    """
+    _, tan, f = residual_field(spec, nodes) if fields is None else fields
     v = _velocity(nodes)
     ell = float(np.mean(geometry.speed(spec, nodes, v)))
     scale = max(1.0, ell * ell)
@@ -209,7 +271,8 @@ def refine_to_geodesic(
     nodes = np.array(seed.nodes, dtype=float)
     n, m = nodes.shape
     scale0 = max(1.0, float(np.max(np.abs(nodes))))
-    res0, f0, ell0 = _scaled_residual(spec, nodes)
+    fields = residual_field(spec, nodes)
+    res0, f0, ell0 = _scaled_residual(spec, nodes, fields)
     history = [res0]
     if res0 <= tol and f0 <= _CONSTRAINT_TOL:
         return GeodesicResult(
@@ -220,7 +283,9 @@ def refine_to_geodesic(
     stalled_steps = 0
     for it in range(1, max_iter + 1):
         geometry.check_band(spec, nodes)
-        full, _, _ = residual_field(spec, nodes)
+        if fields is None:
+            fields = residual_field(spec, nodes)
+        full = fields[0]
         merit = float(np.sum(full * full))
         jac = _fd_jacobian(spec, nodes)
         rhs = np.concatenate([-full.reshape(-1), [0.0]])
@@ -238,18 +303,22 @@ def refine_to_geodesic(
             delta = delta * (step_cap * scale0 / dmax)
         # Armijo backtracking on |R|^2 with retraction: each trial point is
         # pulled back onto the surface so the N^2-scaled constraint rows do
-        # not poison the merit with the step's quadratic normal drift
+        # not poison the merit with the step's quadratic normal drift.  The
+        # fields of the last trial are kept for the next iteration: they are
+        # None when that trial was not finite or could not be projected
         step = 1.0
         accepted = False
         for _ in range(12):
             trial = nodes + step * delta
+            fields = None
             if np.all(np.isfinite(trial)):
                 try:
                     trial = geometry.surface_project(spec, trial)
                 except GeometryError:
                     step *= 0.5
                     continue
-                trial_merit = float(np.sum(residual_field(spec, trial)[0] ** 2))
+                fields = residual_field(spec, trial)
+                trial_merit = float(np.sum(fields[0] ** 2))
                 if trial_merit <= (1.0 - 1e-4 * step) * merit:
                     accepted = True
                     break
@@ -263,7 +332,7 @@ def refine_to_geodesic(
         nodes = trial
         if np.max(np.abs(nodes)) > 100.0 * scale0:
             raise DivergenceError("iterates left the working region")
-        res, fdef, ell = _scaled_residual(spec, nodes)
+        res, fdef, ell = _scaled_residual(spec, nodes, fields)
         history.append(res)
         if ell < 1e-3:
             raise CollapseError("loop length collapsed toward zero")

@@ -1,15 +1,21 @@
 """Shared fixtures: small-mesh geodesics reused across the unit test modules.
 
 Everything here is session scoped because census runs and Jacobi reports are
-the expensive pieces; the tests only read from them.
+the expensive pieces; the tests only read from them.  Property tests run
+under one ``hypothesis`` profile: no per-example deadline (timings on a busy
+machine vary) and derandomized, so every run draws the same examples.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from geocount import geometry, jacobi, loops, solver
 
 ELLIPSOID_AXES = (1.05, 1.0, 0.95)
+
+settings.register_profile("geocount", deadline=None, derandomize=True)
+settings.load_profile("geocount")
 
 
 @pytest.fixture(scope="session")

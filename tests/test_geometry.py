@@ -150,3 +150,19 @@ def test_invalid_metric_parameters_raise():
         MetricSpec.revolution("poly", (0.1, 0.0, -1.0), (-0.6, 0.6))
     with pytest.raises(GeometryError):
         MetricSpec.conformal_sphere(((5, 0, 0.1),))
+    with pytest.raises(GeometryError):
+        MetricSpec.conformal_sphere(((4, 0, 0.0),))
+    # direct construction validates like the classmethods
+    for family, data in (
+            ("ellipsoid", (1.0, -1.0, 1.0)),
+            ("ellipsoid", (1.0, 1.0)),
+            ("revolution", ("spline", (1.0, 0.0), (-0.5, 0.5))),
+            ("revolution", ("poly", (0.1, 0.0, -1.0), (-0.6, 0.6))),
+            ("revolution", ("cosh", (1.0, 0.0), (0.5, -0.5))),
+            ("conformal_sphere", ((4, 0, 0.1),)),
+            ("conformal_sphere", ((2, 0, float("nan")),)),
+            ("torus", ())):
+        with pytest.raises(GeometryError):
+            MetricSpec(family, data)
+    assert MetricSpec("ellipsoid", (1.0, 2.0, 3.0)) == MetricSpec.ellipsoid((1, 2, 3))
+    assert MetricSpec.conformal_sphere(((2, 0, 0.1), (2, 0, -0.1))).data == ()

@@ -4,11 +4,20 @@ The ellipsoid perimeters are checked against the complete elliptic integral,
 and the oscillating orbit on a barrel profile is computed twice: once by the
 Clairaut quadrature (which never touches the discrete solver) and once by
 Newton refinement of a synthetic seed.
+
+The Newton kernel (stacked residual, colored Jacobian on its cached CSC
+pattern, bordered assembly) is checked against reference implementations
+kept here: the per-color COO loop and the ``scipy.sparse.bmat`` layout it
+replaced, which it must reproduce bit for bit.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geocount import geometry, loops, solver
 from geocount.geometry import MetricSpec
@@ -163,3 +172,177 @@ def test_iterate_table_lists_degrees_up_to_the_bound(ellipsoid_census):
         ellipsoid_census.metric, 13.0, mesh=128, planes=24, seed=7)
     degrees = {d for _, d, _ in solver.iterate_table(longer)}
     assert degrees == {1, 2}
+
+
+# ---------------------------------------------------------------------------
+# the Newton kernel against its reference implementations
+# ---------------------------------------------------------------------------
+
+KERNEL_SPECS = {
+    "ellipsoid": MetricSpec.ellipsoid((1.05, 1.0, 0.95)),
+    "revolution": MetricSpec.revolution(*BARREL),
+    "conformal": MetricSpec.conformal_sphere(
+        ((1, 1, 0.05), (2, 0, 0.16), (2, 2, 0.08), (3, 3, 0.03))),
+    "ellipsoid4": MetricSpec.ellipsoid((1.0, 1.1, 0.9, 1.2)),
+}
+
+
+def _kernel_nodes(name, n, seed=0, amplitude=0.02):
+    """A randomly perturbed loop on the surface, not a geodesic."""
+    spec = KERNEL_SPECS[name]
+    if name == "revolution":
+        base = loops.parallel_circle(spec, 0.1, n).nodes
+    elif name == "conformal":
+        base = loops.great_circle_seed(spec, np.eye(3)[0], np.eye(3)[2], n).nodes
+    else:
+        base = loops.principal_ellipse(spec, 0, spec.ambient_dim - 1, n).nodes
+    rng = np.random.default_rng(seed)
+    nodes = np.asarray(base) + amplitude * rng.normal(size=base.shape)
+    return spec, geometry.surface_project(spec, nodes)
+
+
+def _coo_jacobian(spec, nodes):
+    """Reference: one residual pair per color and coordinate, COO assembly."""
+    n, m = nodes.shape
+    h = solver._FD_STEP * max(1.0, float(np.max(np.abs(nodes))))
+    rows, cols, data = [], [], []
+    for color in range(4):
+        js = np.arange(color, n, 4)
+        for d in range(m):
+            bump = np.zeros_like(nodes)
+            bump[js, d] = h
+            rp = solver.residual_field(spec, nodes + bump)[0]
+            rm = solver.residual_field(spec, nodes - bump)[0]
+            diff = (rp - rm) / (2.0 * h)
+            for off in (-1, 0, 1):
+                ridx = (js + off) % n
+                block = diff[ridx]
+                for comp in range(m):
+                    rows.append(ridx * m + comp)
+                    cols.append(js * m + d)
+                    data.append(block[:, comp])
+    rows, cols, data = (np.concatenate(a) for a in (rows, cols, data))
+    return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n * m, n * m)).tocsc()
+
+
+def _dense_jacobian(spec, nodes):
+    """Reference: one central difference per column, no coloring."""
+    n, m = nodes.shape
+    h = solver._FD_STEP * max(1.0, float(np.max(np.abs(nodes))))
+    out = np.empty((n * m, n * m))
+    for col in range(n * m):
+        bump = np.zeros(n * m)
+        bump[col] = h
+        bump = bump.reshape(n, m)
+        rp = solver.residual_field(spec, nodes + bump)[0]
+        rm = solver.residual_field(spec, nodes - bump)[0]
+        out[:, col] = ((rp - rm) / (2.0 * h)).reshape(-1)
+    return out
+
+
+def _bmat_bordered(jac, nodes, extra_col=None, extra_row=None):
+    """Reference: the bordered matrix through scipy.sparse.bmat."""
+    n, m = nodes.shape
+    vel = solver._velocity(nodes)
+    w = vel.reshape(-1)
+    w = w / np.linalg.norm(w)
+    gauge = np.zeros(n * m)
+    gauge[:m] = vel[0] / np.linalg.norm(vel[0])
+    if extra_col is None:
+        blocks = [[jac, w[:, None]], [gauge[None, :], None]]
+    else:
+        blocks = [[jac, extra_col[:, None], w[:, None]],
+                  [gauge[None, :], None, None],
+                  [extra_row[None, :-1], extra_row[None, -1:], None]]
+    return scipy.sparse.bmat(blocks, format="csc")
+
+
+def _same_csc(a, b):
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(0.0, 0.05))
+def test_stacked_residual_equals_single_calls(name, seed, amplitude):
+    spec = KERNEL_SPECS[name]
+    stack = np.stack([_kernel_nodes(name, 16, seed + k, amplitude)[1] for k in range(3)])
+    fields = solver.residual_field(spec, stack)
+    for k in range(3):
+        for got, want in zip(fields, solver.residual_field(spec, stack[k])):
+            assert np.array_equal(got[k], want)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_fd_jacobian_matches_the_per_color_loop(name):
+    spec, nodes = _kernel_nodes(name, 32)
+    jac = solver._fd_jacobian(spec, nodes)
+    assert _same_csc(jac, _coo_jacobian(spec, nodes))
+    assert np.allclose(jac.toarray(), _dense_jacobian(spec, nodes), rtol=1e-12, atol=1e-12)
+
+
+def test_fd_jacobian_makes_two_residual_calls(monkeypatch):
+    spec, nodes = _kernel_nodes("ellipsoid4", 32)
+    calls = []
+    real = solver.residual_field
+    monkeypatch.setattr(solver, "residual_field",
+                        lambda spec, x: calls.append(x.shape) or real(spec, x))
+    solver._fd_jacobian(spec, nodes)
+    assert calls == [(16, 32, 4)] * 2
+
+
+@pytest.mark.parametrize("name", ["circle"] + sorted(KERNEL_SPECS))
+def test_bordered_assembly_matches_bmat(name, monkeypatch):
+    if name == "circle":
+        # a great circle in a coordinate plane: its velocity and gauge row
+        # have exact zeros, which bmat drops
+        spec = MetricSpec.ellipsoid((1.0, 1.0, 1.0))
+        nodes = loops.great_circle_seed(spec, np.eye(3)[0], np.eye(3)[1], 32).nodes
+    else:
+        spec, nodes = _kernel_nodes(name, 32)
+    n, m = nodes.shape
+    jac = solver._fd_jacobian(spec, nodes)
+    rng = np.random.default_rng(5)
+    extra_col = rng.normal(size=n * m)
+    extra_col[::3] = 0.0
+    extra_row = rng.normal(size=n * m + 1)
+    extra_row[1::4] = 0.0
+    seen = []
+    real_splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda a: seen.append(a) or real_splu(a))
+    for args in ((), (extra_col, extra_row), (extra_col, np.append(extra_row[:-1], 0.0))):
+        rhs = rng.normal(size=n * m + 1 + len(args) // 2)
+        sol = solver._bordered_solve(jac, nodes, rhs, *args)
+        want = _bmat_bordered(jac, nodes, *args)
+        assert _same_csc(seen[-1], want)
+        assert np.array_equal(sol, real_splu(want).solve(rhs))
+    if name == "circle":
+        assert seen[0].nnz < jac.nnz + n * m + m   # the zeros of w and the gauge are gone
+
+
+def test_refinement_evaluates_each_residual_once(ellipsoid_spec, monkeypatch):
+    seed = loops.principal_ellipse(ellipsoid_spec, 0, 1, 64)
+    rng = np.random.default_rng(3)
+    nodes = geometry.surface_project(
+        ellipsoid_spec, np.asarray(seed.nodes) + 0.02 * rng.normal(size=(64, 3)))
+    single, stacked, trials = [], [], []
+    real_residual = solver.residual_field
+    real_project = geometry.surface_project
+
+    def residual(spec, x):
+        (single if x.ndim == 2 else stacked).append(x.tobytes())
+        return real_residual(spec, x)
+
+    def project(spec, x):
+        trials.append(1)
+        return real_project(spec, x)
+
+    monkeypatch.setattr(solver, "residual_field", residual)
+    monkeypatch.setattr(geometry, "surface_project", project)
+    res = solver.refine_to_geodesic(loops.DiscreteLoop(ellipsoid_spec, nodes))
+    assert res.iterations >= 3
+    assert len(stacked) == 2 * res.iterations
+    assert len(single) == 1 + len(trials)
+    assert len(set(single)) == len(single)
