@@ -554,9 +554,8 @@ def _trace_rows(branch_id, result: continuation.BranchResult):
             lo, hi = min(prev_t, pt.t), max(prev_t, pt.t)
             kinds = [e.kind for e in events if lo <= e.t <= hi]
             marker = ";".join(kinds)
-        data = jacobi.build_operator(pt.result)
-        i1 = jacobi.index_nullity(data, 1)
-        i2 = jacobi.index_nullity(data, 2)
+        i1 = jacobi.index_nullity(pt.data, 1)
+        i2 = jacobi.index_nullity(pt.data, 2)
         rows.append((branch_id, pt.s, pt.t, pt.length,
                      i1.iota, i2.iota, i1.nu, i2.nu,
                      (-1) ** i1.iota, (-1) ** i2.iota, marker))

@@ -94,6 +94,7 @@ class BranchPoint:
     length: float
     trace: float              # tr of the primitive monodromy
     result: solver.GeodesicResult
+    data: jacobi.JacobiOperatorData   # Jacobi operator of ``result``
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def _corrector(path, nodes, t, tau, s_target_point, ds, tol=1e-10, max_iter=16):
         res, fdef, _ = solver._scaled_residual(spec, nodes, fields)
         arc = float(np.dot((nodes - s_target_point[0]).reshape(-1) / sqn, tau[:-1])
                     + (t - s_target_point[1]) * tau[-1] - ds)
-        if res <= tol and fdef <= 1e-10 and abs(arc) <= 1e-10:
+        if res <= tol and fdef <= solver._CONSTRAINT_TOL and abs(arc) <= 1e-10:
             return nodes, t
         jac = solver._fd_jacobian(spec, nodes)
         r_t = _param_derivative(path, t, nodes)
@@ -223,8 +224,9 @@ def continue_branch(
         res0 = _solve_fixed_t(path, 0.0, np.asarray(start.loop.nodes))
     else:
         res0 = _solve_fixed_t(path, 0.0, np.asarray(start.nodes))
-    tr0, _, _ = _trace(res0)
-    points = [BranchPoint(t=0.0, s=0.0, length=res0.length, trace=tr0, result=res0)]
+    tr0, data0, _ = _trace(res0)
+    points = [BranchPoint(t=0.0, s=0.0, length=res0.length, trace=tr0, result=res0,
+                          data=data0)]
     tau = _branch_tangent(path, 0.0, np.asarray(res0.loop.nodes))
     nodes = np.asarray(res0.loop.nodes)
     t = 0.0
@@ -249,27 +251,27 @@ def continue_branch(
         new_nodes, new_t = out
         if new_t < -1e-12:
             res_end = _solve_fixed_t(path, 0.0, nodes)
-            tr_end, _, _ = _trace(res_end)
+            tr_end, data_end, _ = _trace(res_end)
             _maybe_pd_event(path, points[-1], (0.0, tr_end, res_end), events,
                             event_t_tol)
             points.append(BranchPoint(t=0.0, s=s_acc + step, length=res_end.length,
-                                      trace=tr_end, result=res_end))
+                                      trace=tr_end, result=res_end, data=data_end))
             stop_reason = "returned_to_start"
             break
         if new_t > 1.0 + 1e-12:
             res_end = _solve_fixed_t(path, 1.0, nodes)
-            tr_end, _, _ = _trace(res_end)
+            tr_end, data_end, _ = _trace(res_end)
             _maybe_pd_event(path, points[-1], (1.0, tr_end, res_end), events,
                             event_t_tol)
             points.append(BranchPoint(t=1.0, s=s_acc + step, length=res_end.length,
-                                      trace=tr_end, result=res_end))
+                                      trace=tr_end, result=res_end, data=data_end))
             reached_end = True
             stop_reason = "reached_end"
             break
         spec_new = path.at(new_t)
         res_new = solver.refine_to_geodesic(
             DiscreteLoop(spec_new, new_nodes), tol=tol)
-        tr_new, _, _ = _trace(res_new)
+        tr_new, data_new, _ = _trace(res_new)
         prev_pt = points[-1]
         new_tau = _branch_tangent(path, new_t, np.asarray(res_new.loop.nodes), prev=tau)
         # fold: tangent t-component changed sign
@@ -279,7 +281,7 @@ def continue_branch(
         _maybe_pd_event(path, prev_pt, (new_t, tr_new, res_new), events, event_t_tol)
         s_acc += step
         points.append(BranchPoint(t=new_t, s=s_acc, length=res_new.length,
-                                  trace=tr_new, result=res_new))
+                                  trace=tr_new, result=res_new, data=data_new))
         nodes = np.asarray(res_new.loop.nodes)
         t = new_t
         tau = new_tau
@@ -635,8 +637,9 @@ def verify_invariance(
         detail_b, rec_b = _pd_side_detail(path, event, t_b, samples, tol)
         detail_a, rec_a = _pd_side_detail(path, event, t_a, samples, tol)
     elif event.kind == "fold":
-        detail_b, rec_b = _fold_side_detail(path, event, t_b, tol)
-        detail_a, rec_a = _fold_side_detail(path, event, t_a, tol)
+        kick_dir = _fold_kick_direction(event, tol)
+        detail_b, rec_b = _fold_side_detail(path, event, t_b, kick_dir, tol)
+        detail_a, rec_a = _fold_side_detail(path, event, t_a, kick_dir, tol)
     else:
         raise ValueError(f"unknown event kind {event.kind!r}")
     total_b = sum(detail_b.values())
@@ -671,15 +674,20 @@ def _pd_side_detail(path, event, t_val, samples, tol):
     return detail, records
 
 
-def _fold_side_detail(path, event, t_val, tol):
-    """Contributions of the two colliding branches at parameter t_val."""
-    spec_t = path.at(t_val)
+def _fold_kick_direction(event, tol):
+    """The fold's kernel Jacobi field in ambient coordinates, max node norm 1."""
     data = jacobi.build_operator(solver.refine_to_geodesic(event.loop, tol=tol))
     fields = jacobi.detect_lambda_jacobi(data, 1, unit_tol=_EVENT_FIELD_TOL)
     if not fields:
         raise ContinuationError("no kernel field at the fold event")
     kick_dir = np.einsum("np,npm->nm", fields[0].xi, data.frame)
-    kick_dir = kick_dir / np.max(np.linalg.norm(kick_dir, axis=1))
+    return kick_dir / np.max(np.linalg.norm(kick_dir, axis=1))
+
+
+def _fold_side_detail(path, event, t_val, kick_dir, tol):
+    """Contributions of the two colliding branches at parameter t_val, seeded
+    by kicks of the event loop along ``kick_dir``."""
+    spec_t = path.at(t_val)
     base = np.asarray(event.loop.nodes)
     base_len = loops.length(event.loop)
     detail = {}

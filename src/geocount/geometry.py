@@ -176,7 +176,7 @@ class MetricSpec:
         if kind == "poly" and len(c) == 0:
             raise GeometryError("poly profile needs at least one coefficient")
         zs = np.linspace(lo, hi, 257)
-        if np.min(_impl(self).profile(zs)[0]) <= 0.0:
+        if np.min(_impl(self).profile(zs, 0)[0]) <= 0.0:
             raise GeometryError("profile radius must stay positive on the band")
 
     @classmethod
@@ -271,6 +271,15 @@ class _Ellipsoid:
         return np.asarray(ref, dtype=float) / self.a
 
 
+def _horner(c, z):
+    """Polynomial with coefficients c (low to high) at z, in the order of
+    operations of ``numpy.polynomial.polynomial.polyval``, so bits agree."""
+    out = c[-1] + z * 0
+    for ci in c[-2::-1]:
+        out = ci + out * z
+    return out
+
+
 class _Revolution:
     conformal = False
     m = 3
@@ -281,30 +290,32 @@ class _Revolution:
         self.kind = kind
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.band = band
+        if kind == "poly":
+            der = np.polynomial.polynomial.polyder
+            # coefficients of r, r', r'' as numpy derives them
+            self.derivs = tuple(
+                tuple(der(self.coeffs, k).tolist()) for k in range(3))
 
-    def profile(self, z):
-        """Return r, r', r'' at heights z (vectorized)."""
+    def profile(self, z, order: int):
+        """Return (r, r', ..., r^(order)) at heights z (vectorized), order <= 2.
+
+        A polynomial profile evaluates only the derivatives asked for; the
+        closed-form kinds are a few ufuncs and compute all three.
+        """
         z = np.asarray(z, dtype=float)
         if self.kind == "poly":
-            c = self.coeffs
-            r = np.polynomial.polynomial.polyval(z, c)
-            rp = np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(c))
-            rpp = np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(c, 2))
-            return r, rp, rpp
+            return tuple(_horner(c, z) for c in self.derivs[:order + 1])
         if self.kind == "cosh":
             a, z0 = self.coeffs
             w = (z - z0) / a
-            return a * np.cosh(w), np.sinh(w), np.cosh(w) / a
+            return (a * np.cosh(w), np.sinh(w), np.cosh(w) / a)[:order + 1]
         a, c = self.coeffs
         w = z / c
         inside = 1.0 - w * w
         if np.any(inside <= 0.0):
             raise BandExitError("height reached the poles of the ellipse profile")
         s = np.sqrt(inside)
-        r = a * s
-        rp = -a * w / (c * s)
-        rpp = -a / (c * c * s ** 3)
-        return r, rp, rpp
+        return (a * s, -a * w / (c * s), -a / (c * c * s ** 3))[:order + 1]
 
     def check_band(self, z):
         lo, hi = self.band
@@ -315,12 +326,12 @@ class _Revolution:
 
     def constraint(self, x):
         z = x[..., 2]
-        r = self.profile(z)[0]
+        r = self.profile(z, 0)[0]
         return x[..., 0] ** 2 + x[..., 1] ** 2 - r ** 2
 
     def grad(self, x):
         z = x[..., 2]
-        r, rp, _ = self.profile(z)
+        r, rp = self.profile(z, 1)
         g = np.empty_like(x)
         g[..., 0] = 2.0 * x[..., 0]
         g[..., 1] = 2.0 * x[..., 1]
@@ -329,7 +340,7 @@ class _Revolution:
 
     def hess(self, x):
         z = x[..., 2]
-        r, rp, rpp = self.profile(z)
+        r, rp, rpp = self.profile(z, 2)
         h = np.zeros(np.shape(x)[:-1] + (3, 3))
         h[..., 0, 0] = 2.0
         h[..., 1, 1] = 2.0
@@ -339,7 +350,7 @@ class _Revolution:
     def surface_project(self, x):
         # rescale the horizontal part onto the profile circle at fixed z
         z = x[..., 2]
-        r = self.profile(z)[0]
+        r = self.profile(z, 0)[0]
         rho = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2)
         if np.any(rho == 0.0):
             raise GeometryError("cannot project an axis point onto the surface")
@@ -355,7 +366,7 @@ class _Revolution:
     def from_reference(self, ref):
         ref = np.asarray(ref, dtype=float)
         z, phi = ref[..., 0], ref[..., 1]
-        r = self.profile(z)[0]
+        r = self.profile(z, 0)[0]
         return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
@@ -587,7 +598,7 @@ def _chart_embedding(spec, q, chart):
         z, phi = q[..., 0], q[..., 1]
         if chart == 1:
             phi = phi + np.pi
-        r, rp, rpp = impl.profile(z)
+        r, rp, rpp = impl.profile(z, 2)
         cp, sp = np.cos(phi), np.sin(phi)
         x = np.stack([r * cp, r * sp, z], axis=-1)
         jac = np.empty(np.shape(q)[:-1] + (3, 2))

@@ -246,15 +246,21 @@ class MonodromyResult:
 
 
 def _b_theta_interp(data: JacobiOperatorData):
+    """Trigonometric interpolant t -> speed^2 B(t), a real (p, p) matrix.
+
+    The Fourier coefficients are laid out once as an (N, p^2) matrix, so an
+    evaluation is one (1, N) phase row times that matrix.
+    """
     b_theta = data.speed ** 2 * data.b_unit
-    coef = np.fft.fft(b_theta, axis=0) / b_theta.shape[0]
-    k = _spectral.modes(b_theta.shape[0])
+    n, p = b_theta.shape[0], b_theta.shape[1]
+    coef = (np.fft.fft(b_theta, axis=0) / n).reshape(n, p * p)
+    freq = (2j * np.pi * _spectral.modes(n)).reshape(1, n)
 
     def evaluate(t):
-        phase = np.exp(2j * np.pi * k * t)
-        if b_theta.shape[0] % 2 == 0:
-            phase[b_theta.shape[0] // 2] = np.cos(np.pi * b_theta.shape[0] * t)
-        return np.tensordot(phase, coef, axes=(0, 0)).real
+        phase = np.exp(freq * t)
+        if n % 2 == 0:
+            phase[0, n // 2] = np.cos(np.pi * n * t)
+        return np.dot(phase, coef).reshape(p, p).real
 
     return evaluate
 

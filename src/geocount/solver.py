@@ -568,7 +568,7 @@ def clairaut_shoot(
     lo, hi = spec.data[2]
     cc = abs(float(c))
     zs = np.linspace(lo, hi, 2049)
-    r_grid = impl.profile(zs)[0]
+    r_grid = impl.profile(zs, 0)[0]
     above = r_grid > cc
     if z0 is None:
         z0 = float(zs[np.argmax(r_grid)])
@@ -577,7 +577,7 @@ def clairaut_shoot(
         raise GeometryError("no oscillation: the profile never exceeds |c| at z0")
 
     def fr(z):
-        return impl.profile(z)[0] - cc
+        return impl.profile(z, 0)[0] - cc
 
     iL = i0
     while iL > 0 and above[iL - 1]:
@@ -605,7 +605,7 @@ def clairaut_shoot(
     u, w = np.polynomial.legendre.leggauss(96)
     z = mid + half * np.sin(0.5 * np.pi * u)
     jac = half * 0.5 * np.pi * np.cos(0.5 * np.pi * u)
-    r, rp, _ = impl.profile(z)
+    r, rp = impl.profile(z, 1)
     # sqrt(1 - c^2/r^2) = sqrt((r-c)(r+c))/r; (r-c) vanishes linearly at the
     # turning points, cancelling against the cos factor of the substitution
     disc = np.sqrt(np.maximum((r - cc) * (r + cc), 0.0)) / r
@@ -657,12 +657,12 @@ def parallel_heights(spec: MetricSpec) -> tuple:
     impl = geometry._impl(spec)
     lo, hi = spec.data[2]
     zs = np.linspace(lo, hi, 2049)
-    rp = impl.profile(zs)[1]
+    rp = impl.profile(zs, 1)[1]
     out = []
     for i in range(len(zs) - 1):
         if rp[i] == 0.0:
             out.append(float(zs[i]))
         elif rp[i] * rp[i + 1] < 0.0:
             out.append(float(scipy.optimize.brentq(
-                lambda z: impl.profile(z)[1], zs[i], zs[i + 1], xtol=1e-14)))
+                lambda z: impl.profile(z, 1)[1], zs[i], zs[i + 1], xtol=1e-14)))
     return tuple(out)

@@ -10,7 +10,7 @@ off.
 import numpy as np
 import pytest
 
-from geocount import continuation, geometry, jacobi, loops, solver
+from geocount import cli, continuation, geometry, jacobi, loops, solver
 from geocount.continuation import MetricPath
 from geocount.geometry import GeometryError, MetricSpec
 
@@ -78,9 +78,20 @@ def test_fold_branch_turns_back(fold_branch):
     assert ts[-1] < max(ts) - 0.1
 
 
-def test_fold_invariance_and_branch_pairing(fold_path, fold_branch):
+def test_fold_invariance_and_branch_pairing(fold_path, fold_branch, monkeypatch):
     event = fold_branch.events[0]
+    kernel_searches = []
+    real_detect = jacobi.detect_lambda_jacobi
+
+    def detect(data, d, mono=None, unit_tol=1e-6):
+        if unit_tol == continuation._EVENT_FIELD_TOL:
+            kernel_searches.append(d)
+        return real_detect(data, d, mono=mono, unit_tol=unit_tol)
+
+    monkeypatch.setattr(jacobi, "detect_lambda_jacobi", detect)
     report = continuation.verify_invariance(fold_path, event)
+    # both sides kick along one kernel field, searched for once
+    assert kernel_searches == [1]
     assert report.event_kind == "fold"
     assert report.invariant
     assert report.total_before == 0
@@ -91,6 +102,39 @@ def test_fold_invariance_and_branch_pairing(fold_path, fold_branch):
     assert eps == {(1, 1), (-1, -1)}  # colliding branches carry opposite signs
     assert report.records_after == {}
     assert report.detail_after == {"no_branches": 0}
+
+
+def _rebuilt_trace_rows(branch_id, result):
+    """Reference: the trace rows as written before branch points kept their
+    Jacobi operator, rebuilding it at every point."""
+    rows = []
+    events = list(result.events)
+    prev_t = None
+    for pt in result.points:
+        marker = ""
+        if prev_t is not None:
+            lo, hi = min(prev_t, pt.t), max(prev_t, pt.t)
+            kinds = [e.kind for e in events if lo <= e.t <= hi]
+            marker = ";".join(kinds)
+        data = jacobi.build_operator(pt.result)
+        i1 = jacobi.index_nullity(data, 1)
+        i2 = jacobi.index_nullity(data, 2)
+        rows.append((branch_id, pt.s, pt.t, pt.length,
+                     i1.iota, i2.iota, i1.nu, i2.nu,
+                     (-1) ** i1.iota, (-1) ** i2.iota, marker))
+        prev_t = pt.t
+    return rows
+
+
+def test_trace_rows_reuse_the_branch_operators(fold_branch, pd_branch, monkeypatch):
+    want = [_rebuilt_trace_rows("g000", b) for b in (fold_branch, pd_branch)]
+    calls = []
+    real_build = jacobi.build_operator
+    monkeypatch.setattr(jacobi, "build_operator",
+                        lambda source: calls.append(source) or real_build(source))
+    got = [cli._trace_rows("g000", b) for b in (fold_branch, pd_branch)]
+    assert calls == []
+    assert got == want
 
 
 def test_period_doubling_event_is_located(pd_branch):

@@ -1,7 +1,10 @@
 """Curvature, transport, and chart consistency across the three metric families."""
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geocount import geometry
 from geocount.geometry import BandExitError, GeometryError, MetricSpec
@@ -166,3 +169,21 @@ def test_invalid_metric_parameters_raise():
             MetricSpec(family, data)
     assert MetricSpec("ellipsoid", (1.0, 2.0, 3.0)) == MetricSpec.ellipsoid((1, 2, 3))
     assert MetricSpec.conformal_sphere(((2, 0, 0.1), (2, 0, -0.1))).data == ()
+
+
+@given(c0=st.floats(2.5, 4.0), rest=st.lists(st.floats(-0.5, 0.5), max_size=4),
+       n=st.integers(1, 40), stacked=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_poly_profile_matches_polyval(c0, rest, n, stacked, seed):
+    # reference: what profile evaluated before it cached the derivative
+    # coefficients, polyval(z, polyder(c, k)) on every call
+    coeffs = (c0,) + tuple(rest)
+    impl = geometry._impl(MetricSpec.revolution("poly", coeffs, (-1.0, 1.0)))
+    z = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(12, n) if stacked else (n,))
+    z[..., 0] = -0.0
+    for order in range(3):
+        got = impl.profile(z, order)
+        assert len(got) == order + 1
+        for k, value in enumerate(got):
+            want = P.polyval(z, P.polyder(np.asarray(coeffs), k))
+            assert np.array_equal(value, want)
+            assert np.array_equal(np.signbit(value), np.signbit(want))

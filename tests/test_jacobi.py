@@ -6,10 +6,14 @@ the orbit, length 2 pi, and monodromy trace 2 cosh(2 pi); the equator of the
 rotates Jacobi data by 3 pi and the monodromy is exactly -I.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geocount import jacobi, loops
+from geocount import _spectral, geometry, jacobi, loops, solver
 
 
 def test_waist_length_and_curvature(waist_result, waist_report):
@@ -126,3 +130,47 @@ def test_monodromy_is_area_preserving(sphere_report, spheroid_report, waist_repo
     for rep in (sphere_report, spheroid_report, waist_report):
         det = float(np.linalg.det(rep.mono.matrix))
         assert abs(det - 1.0) < 1e-8
+
+
+def _tensordot_interp(data):
+    """Reference: the curvature interpolant as evaluated before its
+    coefficient matrix was precomputed, one tensordot per evaluation."""
+    b_theta = data.speed ** 2 * data.b_unit
+    coef = np.fft.fft(b_theta, axis=0) / b_theta.shape[0]
+    k = _spectral.modes(b_theta.shape[0])
+
+    def evaluate(t):
+        phase = np.exp(2j * np.pi * k * t)
+        if b_theta.shape[0] % 2 == 0:
+            phase[b_theta.shape[0] // 2] = np.cos(np.pi * b_theta.shape[0] * t)
+        return np.tensordot(phase, coef, axes=(0, 0)).real
+
+    return evaluate
+
+
+@pytest.fixture(scope="module")
+def interp_operators():
+    # principal-plane loops, where the curvature varies along the loop: p = 1
+    # on a triaxial ellipsoid, p = 2 on a 4-axis one.  Dropping the last
+    # sample gives an odd sample count.
+    out = {}
+    for p, axes in ((1, (1.05, 1.0, 0.95)), (2, (1.0, 1.1, 0.9, 1.2))):
+        spec = geometry.MetricSpec.ellipsoid(axes)
+        data = jacobi.build_operator(
+            solver.refine_to_geodesic(loops.principal_ellipse(spec, 0, 1, 32)))
+        assert data.normal_rank == p
+        out[(p, "even")] = data
+        out[(p, "odd")] = dataclasses.replace(data, b_unit=data.b_unit[:-1])
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@settings(max_examples=25)
+@given(t=st.floats(0.0, 1.0, exclude_max=True))
+def test_b_theta_interp_matches_tensordot(interp_operators, p, parity, t):
+    data = interp_operators[(p, parity)]
+    got = jacobi._b_theta_interp(data)(t)
+    want = _tensordot_interp(data)(t)
+    assert got.shape == (p, p)
+    assert np.array_equal(got, want)

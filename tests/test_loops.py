@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geocount import geometry, loops
 from geocount.loops import DiscreteLoop, LoopError
@@ -94,6 +97,37 @@ def test_loop_distance_quotients_rotation(sphere):
     assert loops.loop_distance(loop, loops.fractional_rotate(loop, 0.21)) < 1e-6
     tilted = DiscreteLoop(sphere, np.asarray(_equator(sphere, n=64).nodes)[:, [0, 2, 1]])
     assert loops.loop_distance(loop, tilted) > 0.1
+
+
+def _tilted_circle(spec, n, frame, height, phase):
+    """Circle of the unit sphere at signed height ``height`` along frame[0];
+    its coordinates are trigonometric polynomials of degree 1."""
+    ts = 2 * np.pi * (np.arange(n) / n + phase)
+    rho = np.sqrt(1.0 - height * height)
+    nodes = (height * frame[0]
+             + rho * (np.cos(ts)[:, None] * frame[1] + np.sin(ts)[:, None] * frame[2]))
+    return DiscreteLoop(spec, nodes)
+
+
+@given(n4=st.integers(8, 16), seed=st.integers(0, 2 ** 32 - 1),
+       tilt=st.floats(0.0, 0.2), k=st.integers(0, 63), s=st.floats(0.0, 1.0))
+def test_loop_distance_ignores_rotation_and_joint_reversal(sphere, n4, seed, tilt, k, s):
+    n = 4 * n4
+    rng = np.random.default_rng(seed)
+    frame = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    skew = rng.normal(size=(3, 3))
+    tilted = frame @ scipy.linalg.expm(tilt * (skew - skew.T))
+    height = rng.uniform(-0.5, 0.5)
+    a = _tilted_circle(sphere, n, frame, height, rng.uniform())
+    b = _tilted_circle(sphere, n, tilted, height + rng.uniform(-0.1, 0.1), rng.uniform())
+    base = loops.loop_distance(a, b)
+    # the bounded shift search stops within sqrt(eps) + 1e-13 of its optimum,
+    # and on the unit sphere a unit shift moves a node by at most 2 pi
+    tol = 2.0 * np.pi * 2.0 * (1.5e-8 + 1e-13)
+    for other in (loops.loop_distance(a, loops.rotate(b, k)),
+                  loops.loop_distance(a, loops.fractional_rotate(b, s)),
+                  loops.loop_distance(loops.reverse(a), loops.reverse(b))):
+        assert abs(other - base) <= tol
 
 
 def test_canonicalize_is_idempotent(sphere):
