@@ -545,21 +545,25 @@ def _start_results(cfg: RunConfig):
 
 
 def _trace_rows(branch_id, result: continuation.BranchResult):
+    """One row per branch point.  A period doubling is marked on the row whose
+    step spans its t; a fold, where t turns back, on the first point past the
+    turn in arclength."""
     rows = []
     events = list(result.events)
-    prev_t = None
+    prev = None
     for pt in result.points:
         marker = ""
-        if prev_t is not None:
-            lo, hi = min(prev_t, pt.t), max(prev_t, pt.t)
-            kinds = [e.kind for e in events if lo <= e.t <= hi]
+        if prev is not None:
+            lo, hi = min(prev.t, pt.t), max(prev.t, pt.t)
+            kinds = [e.kind for e in events
+                     if (prev.s <= e.s < pt.s if e.kind == "fold" else lo <= e.t <= hi)]
             marker = ";".join(kinds)
         i1 = jacobi.index_nullity(pt.data, 1)
         i2 = jacobi.index_nullity(pt.data, 2)
         rows.append((branch_id, pt.s, pt.t, pt.length,
                      i1.iota, i2.iota, i1.nu, i2.nu,
                      (-1) ** i1.iota, (-1) ** i2.iota, marker))
-        prev_t = pt.t
+        prev = pt
     return rows
 
 

@@ -18,6 +18,7 @@ pairing that certifies transversality of the path at the event.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,6 +107,7 @@ class BifurcationEvent:
     nu_signature: tuple       # (nu(1), nu(2)) at the event point
     signature_ok: bool        # PD: nu(2)-nu(1) == 1; fold: nu(1) == 1
     t_accuracy: float
+    s: float | None = None    # fold: pseudo-arclength of the located turning point
 
 
 @dataclass(frozen=True)
@@ -276,7 +278,7 @@ def continue_branch(
         new_tau = _branch_tangent(path, new_t, np.asarray(res_new.loop.nodes), prev=tau)
         # fold: tangent t-component changed sign
         if tau[-1] * new_tau[-1] < 0.0:
-            ev = _locate_fold(path, (nodes, t, tau), step, tol)
+            ev = _locate_fold(path, (nodes, t, tau, s_acc), step, tol)
             events.append(ev)
         _maybe_pd_event(path, prev_pt, (new_t, tr_new, res_new), events, event_t_tol)
         s_acc += step
@@ -338,9 +340,10 @@ def _locate_fold(path, lo_state, gap, tol):
     remaining arclength from the pre-fold state and checking the tangent
     orientation halves the bracket each round; t is quadratic in arclength
     across the turning point, so resolving the arclength to delta-s pins the
-    fold parameter to order delta-s squared.
+    fold parameter to order delta-s squared.  ``lo_state`` is (nodes, t,
+    tangent, arclength) of the last branch point before the turn.
     """
-    lo_nodes, lo_t, lo_tau = lo_state
+    lo_nodes, lo_t, lo_tau, lo_s = lo_state
     sqn = math.sqrt(lo_nodes.shape[0])
     for _ in range(60):
         half = 0.5 * gap
@@ -356,7 +359,7 @@ def _locate_fold(path, lo_state, gap, tol):
         except RuntimeError:
             break
         if lo_tau[-1] * mid_tau[-1] > 0.0:
-            lo_nodes, lo_t, lo_tau = mid_nodes, mid_t, mid_tau
+            lo_nodes, lo_t, lo_tau, lo_s = mid_nodes, mid_t, mid_tau, lo_s + half
         gap = half
         if gap < 1e-6 or gap * gap < 1e-13:
             break
@@ -368,7 +371,7 @@ def _locate_fold(path, lo_state, gap, tol):
     return BifurcationEvent(
         kind="fold", t=t_star, loop=res_star.loop, trace=tr_star,
         nu_signature=(nu1, nu2), signature_ok=(nu1 >= 1),
-        t_accuracy=max(gap * gap, 1e-14))
+        t_accuracy=max(gap * gap, 1e-14), s=lo_s)
 
 
 # ---------------------------------------------------------------------------
@@ -396,33 +399,13 @@ def _doubled_sample(path, t_val, cand, prim_seed_nodes, tol):
     return DoubledOrbitSample(t=t_val, result=cand, amplitude=amp)
 
 
-def spawn_doubled_branch(
-    path: MetricPath,
-    event: BifurcationEvent,
-    offsets,
-    kick_sizes=(3e-3, 1e-2, 3e-2, 1e-1),
-    bootstrap_offset: float = 0.005,
-    walk_step: float = 0.02,
-    tol: float = 1e-10,
-) -> tuple:
-    """Emergent period-doubled orbits near a period-doubling event.
+def _doubling_kicks(event, tol):
+    """Jacobi operator of the refined event loop and its anti-periodic kicks.
 
-    The branch is bootstrapped close to the event, where the emergent orbit
-    has small amplitude: the doubled cover of the primitive is kicked along
-    the anti-periodic Jacobi field (both phases, both signs, graded sizes)
-    and re-refined, keeping only genuinely primitive results since the
-    kicked Newton solve can fall back onto the trivial cover.  The orbit is
-    then walked in t to each requested offset, seeding every solve from its
-    neighbor, which is far more reliable than cold kicks at a distance.
-    Offsets on the wrong side of the tongue produce no samples.
+    The kicks are the anti-periodic Jacobi field on the double cover (both
+    phases when they differ, both signs) in ambient coordinates, each scaled
+    to max node norm 1.
     """
-    offsets = sorted(float(o) for o in offsets)
-    if not offsets:
-        return ()
-    side = 1.0 if offsets[0] > 0 else -1.0
-    if any(o * side <= 0 for o in offsets):
-        raise ValueError("offsets must be nonzero and on one side of the event")
-
     data = jacobi.build_operator(
         solver.refine_to_geodesic(event.loop, tol=tol))
     fields = jacobi.detect_lambda_jacobi(data, 2, unit_tol=_EVENT_FIELD_TOL)
@@ -442,6 +425,40 @@ def spawn_doubled_branch(
     for d in dirs:
         d = d / np.max(np.linalg.norm(d, axis=1))
         kicks.extend([d, -d])
+    return data, kicks
+
+
+def spawn_doubled_branch(
+    path: MetricPath,
+    event: BifurcationEvent,
+    offsets,
+    kick_sizes=(3e-3, 1e-2, 3e-2, 1e-1),
+    bootstrap_offset: float = 0.005,
+    walk_step: float = 0.02,
+    tol: float = 1e-10,
+    event_kicks=None,
+) -> tuple:
+    """Emergent period-doubled orbits near a period-doubling event.
+
+    The branch is bootstrapped close to the event, where the emergent orbit
+    has small amplitude: the doubled cover of the primitive is kicked along
+    the anti-periodic Jacobi field (both phases, both signs, graded sizes)
+    and re-refined, keeping only genuinely primitive results since the
+    kicked Newton solve can fall back onto the trivial cover.  The orbit is
+    then walked in t to each requested offset, seeding every solve from its
+    neighbor, which is far more reliable than cold kicks at a distance.
+    Offsets on the wrong side of the tongue produce no samples.
+    ``event_kicks`` is ``_doubling_kicks(event, tol)`` when the caller
+    already holds it.
+    """
+    offsets = sorted(float(o) for o in offsets)
+    if not offsets:
+        return ()
+    side = 1.0 if offsets[0] > 0 else -1.0
+    if any(o * side <= 0 for o in offsets):
+        raise ValueError("offsets must be nonzero and on one side of the event")
+
+    data, kicks = _doubling_kicks(event, tol) if event_kicks is None else event_kicks
 
     def try_doubled(t_val, seed_nodes):
         spec_t = path.at(t_val)
@@ -634,8 +651,10 @@ def verify_invariance(
     t_b = max(0.0, event.t - delta)
     t_a = min(1.0, event.t + delta)
     if event.kind == "period_doubling":
-        detail_b, rec_b = _pd_side_detail(path, event, t_b, samples, tol)
-        detail_a, rec_a = _pd_side_detail(path, event, t_a, samples, tol)
+        # built on first use: neither side needs it when samples cover both
+        event_kicks = functools.cache(lambda: _doubling_kicks(event, tol))
+        detail_b, rec_b = _pd_side_detail(path, event, t_b, samples, event_kicks, tol)
+        detail_a, rec_a = _pd_side_detail(path, event, t_a, samples, event_kicks, tol)
     elif event.kind == "fold":
         kick_dir = _fold_kick_direction(event, tol)
         detail_b, rec_b = _fold_side_detail(path, event, t_b, kick_dir, tol)
@@ -652,8 +671,11 @@ def verify_invariance(
         records_before=rec_b, records_after=rec_a)
 
 
-def _pd_side_detail(path, event, t_val, samples, tol):
-    """Contributions near twice the primitive length at parameter t_val."""
+def _pd_side_detail(path, event, t_val, samples, event_kicks, tol):
+    """Contributions near twice the primitive length at parameter t_val.
+
+    ``event_kicks()`` returns the event's ``_doubling_kicks``, shared by
+    both sides of the event."""
     res = _solve_fixed_t(path, t_val, np.asarray(event.loop.nodes))
     rep = jacobi.jacobi_report(res, d_max=2)
     rec = weights.weight(rep, ident="primitive", length=res.length)
@@ -664,7 +686,8 @@ def _pd_side_detail(path, event, t_val, samples, tol):
         near = [s for s in samples if abs(s.t - t_val) < 1e-9]
         doubled = near[0].result if near else None
     if doubled is None:
-        got = spawn_doubled_branch(path, event, offsets=(t_val - event.t,), tol=tol)
+        got = spawn_doubled_branch(path, event, offsets=(t_val - event.t,), tol=tol,
+                                   event_kicks=event_kicks())
         doubled = got[0].result if got else None
     if doubled is not None:
         rep_d = jacobi.jacobi_report(doubled, d_max=2)

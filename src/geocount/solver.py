@@ -263,9 +263,16 @@ def refine_to_geodesic(
     search on the squared residual; near a solution full steps are taken and
     convergence is quadratic.
 
+    A line search that finds no acceptable step still moves to its last
+    trial.  The solve stalls after three failed line searches in total,
+    consecutive or not: a seed kicked where no geodesic exists alternates
+    failed searches with tiny accepted steps and would otherwise run the
+    whole iteration budget.
+
     Raises DivergenceError or CollapseError when the iteration leaves the
-    basin, StallError when the budget runs out, and BandExitError if an
-    iterate leaves a revolution band.
+    basin, StallError when the line search has failed three times or the
+    iteration budget runs out, and BandExitError if an iterate leaves a
+    revolution band.
     """
     spec = seed.metric
     nodes = np.array(seed.nodes, dtype=float)
@@ -280,7 +287,7 @@ def refine_to_geodesic(
             residual=res0, constraint_defect=f0, iterations=0,
             history=tuple(history), convergence_order=None)
 
-    stalled_steps = 0
+    failed_searches = 0
     for it in range(1, max_iter + 1):
         geometry.check_band(spec, nodes)
         if fields is None:
@@ -324,11 +331,9 @@ def refine_to_geodesic(
                     break
             step *= 0.5
         if not accepted:
-            stalled_steps += 1
-            if stalled_steps >= 3:
+            failed_searches += 1
+            if failed_searches >= 3:
                 raise StallError("line search cannot reduce the residual")
-        else:
-            stalled_steps = 0
         nodes = trial
         if np.max(np.abs(nodes)) > 100.0 * scale0:
             raise DivergenceError("iterates left the working region")
@@ -419,31 +424,36 @@ def find_all(
     Seeds are refined independently and in a fixed order; results are reduced
     under a canonical sort, so the outcome does not depend on evaluation
     order.  Classes are unoriented: a converged loop matching the reversal of
-    an existing class counts as a hit on that class.
+    an existing class counts as a hit on that class.  A seed whose
+    refinement, or the refinement of its primitive base, fails is counted in
+    the certificate by the failure's class: ``stalled``, ``diverged``,
+    ``collapsed`` or ``band_exits``.
     """
     seeds = _census_seeds(spec, mesh, planes, seed)
     converged = []
-    diverged = 0
-    band_exits = 0
+    failed = {"stalled": 0, "diverged": 0, "collapsed": 0, "band_exits": 0}
     for s in seeds:
         try:
             res = refine_to_geodesic(s, tol=tol)
-        except BandExitError:
-            band_exits += 1
-            continue
-        except (RefineError, StallError):
-            diverged += 1
-            continue
-        dec = loops.primitive_decompose(res.loop)
-        if dec.degree > 1:
-            try:
+            dec = loops.primitive_decompose(res.loop)
+            if dec.degree > 1:
                 res = refine_to_geodesic(dec.base, tol=tol)
-            except (RefineError, StallError, BandExitError):
-                diverged += 1
-                continue
+        except BandExitError:
+            failed["band_exits"] += 1
+            continue
+        except StallError:
+            failed["stalled"] += 1
+            continue
+        except CollapseError:
+            failed["collapsed"] += 1
+            continue
+        except RefineError:
+            failed["diverged"] += 1
+            continue
         if res.length <= max_length:
             converged.append(res)
-    if seeds and not converged and diverged == len(seeds):
+    if seeds and not converged \
+            and failed["stalled"] + failed["diverged"] + failed["collapsed"] == len(seeds):
         raise StallError("census found no convergent seed")
 
     order = sorted(
@@ -494,8 +504,7 @@ def find_all(
     certificate = {
         "seeds": len(seeds),
         "converged": len(converged),
-        "diverged": diverged,
-        "band_exits": band_exits,
+        **failed,
         "classes": len(entries),
         "min_hits": min((e.hits for e in entries), default=0),
         "complete": bool(entries) and min((e.hits for e in entries), default=0) >= 2,
@@ -503,7 +512,7 @@ def find_all(
     }
     return Census(
         metric=spec, max_length=max_length, entries=tuple(entries),
-        degenerate_family=degenerate, boundary_collisions=band_exits,
+        degenerate_family=degenerate, boundary_collisions=failed["band_exits"],
         certificate=certificate)
 
 

@@ -78,17 +78,23 @@ def test_fold_branch_turns_back(fold_branch):
     assert ts[-1] < max(ts) - 0.1
 
 
-def test_fold_invariance_and_branch_pairing(fold_path, fold_branch, monkeypatch):
-    event = fold_branch.events[0]
-    kernel_searches = []
+def _count_kernel_searches(monkeypatch):
+    """List that receives the cover degree of every event-field search."""
+    searches = []
     real_detect = jacobi.detect_lambda_jacobi
 
     def detect(data, d, mono=None, unit_tol=1e-6):
         if unit_tol == continuation._EVENT_FIELD_TOL:
-            kernel_searches.append(d)
+            searches.append(d)
         return real_detect(data, d, mono=mono, unit_tol=unit_tol)
 
     monkeypatch.setattr(jacobi, "detect_lambda_jacobi", detect)
+    return searches
+
+
+def test_fold_invariance_and_branch_pairing(fold_path, fold_branch, monkeypatch):
+    event = fold_branch.events[0]
+    kernel_searches = _count_kernel_searches(monkeypatch)
     report = continuation.verify_invariance(fold_path, event)
     # both sides kick along one kernel field, searched for once
     assert kernel_searches == [1]
@@ -104,17 +110,53 @@ def test_fold_invariance_and_branch_pairing(fold_path, fold_branch, monkeypatch)
     assert report.detail_after == {"no_branches": 0}
 
 
+def test_fold_kicks_past_the_turn_stall_early(fold_path, fold_branch, monkeypatch):
+    # no branch exists past the fold: every kick fails its line search
+    # repeatedly and gives up long before the 50-iteration budget
+    event = fold_branch.events[0]
+    kick_dir = continuation._fold_kick_direction(event, 1e-10)
+    jacobians = []
+    outcomes = []
+    real_jacobian = solver._fd_jacobian
+    real_refine = solver.refine_to_geodesic
+
+    def jacobian(spec, nodes):
+        jacobians[-1] += 1
+        return real_jacobian(spec, nodes)
+
+    def refine(seed, tol=1e-10):
+        jacobians.append(0)
+        try:
+            res = real_refine(seed, tol=tol)
+        except Exception as exc:
+            outcomes.append(exc)
+            raise
+        outcomes.append(res)
+        return res
+
+    monkeypatch.setattr(solver, "_fd_jacobian", jacobian)
+    monkeypatch.setattr(solver, "refine_to_geodesic", refine)
+    detail, _ = continuation._fold_side_detail(
+        fold_path, event, event.t + 0.02, kick_dir, 1e-10)
+    assert detail == {"no_branches": 0}
+    assert len(outcomes) == 6
+    assert all(isinstance(o, solver.StallError) for o in outcomes)
+    assert all("line search" in str(o) for o in outcomes)
+    assert all(count <= 12 for count in jacobians)
+
+
 def _rebuilt_trace_rows(branch_id, result):
     """Reference: the trace rows as written before branch points kept their
     Jacobi operator, rebuilding it at every point."""
     rows = []
     events = list(result.events)
-    prev_t = None
+    prev = None
     for pt in result.points:
         marker = ""
-        if prev_t is not None:
-            lo, hi = min(prev_t, pt.t), max(prev_t, pt.t)
-            kinds = [e.kind for e in events if lo <= e.t <= hi]
+        if prev is not None:
+            lo, hi = min(prev.t, pt.t), max(prev.t, pt.t)
+            kinds = [e.kind for e in events
+                     if (prev.s <= e.s < pt.s if e.kind == "fold" else lo <= e.t <= hi)]
             marker = ";".join(kinds)
         data = jacobi.build_operator(pt.result)
         i1 = jacobi.index_nullity(data, 1)
@@ -122,7 +164,7 @@ def _rebuilt_trace_rows(branch_id, result):
         rows.append((branch_id, pt.s, pt.t, pt.length,
                      i1.iota, i2.iota, i1.nu, i2.nu,
                      (-1) ** i1.iota, (-1) ** i2.iota, marker))
-        prev_t = pt.t
+        prev = pt
     return rows
 
 
@@ -135,6 +177,26 @@ def test_trace_rows_reuse_the_branch_operators(fold_branch, pd_branch, monkeypat
     got = [cli._trace_rows("g000", b) for b in (fold_branch, pd_branch)]
     assert calls == []
     assert got == want
+
+
+def test_trace_rows_mark_the_fold_past_the_turn(fold_path, fold_branch):
+    # both points around the fold lie below its t, so no step spans it in t;
+    # the marker goes on the first point past the turn: the one whose branch
+    # tangent has the opposite t-component to its predecessor's
+    event = fold_branch.events[0]
+    rows = cli._trace_rows("g000", fold_branch)
+    markers = [row[-1] for row in rows]
+    assert markers.count("fold") == 1
+    assert set(markers) == {"", "fold"}
+    tau = None
+    for i, pt in enumerate(fold_branch.points):
+        prev, tau = tau, continuation._branch_tangent(
+            fold_path, pt.t, np.asarray(pt.result.loop.nodes), prev=tau)
+        if prev is not None and prev[-1] * tau[-1] < 0.0:
+            break
+    assert markers.index("fold") == i
+    ts = [p.t for p in fold_branch.points]
+    assert ts[i - 1] < event.t and ts[i] < event.t
 
 
 def test_period_doubling_event_is_located(pd_branch):
@@ -150,9 +212,12 @@ def test_period_doubling_event_is_located(pd_branch):
     assert abs(event.trace + 2.0) < 1e-6
 
 
-def test_period_doubling_invariance_pattern(pd_path, pd_branch):
+def test_period_doubling_invariance_pattern(pd_path, pd_branch, monkeypatch):
     event = pd_branch.events[0]
+    kernel_searches = _count_kernel_searches(monkeypatch)
     report = continuation.verify_invariance(pd_path, event)
+    # both sides kick along one anti-periodic field, searched for once
+    assert kernel_searches == [2]
     assert report.invariant
     assert report.total_before == report.total_after == 0
 

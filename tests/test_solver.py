@@ -155,6 +155,56 @@ def test_refinement_keeps_collapse_apart_from_a_singular_solve(ellipsoid_spec, m
             solver.refine_to_geodesic(seed)
 
 
+def test_census_counts_failed_seeds_by_class(ellipsoid_spec, monkeypatch):
+    real_seeds = solver._census_seeds
+    real_refine = solver.refine_to_geodesic
+    raised = {0: solver.StallError, 1: solver.DivergenceError, 2: solver.DivergenceError,
+              3: solver.CollapseError, 4: solver.CollapseError, 5: solver.CollapseError,
+              6: geometry.BandExitError}
+    seeds = []
+
+    def census_seeds(*args):
+        seeds.extend(real_seeds(*args))
+        return seeds
+
+    def refine(seed, tol=1e-10):
+        for k, exc in raised.items():
+            if seed is seeds[k]:
+                raise exc(f"seed {k}")
+        return real_refine(seed, tol=tol)
+
+    monkeypatch.setattr(solver, "_census_seeds", census_seeds)
+    monkeypatch.setattr(solver, "refine_to_geodesic", refine)
+    census = solver.find_all(ellipsoid_spec, 7.0, mesh=64, planes=12, seed=7)
+    cert = census.certificate
+    assert (cert["stalled"], cert["diverged"], cert["collapsed"], cert["band_exits"]) \
+        == (1, 2, 3, 1)
+    assert census.boundary_collisions == 1
+    assert cert["converged"] == 12 - 7
+
+    raised = {k: solver.StallError for k in range(12)}
+    seeds.clear()
+    with pytest.raises(solver.StallError, match="no convergent seed"):
+        solver.find_all(ellipsoid_spec, 7.0, mesh=64, planes=12, seed=7)
+
+
+@settings(max_examples=4)
+@given(order=st.permutations(range(24)))
+def test_census_does_not_depend_on_seed_order(ellipsoid_spec, ellipsoid_census, order):
+    real_seeds = solver._census_seeds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_census_seeds",
+                   lambda *args: [real_seeds(*args)[i] for i in order])
+        census = solver.find_all(ellipsoid_spec, 7.0, mesh=128, planes=24, seed=7)
+    want = ellipsoid_census.entries
+    assert len(census.entries) == len(want)
+    for got, ref in zip(census.entries, want):
+        assert got.result.length == ref.result.length
+        assert np.array_equal(got.result.loop.nodes, ref.result.loop.nodes)
+        assert got.hits == ref.hits
+        assert got.self_reverse == ref.self_reverse
+
+
 def test_synthesize_cover_doubles_the_orbit(ellipsoid_census):
     entry = ellipsoid_census.entries[0]
     cover = solver.synthesize_cover(entry.result, 2)
