@@ -14,7 +14,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -480,10 +480,13 @@ def cmd_count(cfg: RunConfig, out: Out) -> None:
         ("strategy", "trial", "seed", "redraws", "classes", "value"),
         [(result.strategy, i, t.seed, t.redraws, t.classes, t.value)
          for i, t in enumerate(result.trials)]))
-    # the first trial's perturbed metric supplies the step-plot data
-    rep_census = solver.find_all(
-        result.trials[0].metric, window[1] + 3.0 * cfg.amplitude,
-        mesh=cfg.mesh, planes=cfg.planes, seed=result.trials[0].seed)
+    # the first trial's census supplies the step-plot data, cut to this
+    # bound; the trial counted up to hi + pad, which is never below it
+    bound = window[1] + 3.0 * cfg.amplitude
+    first = result.trials[0].census
+    rep_census = replace(
+        first, max_length=bound,
+        entries=tuple(e for e in first.entries if e.result.length <= bound))
     table = weights.build_count_table(rep_census)
     _count_outputs(table, window, cfg.probes, out)
     out.warnings.append(

@@ -2,12 +2,15 @@
 
 Two independent computational routes are kept deliberately separate:
 
-* spectral quadratic forms: the index form of the d-fold cover is assembled
-  in the Fourier basis, where the derivative term is diagonal and the
-  curvature term is a (block) circulant built from the FFT of the curvature
-  samples; eigenvalue counts above/inside a threshold give index and nullity.
-  The same machinery evaluates one Floquet sector at a time, and the direct
-  cover spectrum must equal the union of its sector spectra exactly.
+* spectral quadratic forms: the index form of the d-fold cover is a real
+  symmetric matrix at the cover's nodes, a circulant spectral second
+  difference plus the block diagonal of the curvature samples; eigenvalue
+  counts above/inside a threshold give index and nullity.  Each Floquet
+  sector is a complex Hermitian form in the Fourier basis, where the
+  derivative term is diagonal and the curvature term a (block) circulant
+  built from the FFT of the curvature samples.  The two assemblies share no
+  code, and the direct cover spectrum must equal the union of its sector
+  spectra exactly.
 * Floquet monodromy: high-order ODE integration of the Jacobi system over
   one primitive period gives the linearized return map; kernel dimensions of
   M^d - I recover nullities with no spectral truncation, and unit-root
@@ -120,7 +123,7 @@ def build_operator(source) -> JacobiOperatorData:
 
 
 # ---------------------------------------------------------------------------
-# Fourier quadratic forms
+# spectral quadratic forms
 # ---------------------------------------------------------------------------
 
 def _cover_curvature(data: JacobiOperatorData, d: int) -> np.ndarray:
@@ -129,44 +132,59 @@ def _cover_curvature(data: JacobiOperatorData, d: int) -> np.ndarray:
     return d * d * np.tile(b_theta, (d, 1, 1))
 
 
-def quadratic_form_matrix(data: JacobiOperatorData, d: int, sector: complex | None = None):
-    """Hermitian matrix of the (negated) index form in the Fourier basis.
+def _nodal_cover_form(data: JacobiOperatorData, d: int) -> np.ndarray:
+    """Real symmetric matrix of the (negated) d-cover index form at the nodes.
 
-    With ``sector=None`` the form lives on the full d-cover: modes are the
-    dN cover frequencies and the curvature enters as a block circulant.
-    With ``sector=lambda`` (a unit-modulus multiplier) the form acts on
-    fields over the primitive period twisted by z(theta+1) = lambda z(theta);
-    the d^2 scaling keeps sector and cover spectra identical, so the cover
-    spectrum is the exact union of its d sector spectra.
+    H = C (x) I_p + blockdiag(B_c(theta_i)) over the dN cover nodes, where C
+    is the real circulant spectral second difference: C[i, j] = c[(i - j)
+    mod dN] with c the inverse FFT of -(2 pi k)^2.  Conjugating by the
+    unitary DFT gives the Fourier-basis form, so the spectra agree.
+    """
+    bc = _cover_curvature(data, d)
+    mm, p = bc.shape[0], bc.shape[1]
+    c = np.fft.ifft(-((2.0 * np.pi * _spectral.modes(mm)) ** 2)).real
+    nodes = np.arange(mm)
+    circ = c[(nodes[:, None] - nodes[None, :]) % mm]
+    h = circ if p == 1 else np.kron(circ, np.eye(p))
+    h4 = h.reshape(mm, p, mm, p)
+    h4[nodes, :, nodes, :] += bc
+    return 0.5 * (h + h.T)
+
+
+def quadratic_form_matrix(data: JacobiOperatorData, d: int, sector: complex | None = None):
+    """Matrix of the (negated) index form of the d-cover or of one sector.
+
+    With ``sector=None`` the form lives on the full d-cover and is the real
+    symmetric nodal matrix of ``_nodal_cover_form``, shape (dN p, dN p).
+    With ``sector=lambda`` (a unit-modulus multiplier) it is the complex
+    Hermitian form in the Fourier basis on fields over the primitive period
+    twisted by z(theta+1) = lambda z(theta): the derivative term is diagonal
+    and the curvature a block circulant of the FFT of its samples.  The d^2
+    scaling keeps sector and cover spectra identical, so the cover spectrum
+    is the exact union of its d sector spectra; the two routes share no
+    assembly code, so that union is a live check.
 
     Positive eigenvalues are negative directions of the index form, so the
     Morse index is the count above +tau and the nullity the count inside
     [-tau, tau].
     """
-    p = data.normal_rank
     if sector is None:
-        bc = _cover_curvature(data, d)
-        mm = bc.shape[0]
-        bhat = np.fft.fft(bc, axis=0) / mm
-        k = _spectral.modes(mm)
-        alpha = 0.0
-        scale = 1.0
-    else:
-        lam = complex(sector)
-        if abs(abs(lam) - 1.0) > 1e-9:
-            raise ValueError("sector multiplier must lie on the unit circle")
-        bc = data.speed ** 2 * data.b_unit
-        mm = bc.shape[0]
-        bhat = np.fft.fft(bc, axis=0) / mm
-        k = _spectral.modes(mm)
-        alpha = math.atan2(lam.imag, lam.real) / (2.0 * math.pi)
-        scale = float(d * d)
+        return _nodal_cover_form(data, d)
+    p = data.normal_rank
+    lam = complex(sector)
+    if abs(abs(lam) - 1.0) > 1e-9:
+        raise ValueError("sector multiplier must lie on the unit circle")
+    bc = data.speed ** 2 * data.b_unit
+    mm = bc.shape[0]
+    bhat = np.fft.fft(bc, axis=0) / mm
+    k = _spectral.modes(mm)
+    alpha = math.atan2(lam.imag, lam.real) / (2.0 * math.pi)
     idx = (k[:, None] - k[None, :]).astype(int) % mm
     h = bhat[idx]                       # (mm, mm, p, p)
     h = np.transpose(h, (0, 2, 1, 3)).reshape(mm * p, mm * p)
     diag = -((2.0 * np.pi * (k + alpha)) ** 2)
     h = h + np.kron(np.diag(diag), np.eye(p))
-    h = scale * h
+    h = float(d * d) * h
     return 0.5 * (h + h.conj().T)
 
 
@@ -270,7 +288,7 @@ def monodromy(data: JacobiOperatorData, rtol: float = 1e-12, atol: float = 1e-12
 
     Integrates the 2p x 2p fundamental solution of zeta'' = -speed^2 B zeta
     with an 8th-order adaptive scheme and trigonometric interpolation of the
-    curvature samples; this route is independent of the Fourier quadratic
+    curvature samples; this route is independent of the spectral quadratic
     forms.
     """
     p = data.normal_rank

@@ -224,6 +224,7 @@ class TrialOutcome:
     metric: MetricSpec
     classes: int
     value: int
+    census: solver.Census     # the census the trial counted, up to hi + pad
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,7 @@ def degenerate_weight(
             value = set_weight(table, (lo, hi))
             outcomes.append(TrialOutcome(
                 seed=seed + 31 * t, redraws=redraws, metric=pert,
-                classes=len(census.entries), value=value))
+                classes=len(census.entries), value=value, census=census))
             break
     values = {o.value for o in outcomes}
     if len(values) != 1:

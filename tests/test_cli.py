@@ -30,6 +30,21 @@ window = 0.0, 7.0
 probes = 5.0, 7.0
 """
 
+SPHERE_COUNT_CFG = """\
+[metric]
+family = ellipsoid
+axes = 1.0, 1.0, 1.0
+
+[run]
+mesh = 128
+planes = 24
+seed = 11
+window = 0.0, 7.0
+probes = 5.0, 7.0
+protocol = degenerate
+trials = 1
+"""
+
 FOLD_CFG = """\
 [metric.start]
 family = revolution
@@ -340,3 +355,26 @@ grid = 3
     assert grid[0] == "s,count"
     assert [ln.split(",")[1] for ln in grid[1:]] == ["-2", "-2", "-2"]
     assert "count grid: PASS" in (out / "summary.txt").read_text()
+
+
+def test_count_reuses_the_first_trials_census(tmp_path, monkeypatch):
+    # one census of the metric itself and one per trial; the step data come
+    # from trial 0's census, cut to the count's bound, with no third census
+    bounds = []
+    original = solver.find_all
+
+    def counting(spec, max_length, *args, **kwargs):
+        bounds.append(max_length)
+        return original(spec, max_length, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "find_all", counting)
+    code, out = _run(tmp_path, "count", SPHERE_COUNT_CFG)
+    assert code == 0
+    assert len(bounds) == 2
+    assert bounds[1] >= 7.0 + 3.0 * 1e-2
+    degenerate = (out / "degenerate.csv").read_text().strip().splitlines()
+    assert degenerate[1].split(",")[-1] == "-2"
+    lines = (out / "count.csv").read_text().strip().splitlines()
+    assert lines[0] == "length,weight,cumulative"
+    assert lines[-1].split(",")[2] == "-2"
+    assert "trials agree: PASS (value -2)" in (out / "summary.txt").read_text()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from geocount import _spectral, geometry, jacobi, loops, solver
 
@@ -174,3 +175,117 @@ def test_b_theta_interp_matches_tensordot(interp_operators, p, parity, t):
     want = _tensordot_interp(data)(t)
     assert got.shape == (p, p)
     assert np.array_equal(got, want)
+
+
+def _fourier_cover_form(data, d):
+    """Reference: the direct cover form as assembled before it moved to the
+    nodal basis, a complex Hermitian matrix in the Fourier basis."""
+    p = data.normal_rank
+    bc = jacobi._cover_curvature(data, d)
+    mm = bc.shape[0]
+    bhat = np.fft.fft(bc, axis=0) / mm
+    k = _spectral.modes(mm)
+    idx = (k[:, None] - k[None, :]).astype(int) % mm
+    h = bhat[idx]
+    h = np.transpose(h, (0, 2, 1, 3)).reshape(mm * p, mm * p)
+    h = h + np.kron(np.diag(-((2.0 * np.pi * k) ** 2)), np.eye(p))
+    return 0.5 * (h + h.conj().T)
+
+
+def _curvature_only(speed, b_unit):
+    # the forms read only speed and b_unit
+    return jacobi.JacobiOperatorData(
+        spec=None, loop=None, speed=speed, b_unit=b_unit, frame=None, tangent=None)
+
+
+@st.composite
+def _curvature_samples(draw):
+    n = draw(st.sampled_from([16, 20, 32, 48]))
+    p = draw(st.sampled_from([1, 2]))
+    raw = draw(hnp.arrays(np.float64, (n, p, p),
+                          elements=st.floats(-50.0, 50.0, allow_subnormal=False)))
+    speed = draw(st.floats(0.5, 8.0))
+    return _curvature_only(speed, 0.5 * (raw + np.swapaxes(raw, 1, 2)))
+
+
+@settings(max_examples=60)
+@given(data=_curvature_samples(), d=st.integers(1, 4))
+def test_nodal_cover_form_matches_the_fourier_form(data, d):
+    h = jacobi.quadratic_form_matrix(data, d)
+    n, p = data.b_unit.shape[0], data.normal_rank
+    assert h.dtype == np.float64
+    assert h.shape == (d * n * p, d * n * p)
+    assert np.array_equal(h, h.T)
+    ev = np.linalg.eigvalsh(h)
+    ref = np.linalg.eigvalsh(_fourier_cover_form(data, d))
+    assert np.max(np.abs(ev - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_nodal_cover_indices_match_the_fourier_form(
+        sphere_report, spheroid_report, waist_report, ellipsoid_reports):
+    # the sphere (nu = 2 for every d) and the spheroid's double cover (nu = 2)
+    # put kernels on the threshold's inside; the waist and ellipsoid have none
+    reports = [sphere_report, spheroid_report, waist_report,
+               *ellipsoid_reports.values()]
+    for rep in reports:
+        for d in (1, 2, 3, 4):
+            got = jacobi.index_nullity(rep.data, d)
+            want = jacobi._index_result(rep.data, d, _fourier_cover_form(rep.data, d))
+            assert (got.iota, got.nu) == (want.iota, want.nu)
+            assert abs(got.eigen_gap - want.eigen_gap) <= 1e-9 * want.eigen_gap
+
+
+def _principal_loops(spec, mesh=64):
+    return {
+        (i, j): solver.refine_to_geodesic(loops.principal_ellipse(spec, i, j, mesh))
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    }
+
+
+def _cover_indices(result, d_max=3):
+    data = jacobi.build_operator(result)
+    return [(r.iota, r.nu) for r in
+            (jacobi.index_nullity(data, d) for d in range(1, d_max + 1))]
+
+
+@pytest.fixture(scope="module")
+def principal_reference(ellipsoid_spec):
+    return {key: (res.length, _cover_indices(res))
+            for key, res in _principal_loops(ellipsoid_spec).items()}
+
+
+@settings(max_examples=4)
+@given(scale=st.floats(0.5, 2.0))
+def test_scaled_ellipsoid_scales_lengths_and_keeps_indices(
+        ellipsoid_spec, principal_reference, scale):
+    # the surface is sum (a_j x_j)^2 = 1, so scaling every a_j by lambda
+    # shrinks it by lambda: lengths divide by lambda and indices stay put
+    spec = geometry.MetricSpec.ellipsoid([scale * a for a in ellipsoid_spec.data])
+    for key, res in _principal_loops(spec).items():
+        length, indices = principal_reference[key]
+        assert abs(res.length - length / scale) <= 1e-9 * length / scale
+        assert _cover_indices(res) == indices
+
+
+@pytest.fixture(scope="module")
+def census_reference(ellipsoid_spec):
+    return _census_lengths_and_iotas(
+        solver.find_all(ellipsoid_spec, 7.0, mesh=64, planes=24, seed=7))
+
+
+def _census_lengths_and_iotas(census):
+    return sorted(
+        (e.result.length, jacobi.index_nullity(jacobi.build_operator(e.result), 1).iota)
+        for e in census.entries)
+
+
+@settings(max_examples=3)
+@given(order=st.permutations(range(3)))
+def test_permuted_ellipsoid_axes_give_the_same_census(
+        ellipsoid_spec, census_reference, order):
+    spec = geometry.MetricSpec.ellipsoid([ellipsoid_spec.data[i] for i in order])
+    got = _census_lengths_and_iotas(solver.find_all(spec, 7.0, mesh=64, planes=24, seed=7))
+    assert len(got) == len(census_reference) == 3
+    for (ell, iota), (ell_ref, iota_ref) in zip(got, census_reference):
+        assert abs(ell - ell_ref) <= 1e-9 * ell_ref
+        assert iota == iota_ref
