@@ -3,13 +3,16 @@
 Every loop quantity in this package lives on the grid theta_i = i/N with the
 value at theta = 1 identified with theta = 0.  These helpers centralize the
 FFT conventions (signed wavenumbers, Nyquist handling for real data) so the
-rest of the package never touches raw mode indexing.
+rest of the package never touches raw mode indexing.  Band-limited
+resampling lives here too: it is ``scipy.signal.resample``'s real-input
+route written on ``scipy.fft``, so the package never imports
+``scipy.signal`` (and with it ``scipy.stats``) at start-up.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.signal
+import scipy.fft
 
 
 def modes(n: int) -> np.ndarray:
@@ -69,8 +72,22 @@ def fractional_shift(values: np.ndarray, s: float) -> np.ndarray:
 
 
 def resample(values: np.ndarray, m: int) -> np.ndarray:
-    """Band-limited resampling of axis-0 periodic samples to m points."""
+    """Band-limited resampling of axis-0 periodic samples to m points.
+
+    Real samples only.  The operations, and the axis order of the result,
+    are those of ``scipy.signal.resample(values, m, axis=0)``, so the bits
+    agree: keep the k//2 + 1 lowest bins of the real FFT, k = min(n, m); for
+    even k the unpaired bin k/2 is doubled when downsampling and halved when
+    upsampling; then invert at length m, scaled by m / n.
+    """
     values = np.asarray(values)
-    if values.shape[0] == m:
+    n = values.shape[0]
+    if n == m:
         return values.copy()
-    return scipy.signal.resample(values, m, axis=0)
+    x = np.moveaxis(values, 0, -1) if values.ndim > 1 else values
+    k = min(n, m)
+    coef = scipy.fft.rfft(x)[..., :k // 2 + 1]
+    if k % 2 == 0:
+        coef[..., k // 2] *= 2 if m < n else 0.5
+    out = scipy.fft.irfft(coef / (n / m), n=m, overwrite_x=True)
+    return np.moveaxis(out, -1, 0) if out.ndim > 1 else out

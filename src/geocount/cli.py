@@ -457,19 +457,25 @@ def cmd_count(cfg: RunConfig, out: Out) -> None:
     out.summary.append("command: count")
     census = _run_census(cfg, window[1])
     _census_warnings(census, out)
-    degenerate = census.degenerate_family
     protocol = cfg.protocol
     if protocol == "auto":
-        protocol = "degenerate" if degenerate else "census"
+        protocol = "degenerate" if census.degenerate_family else "census"
         out.summary.append(f"protocol: {protocol} (auto)")
     else:
         out.summary.append(f"protocol: {protocol}")
 
     if protocol == "census":
-        table = weights.build_count_table(census)
-        _count_outputs(table, window, cfg.probes, out)
-        out.summary.append("super-rigid census: PASS")
-        return
+        try:
+            table = weights.build_count_table(census)
+        except weights.NotSuperRigid as exc:
+            # a symmetric metric whose census is too small to flag a family
+            if cfg.protocol != "auto":
+                raise
+            out.summary[-1] = f"protocol: degenerate (auto: {exc.ident} not super-rigid)"
+        else:
+            _count_outputs(table, window, cfg.probes, out)
+            out.summary.append("super-rigid census: PASS")
+            return
 
     strategy = cfg.strategy if cfg.strategy != "both" else "axis_jitter"
     result = weights.degenerate_weight(

@@ -10,10 +10,8 @@ F(x) = 0 in R^m together with an optional conformal factor:
 * ``conformal_sphere``: the round unit sphere with metric e^{2u} g_round,
   u a fixed linear combination of real solid harmonics of degree <= 3.
 
-Chart-based operators (metric, Christoffel symbols, curvature tensor) are
-provided for the two-dimensional case through a pair of explicit charts per
-family.  Everything needed in inner loops (constraint gradients, normals,
-conformal gradients) is analytic and vectorized over arrays of points.
+Everything needed in inner loops (constraint gradients, normals, conformal
+gradients) is analytic and vectorized over arrays of points.
 """
 
 from __future__ import annotations
@@ -241,6 +239,26 @@ class MetricSpec:
 # family implementations (internal, cached per spec)
 # ---------------------------------------------------------------------------
 
+def _dot(x, y):
+    """Sum of x[..., j] * y[..., j] over the last axis, bit for bit as
+    ``np.sum(x * y, axis=-1)``.
+
+    ``np.sum`` adds an axis of fewer than 8 terms from left to right,
+    starting at +0.0 (so an all -0.0 sum is +0.0).  Written out, the sum
+    skips the reduction machinery, which costs most of the time on a
+    length-3 axis.  Longer axes are summed pairwise, so they go through
+    ``np.sum``.
+    """
+    m = x.shape[-1]
+    if m >= 8:
+        return np.sum(x * y, axis=-1)
+    out = x[..., 0] * y[..., 0]
+    out += 0.0
+    for j in range(1, m):
+        out += x[..., j] * y[..., j]
+    return out
+
+
 class _Ellipsoid:
     conformal = False
 
@@ -249,7 +267,8 @@ class _Ellipsoid:
         self.m = self.a.size
 
     def constraint(self, x):
-        return np.sum((self.a * x) ** 2, axis=-1) - 1.0
+        ax = self.a * x
+        return _dot(ax, ax) - 1.0
 
     def grad(self, x):
         return 2.0 * self.a ** 2 * x
@@ -259,7 +278,8 @@ class _Ellipsoid:
         return np.broadcast_to(h, np.shape(x)[:-1] + (self.m, self.m))
 
     def surface_project(self, x):
-        s = np.sqrt(np.sum((self.a * x) ** 2, axis=-1, keepdims=True))
+        ax = self.a * x
+        s = np.sqrt(_dot(ax, ax))[..., None]
         if np.any(s == 0.0):
             raise GeometryError("cannot project the origin onto the ellipsoid")
         return x / s
@@ -378,7 +398,7 @@ class _ConformalSphere:
         self.terms = spec.data
 
     def constraint(self, x):
-        return np.sum(x * x, axis=-1) - 1.0
+        return _dot(x, x) - 1.0
 
     def grad(self, x):
         return 2.0 * x
@@ -387,7 +407,7 @@ class _ConformalSphere:
         return np.broadcast_to(2.0 * np.eye(3), np.shape(x)[:-1] + (3, 3))
 
     def surface_project(self, x):
-        nrm = np.linalg.norm(x, axis=-1, keepdims=True)
+        nrm = np.sqrt(_dot(x, x))[..., None]
         if np.any(nrm == 0.0):
             raise GeometryError("cannot project the origin onto the sphere")
         return x / nrm
@@ -490,7 +510,7 @@ def metric_dot(spec: MetricSpec, x, v, w) -> np.ndarray:
     """Riemannian inner product of tangent vectors v, w at x."""
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    dot = np.sum(v * w, axis=-1)
+    dot = _dot(v, w)
     impl = _impl(spec)
     if impl.conformal:
         dot = dot * np.exp(2.0 * impl.u_value(np.asarray(x, dtype=float)))
@@ -556,294 +576,3 @@ def _tangent_pair(nu):
     t1 = t1 / np.linalg.norm(t1, axis=-1, keepdims=True)
     t2 = np.cross(nu, t1)
     return t1, t2
-
-
-# ---------------------------------------------------------------------------
-# charts (surfaces only)
-# ---------------------------------------------------------------------------
-
-def _require_surface(spec):
-    if spec.ambient_dim != 3:
-        raise GeometryError("chart operators require a two-dimensional surface")
-
-
-def _stereographic(q, sign):
-    """Stereographic chart of S^2: sign +1 from the south pole, -1 north."""
-    q = np.asarray(q, dtype=float)
-    q1, q2 = q[..., 0], q[..., 1]
-    s = q1 * q1 + q2 * q2
-    d = 1.0 + s
-    x = np.stack([2.0 * q1 / d, 2.0 * q2 / d, sign * (1.0 - s) / d], axis=-1)
-    jac = np.empty(np.shape(q)[:-1] + (3, 2))
-    for b, qb in enumerate((q1, q2)):
-        for a, qa in enumerate((q1, q2)):
-            jac[..., a, b] = 2.0 * (1.0 if a == b else 0.0) / d - 4.0 * qa * qb / d ** 2
-        jac[..., 2, b] = sign * (-4.0 * qb / d ** 2)
-    hess = np.empty(np.shape(q)[:-1] + (3, 2, 2))
-    qs = (q1, q2)
-    for b in range(2):
-        for c in range(2):
-            for a in range(2):
-                term = qs[c] * (a == b) + qs[b] * (a == c) + qs[a] * (b == c)
-                hess[..., a, b, c] = -4.0 * term / d ** 2 + 16.0 * qs[a] * qs[b] * qs[c] / d ** 3
-            hess[..., 2, b, c] = sign * (-4.0 * (b == c) / d ** 2 + 16.0 * qs[b] * qs[c] / d ** 3)
-    return x, jac, hess
-
-
-def _chart_embedding(spec, q, chart):
-    """Embedding point, Jacobian (3,2) and second derivatives (3,2,2)."""
-    impl = _impl(spec)
-    q = np.asarray(q, dtype=float)
-    if spec.family == "revolution":
-        z, phi = q[..., 0], q[..., 1]
-        if chart == 1:
-            phi = phi + np.pi
-        r, rp, rpp = impl.profile(z, 2)
-        cp, sp = np.cos(phi), np.sin(phi)
-        x = np.stack([r * cp, r * sp, z], axis=-1)
-        jac = np.empty(np.shape(q)[:-1] + (3, 2))
-        jac[..., 0, 0] = rp * cp
-        jac[..., 1, 0] = rp * sp
-        jac[..., 2, 0] = 1.0
-        jac[..., 0, 1] = -r * sp
-        jac[..., 1, 1] = r * cp
-        jac[..., 2, 1] = 0.0
-        hess = np.zeros(np.shape(q)[:-1] + (3, 2, 2))
-        hess[..., 0, 0, 0] = rpp * cp
-        hess[..., 1, 0, 0] = rpp * sp
-        hess[..., 0, 0, 1] = hess[..., 0, 1, 0] = -rp * sp
-        hess[..., 1, 0, 1] = hess[..., 1, 1, 0] = rp * cp
-        hess[..., 0, 1, 1] = -r * cp
-        hess[..., 1, 1, 1] = -r * sp
-        return x, jac, hess
-    sign = 1.0 if chart == 0 else -1.0
-    y, jac, hess = _stereographic(q, sign)
-    if spec.family == "ellipsoid":
-        inv_a = (1.0 / impl.a).reshape((3,))
-        return y * inv_a, jac * inv_a[:, None], hess * inv_a[:, None, None]
-    return y, jac, hess
-
-
-def chart_point(spec: MetricSpec, q, chart: int = 0) -> np.ndarray:
-    """Embed chart coordinates into ambient space."""
-    _require_surface(spec)
-    return _chart_embedding(spec, q, chart)[0]
-
-
-def chart_coords(spec: MetricSpec, x, chart: int | None = None):
-    """Chart coordinates of surface points; picks the covering chart if None.
-
-    Returns (q, chart_index).
-    """
-    _require_surface(spec)
-    x = np.asarray(x, dtype=float)
-    impl = _impl(spec)
-    if spec.family == "revolution":
-        z = x[..., 2]
-        phi = np.arctan2(x[..., 1], x[..., 0])
-        if chart is None:
-            chart = 0 if np.all(np.abs(np.abs(phi) - np.pi) > 0.2) else 1
-        if chart == 1:
-            phi = np.arctan2(-x[..., 1], -x[..., 0])
-        return np.stack([z, phi], axis=-1), chart
-    y = impl.to_reference(x) if spec.family == "ellipsoid" else x
-    y = np.asarray(y, dtype=float)
-    if chart is None:
-        chart = 0 if np.all(y[..., 2] > -0.6) else 1
-    sign = 1.0 if chart == 0 else -1.0
-    denom = 1.0 + sign * y[..., 2]
-    if np.any(denom <= 1e-12):
-        raise GeometryError("point too close to the excluded pole of the chart")
-    q = np.stack([y[..., 0] / denom, y[..., 1] / denom], axis=-1)
-    return q, chart
-
-
-def metric_at(spec: MetricSpec, q, chart: int = 0) -> np.ndarray:
-    """Metric components g_{ab}(q) in the chosen chart, shape (..., 2, 2)."""
-    _require_surface(spec)
-    x, jac, _ = _chart_embedding(spec, q, chart)
-    g = np.einsum("...ia,...ib->...ab", jac, jac)
-    impl = _impl(spec)
-    if impl.conformal:
-        g = g * np.exp(2.0 * impl.u_value(x))[..., None, None]
-    return g
-
-
-def christoffel_at(spec: MetricSpec, q, chart: int = 0) -> np.ndarray:
-    """Christoffel symbols Gamma^a_{bc}(q), analytic, shape (..., 2, 2, 2)."""
-    _require_surface(spec)
-    x, jac, hess = _chart_embedding(spec, q, chart)
-    impl = _impl(spec)
-    jj = np.einsum("...ia,...ib->...ab", jac, jac)
-    # dg[c, a, b] = d g_{ab} / d q_c
-    dg = np.einsum("...iac,...ib->...cab", hess, jac)
-    dg = dg + np.swapaxes(dg, -1, -2)
-    if impl.conformal:
-        w = np.exp(2.0 * impl.u_value(x))[..., None, None]
-        du = np.einsum("...i,...ic->...c", impl.u_grad(x), jac)
-        dg = w[..., None] * (dg + 2.0 * du[..., :, None, None] * jj[..., None, :, :])
-        jj = w * jj
-    ginv = np.linalg.inv(jj)
-    # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_{dc} + d_c g_{db} - d_d g_{bc})
-    bracket = (
-        np.einsum("...bdc->...dbc", dg)
-        + np.einsum("...cdb->...dbc", dg)
-        - np.einsum("...dbc->...dbc", dg)
-    )
-    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, bracket)
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    """Curvature data at one chart point.
-
-    ``riemann`` holds R^a_{bcd} with the convention R(e_c, e_d) e_b =
-    R^a_{bcd} e_a; ``gauss`` is the sectional curvature of the surface.
-    """
-
-    q: tuple
-    chart: int
-    riemann: np.ndarray
-    gauss: float
-    fd_step: float
-
-
-def curvature_at(spec: MetricSpec, q, chart: int = 0, fd_step: float = 1e-4) -> CurvatureSample:
-    """Riemann tensor from finite differences of the analytic Christoffels.
-
-    Uses a fourth-order central stencil in each chart direction; the analytic
-    Gamma makes the only numerical error the differentiation itself.
-    """
-    _require_surface(spec)
-    q = np.asarray(q, dtype=float).reshape(2)
-    h = fd_step
-
-    def gamma(p):
-        return christoffel_at(spec, p, chart)
-
-    dgamma = np.empty((2, 2, 2, 2))  # [c, a, b, d] = d_c Gamma^a_{bd}
-    for c in range(2):
-        e = np.zeros(2)
-        e[c] = 1.0
-        dgamma[c] = (
-            -gamma(q + 2 * h * e) + 8.0 * gamma(q + h * e)
-            - 8.0 * gamma(q - h * e) + gamma(q - 2 * h * e)
-        ) / (12.0 * h)
-    gam = gamma(q)
-    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
-    #           + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
-    riem = (
-        np.einsum("cadb->abcd", dgamma)
-        - np.einsum("dacb->abcd", dgamma)
-        + np.einsum("ace,edb->abcd", gam, gam)
-        - np.einsum("ade,ecb->abcd", gam, gam)
-    )
-    g = metric_at(spec, q, chart)
-    lowered = np.einsum("ae,ebcd->abcd", g, riem)
-    det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
-    gauss = lowered[0, 1, 0, 1] / det
-    return CurvatureSample(q=tuple(q), chart=chart, riemann=riem, gauss=float(gauss), fd_step=h)
-
-
-# ---------------------------------------------------------------------------
-# parallel transport
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransportResult:
-    """Parallel transport of a frame once around a closed loop."""
-
-    vectors: np.ndarray          # transported copies of v0 at every node, plus closure
-    holonomy: np.ndarray | None  # 2x2 rotation in the initial orthonormal frame
-    angle: float | None          # rotation angle of the holonomy, in (-pi, pi]
-    norm_drift: float            # worst |g-norm - 1| of the transported frame
-    det_defect: float | None
-
-
-def parallel_transport(spec: MetricSpec, nodes: np.ndarray, v0: np.ndarray) -> TransportResult:
-    """Transport tangent vector v0 around the closed loop sampled at nodes.
-
-    ``nodes`` has shape (N, m) and is read as a periodic unit-interval
-    parametrization; the transport ODE is integrated with classical RK4 using
-    trigonometric interpolation of the loop between nodes.  For surfaces the
-    holonomy rotation is reported in the g-orthonormal frame (v0-hat, its
-    oriented normal complement).
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    n, m = nodes.shape
-    impl = _impl(spec)
-    v0 = np.asarray(v0, dtype=float)
-    nu0 = unit_normal(spec, nodes[0])
-    if abs(float(np.dot(v0, nu0))) > 1e-8 * np.linalg.norm(v0):
-        raise GeometryError("initial vector must be tangent to the surface")
-
-    from . import _spectral
-
-    gamma_full = np.concatenate([nodes, _spectral.fractional_shift(nodes, 0.5 / n)], axis=0)
-    vel_nodes = _spectral.derivative(nodes)
-    vel_full = np.concatenate([vel_nodes, _spectral.fractional_shift(vel_nodes, 0.5 / n)], axis=0)
-    pts = gamma_full
-    grads = impl.grad(pts)
-    norms = np.linalg.norm(grads, axis=-1, keepdims=True)
-    nus = grads / norms
-    hesses = impl.hess(pts)
-    # d(nu)/dtheta = (I - nu nu^T) Hess F gamma' / |grad F|
-    hv = np.einsum("kij,kj->ki", hesses, vel_full)
-    nuprime = (hv - np.sum(hv * nus, axis=-1, keepdims=True) * nus) / norms
-    if impl.conformal:
-        ugrads = impl.u_grad(pts)
-
-    def rhs(idx, v):
-        # idx indexes the precomputed sample tables (0..n-1 nodes, n..2n-1 midpoints)
-        nu = nus[idx]
-        out = -np.outer(v @ nuprime[idx], nu).reshape(v.shape) if v.ndim > 1 else -(v @ nuprime[idx]) * nu
-        if impl.conformal:
-            du = ugrads[idx]
-            vel = vel_full[idx]
-            a = vel @ du
-            if v.ndim > 1:
-                out = out - a * v - np.outer(v @ du, vel).reshape(v.shape) + np.outer(v @ vel, du).reshape(v.shape)
-            else:
-                out = out - a * v - (v @ du) * vel + (v @ vel) * du
-        return out
-
-    if m == 3:
-        e1 = v0 / speed(spec, nodes[0], v0)
-        e2_raw = np.cross(nu0, e1)
-        e2 = e2_raw  # euclidean norm matches e1's, so g-norms agree for both families
-        frame = np.stack([e1, e2], axis=0)
-    else:
-        frame = (v0 / speed(spec, nodes[0], v0))[None, :]
-
-    track = np.empty((n + 1,) + v0.shape)
-    track[0] = v0
-    state = np.concatenate([frame, v0[None, :]], axis=0)
-    h = 1.0 / n
-    for i in range(n):
-        k1 = rhs(i, state)
-        k2 = rhs(n + i, state + 0.5 * h * k1)
-        k3 = rhs(n + i, state + 0.5 * h * k2)
-        k4 = rhs((i + 1) % n, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        track[i + 1] = state[-1]
-
-    transported = state[:-1]
-    x0 = nodes[0]
-    norms_g = np.array([speed(spec, x0, transported[j]) for j in range(transported.shape[0])])
-    norm_drift = float(np.max(np.abs(norms_g - 1.0)))
-    if m == 3:
-        hol = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                hol[i, j] = metric_dot(spec, x0, frame[i], transported[j])
-        angle = float(np.arctan2(hol[1, 0], hol[0, 0]))
-        det_defect = float(abs(hol[0, 0] * hol[1, 1] - hol[0, 1] * hol[1, 0] - 1.0))
-    else:
-        hol, angle, det_defect = None, None, None
-    return TransportResult(
-        vectors=track,
-        holonomy=hol,
-        angle=angle,
-        norm_drift=norm_drift,
-        det_defect=det_defect,
-    )

@@ -165,8 +165,13 @@ def align_rotation(ref: DiscreteLoop, other: DiscreteLoop):
     shifts: the integer offset comes from an FFT cross-correlation and is
     refined by minimizing the node mismatch over a real-valued shift.
 
-    Returns (shift, distance): ``other`` rotated by ``shift`` best matches
-    ``ref``, and ``distance`` is the worst remaining node distance.
+    Returns (shift, distance): ``other`` rotated by ``shift`` matches
+    ``ref`` with worst remaining node distance ``distance``.  The shift
+    search looks only within one node of the correlation peak, so
+    ``distance`` is an upper bound on the rotation-quotient distance.  For
+    nearby loops it is the minimum to within the search tolerance (the
+    rotation property test checks this); for loops far apart the best shift
+    can lie outside the window.
     """
     a = ref.nodes
     b = other.nodes if other.n == ref.n else _spectral.resample(other.nodes, ref.n)
@@ -195,7 +200,11 @@ def align_rotation(ref: DiscreteLoop, other: DiscreteLoop):
 
 
 def loop_distance(a: DiscreteLoop, b: DiscreteLoop) -> float:
-    """Parametrization-rotation-invariant distance (same orientation)."""
+    """Distance of two loops up to rotating the parametrization (same orientation).
+
+    An upper bound on the rotation-quotient distance, which it meets for
+    nearby loops; see ``align_rotation``.
+    """
     return align_rotation(a, b)[1]
 
 

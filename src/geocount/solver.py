@@ -55,7 +55,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import geometry, loops
-from .geometry import BandExitError, GeometryError, MetricSpec
+from .geometry import BandExitError, GeometryError, MetricSpec, _dot
 from .loops import DiscreteLoop
 
 
@@ -86,28 +86,38 @@ def residual_field(spec: MetricSpec, nodes: np.ndarray):
     mesh; every loop in a stack is evaluated independently.
     """
     n = nodes.shape[-2]
-    xp = np.roll(nodes, -1, axis=-2)
-    xm = np.roll(nodes, 1, axis=-2)
+    xp, xm = _neighbors(nodes)
     d2 = (xp - 2.0 * nodes + xm) * (n * n)
     v = (xp - xm) * (0.5 * n)
     f = geometry.constraint(spec, nodes)
     g = geometry.constraint_grad(spec, nodes)
-    gn = np.linalg.norm(g, axis=-1, keepdims=True)
+    gn = np.sqrt(_dot(g, g))[..., None]
     nu = g / gn
     acc = d2
     if spec.family == "conformal_sphere":
         du = geometry.conformal_grad(spec, nodes)
-        acc = acc + 2.0 * np.sum(du * v, axis=-1, keepdims=True) * v \
-            - np.sum(v * v, axis=-1, keepdims=True) * du
-    tan = acc - np.sum(acc * nu, axis=-1, keepdims=True) * nu
+        acc = acc + 2.0 * _dot(du, v)[..., None] * v - _dot(v, v)[..., None] * du
+    tan = acc - _dot(acc, nu)[..., None] * nu
     full = tan + (n * n * f)[..., None] * nu
     return full, tan, f
+
+
+def _neighbors(nodes: np.ndarray):
+    """Each node's successor and predecessor along the node axis, periodically.
+
+    The same arrays as ``np.roll(nodes, -1, axis=-2)`` and
+    ``np.roll(nodes, 1, axis=-2)``, built from two slices each.
+    """
+    xp = np.concatenate([nodes[..., 1:, :], nodes[..., :1, :]], axis=-2)
+    xm = np.concatenate([nodes[..., -1:, :], nodes[..., :-1, :]], axis=-2)
+    return xp, xm
 
 
 def _velocity(nodes: np.ndarray) -> np.ndarray:
     """Central-difference velocity (N, m) on the unit parameter interval."""
     n = nodes.shape[0]
-    return (np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)) * (0.5 * n)
+    xp, xm = _neighbors(nodes)
+    return (xp - xm) * (0.5 * n)
 
 
 @lru_cache(maxsize=32)
@@ -234,7 +244,7 @@ def _scaled_residual(spec, nodes, fields=None):
     v = _velocity(nodes)
     ell = float(np.mean(geometry.speed(spec, nodes, v)))
     scale = max(1.0, ell * ell)
-    return float(np.max(np.linalg.norm(tan, axis=1))) / scale, float(np.max(np.abs(f))), ell
+    return float(np.max(np.sqrt(_dot(tan, tan)))) / scale, float(np.max(np.abs(f))), ell
 
 
 def _convergence_order(history):

@@ -30,7 +30,14 @@ from .geometry import GeometryError, MetricSpec
 
 
 class NotSuperRigid(RuntimeError):
-    """A weight was requested for a geodesic with a degenerate iterate."""
+    """A weight was requested for a geodesic with a degenerate iterate.
+
+    ``ident`` names the census class, when the caller gave one.
+    """
+
+    def __init__(self, message, ident=""):
+        super().__init__(message)
+        self.ident = ident
 
 
 class AmbiguousWeight(RuntimeError):
@@ -75,10 +82,10 @@ def weight(report: jacobi.JacobiReport, ident: str = "", length: float | None = 
     floq2 = report.floquet_nullities.get(2)
     if i1.nu != 0 or floq1 != 0:
         raise NotSuperRigid(
-            f"primitive nullity is {i1.nu} (Floquet {floq1}); weights are undefined")
+            f"primitive nullity is {i1.nu} (Floquet {floq1}); weights are undefined", ident)
     if i2.nu != 0 or floq2 != 0:
         raise NotSuperRigid(
-            f"double-cover nullity is {i2.nu} (Floquet {floq2}); weights are undefined")
+            f"double-cover nullity is {i2.nu} (Floquet {floq2}); weights are undefined", ident)
     eps1 = -1 if i1.iota % 2 else 1
     eps2 = -1 if i2.iota % 2 else 1
     n2, rem = divmod(eps2 - eps1, 2)

@@ -378,3 +378,24 @@ def test_count_reuses_the_first_trials_census(tmp_path, monkeypatch):
     assert lines[0] == "length,weight,cumulative"
     assert lines[-1].split(",")[2] == "-2"
     assert "trials agree: PASS (value -2)" in (out / "summary.txt").read_text()
+
+
+def test_count_auto_falls_back_on_a_symmetric_metric(tmp_path):
+    # 24 planes on the round sphere find 24 great circles, too few to flag a
+    # degenerate family, so auto tries the census protocol; the first class
+    # is not super-rigid and auto moves on to the perturbation protocol
+    auto_cfg = SPHERE_COUNT_CFG.replace("protocol = degenerate\n", "")
+    code, auto = _run(tmp_path, "count", auto_cfg, outname="auto")
+    assert code == 0
+    summary = (auto / "summary.txt").read_text()
+    assert "protocol: degenerate (auto: g000 not super-rigid)" in summary
+    assert "trials agree: PASS (value -2)" in summary
+    code, explicit = _run(tmp_path, "count", SPHERE_COUNT_CFG, outname="explicit")
+    assert code == 0
+    for name in ("count.csv", "degenerate.csv", "step.csv"):
+        assert (auto / name).read_bytes() == (explicit / name).read_bytes()
+    census_cfg = SPHERE_COUNT_CFG.replace("protocol = degenerate", "protocol = census")
+    code, census = _run(tmp_path, "count", census_cfg, outname="census")
+    assert code == 1
+    summary = (census / "summary.txt").read_text()
+    assert "protocol: census\nerror: primitive nullity is 2" in summary

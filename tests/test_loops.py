@@ -1,12 +1,17 @@
 """Discrete loop container: sampling, rotation alignment, covers, reversal."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geocount import geometry, loops
+from geocount import _spectral, geometry, loops
 from geocount.loops import DiscreteLoop, LoopError
 
 
@@ -33,6 +38,27 @@ def test_resample_is_exact_for_bandlimited_loops(sphere):
     fine = loops.resample(coarse, 128)
     exact = _equator(sphere, n=128)
     assert np.max(np.abs(np.asarray(fine.nodes) - np.asarray(exact.nodes))) < 1e-12
+
+
+@given(n=st.integers(8, 512), m=st.integers(8, 1024),
+       shape=st.sampled_from([(), (3,), (4,), (2, 3)]), seed=st.integers(0, 2 ** 32 - 1))
+def test_resample_matches_scipy_signal(n, m, shape, seed):
+    values = np.random.default_rng(seed).normal(size=(n,) + shape)
+    got = _spectral.resample(values, m)
+    want = values if m == n else scipy.signal.resample(values, m, axis=0)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if m != n:   # same memory layout, so later reductions add in the same order
+        assert got.strides == want.strides
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    code = ("import sys, geocount.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_rotate_shifts_base_point(sphere):

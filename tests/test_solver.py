@@ -7,8 +7,9 @@ Newton refinement of a synthetic seed.
 
 The Newton kernel (stacked residual, colored Jacobian on its cached CSC
 pattern, bordered assembly) is checked against reference implementations
-kept here: the per-color COO loop and the ``scipy.sparse.bmat`` layout it
-replaced, which it must reproduce bit for bit.
+kept here: the ``np.roll`` / ``np.sum`` / ``np.linalg.norm`` residual, the
+per-color COO loop and the ``scipy.sparse.bmat`` layout it replaced, which
+it must reproduce bit for bit.
 """
 
 import numpy as np
@@ -249,6 +250,99 @@ def _kernel_nodes(name, n, seed=0, amplitude=0.02):
     rng = np.random.default_rng(seed)
     nodes = np.asarray(base) + amplitude * rng.normal(size=base.shape)
     return spec, geometry.surface_project(spec, nodes)
+
+
+def _reference_constraint(spec, x):
+    """Reference: the constraint with ``np.sum`` over the coordinate axis."""
+    if spec.family == "ellipsoid":
+        return np.sum((np.asarray(spec.data) * x) ** 2, axis=-1) - 1.0
+    if spec.family == "conformal_sphere":
+        return np.sum(x * x, axis=-1) - 1.0
+    return geometry.constraint(spec, x)        # the profile has no such sum
+
+
+def _reference_surface_project(spec, x):
+    if spec.family == "ellipsoid":
+        return x / np.sqrt(np.sum((np.asarray(spec.data) * x) ** 2, axis=-1, keepdims=True))
+    if spec.family == "conformal_sphere":
+        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+    return geometry.surface_project(spec, x)
+
+
+def _reference_residual(spec, nodes):
+    """Reference: the residual with np.roll shifts and numpy's reductions."""
+    n = nodes.shape[-2]
+    xp = np.roll(nodes, -1, axis=-2)
+    xm = np.roll(nodes, 1, axis=-2)
+    d2 = (xp - 2.0 * nodes + xm) * (n * n)
+    v = (xp - xm) * (0.5 * n)
+    f = _reference_constraint(spec, nodes)
+    g = geometry.constraint_grad(spec, nodes)
+    nu = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    acc = d2
+    if spec.family == "conformal_sphere":
+        du = geometry.conformal_grad(spec, nodes)
+        acc = acc + 2.0 * np.sum(du * v, axis=-1, keepdims=True) * v \
+            - np.sum(v * v, axis=-1, keepdims=True) * du
+    tan = acc - np.sum(acc * nu, axis=-1, keepdims=True) * nu
+    return tan + (n * n * f)[..., None] * nu, tan, f
+
+
+def _reference_velocity(nodes):
+    return (np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)) * (0.5 * nodes.shape[0])
+
+
+def _reference_metric_dot(spec, x, v, w):
+    dot = np.sum(v * w, axis=-1)
+    if spec.family == "conformal_sphere":
+        dot = dot * np.exp(2.0 * geometry.conformal_exponent(spec, x))
+    return dot
+
+
+def _same_bits(got, want):
+    """Equal values with equal signs of zero."""
+    return (np.shape(got) == np.shape(want) and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.sampled_from([0.0, 1e-6, 0.02]),
+       n4=st.integers(4, 16), stack=st.integers(0, 13))
+def test_kernel_matches_the_reference_bit_for_bit(name, seed, amplitude, n4, stack):
+    # amplitude 0 keeps exact zeros in the coordinates, where the sign of a
+    # zero sum shows; stack 0 is a single loop
+    spec = KERNEL_SPECS[name]
+    loops_ = [_kernel_nodes(name, 4 * n4, seed + k, amplitude)[1] for k in range(max(stack, 1))]
+    nodes = np.stack(loops_) if stack else loops_[0]
+    rng = np.random.default_rng(seed)
+    raw = nodes + 0.01 * rng.normal(size=nodes.shape)
+    assert _same_bits(geometry.surface_project(spec, raw), _reference_surface_project(spec, raw))
+    assert _same_bits(geometry.constraint(spec, raw), _reference_constraint(spec, raw))
+    for got, want in zip(solver.residual_field(spec, nodes), _reference_residual(spec, nodes)):
+        assert _same_bits(got, want)
+    single = loops_[0]
+    vel = solver._velocity(single)
+    assert _same_bits(vel, _reference_velocity(single))
+    other = np.roll(vel, 3, axis=0)
+    assert _same_bits(geometry.metric_dot(spec, single, vel, other),
+                      _reference_metric_dot(spec, single, vel, other))
+    tan = _reference_residual(spec, single)[1]
+    ell = float(np.mean(np.sqrt(_reference_metric_dot(spec, single, vel, vel))))
+    want = float(np.max(np.linalg.norm(tan, axis=1))) / max(1.0, ell * ell)
+    assert solver._scaled_residual(spec, single)[0] == want
+
+
+@settings(max_examples=40)
+@given(m=st.integers(1, 12), shape=st.sampled_from([(), (5,), (3, 7)]),
+       seed=st.integers(0, 2 ** 32 - 1), zeros=st.booleans())
+def test_dot_sums_like_numpy(m, shape, seed, zeros):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape + (m,))
+    y = rng.normal(size=shape + (m,))
+    if zeros:   # every product a signed zero
+        x = np.where(rng.random(x.shape) < 0.5, -0.0, 0.0)
+    assert _same_bits(geometry._dot(x, y), np.sum(x * y, axis=-1))
 
 
 def _coo_jacobian(spec, nodes):
