@@ -71,6 +71,27 @@ def fractional_shift(values: np.ndarray, s: float) -> np.ndarray:
     return out.real if np.isrealobj(values) else out
 
 
+def shifted_grids(values: np.ndarray, m: int, offsets) -> np.ndarray:
+    """The interpolant of ``trig_interp`` on the grids (j + c) / m, j < m.
+
+    Real samples only, and m > n, so no bin of the finer grid aliases the
+    samples' modes.  Returns shape (len(offsets), m) + values.shape[1:]: one
+    zero-padded inverse real FFT per offset c.  The even-N Nyquist cosine
+    cos(pi N t) is the mean of e^{+i pi N t} and e^{-i pi N t}, so its bin
+    is halved before the inverse transform doubles every bin below m/2.
+    """
+    values = np.asarray(values)
+    n = values.shape[0]
+    if m <= n:
+        raise ValueError(f"a grid of {m} points cannot resolve {n} samples")
+    coef = np.fft.rfft(values, axis=0) / n
+    if n % 2 == 0:
+        coef[n // 2] *= 0.5
+    phase = np.exp((2j * np.pi / m) * np.outer(offsets, np.arange(coef.shape[0])))
+    shape = phase.shape + (1,) * (values.ndim - 1)
+    return np.fft.irfft(coef * phase.reshape(shape), n=m, axis=1) * m
+
+
 def resample(values: np.ndarray, m: int) -> np.ndarray:
     """Band-limited resampling of axis-0 periodic samples to m points.
 

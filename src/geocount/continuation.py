@@ -120,7 +120,7 @@ class BranchResult:
 
 
 def _solve_fixed_t(path: MetricPath, t: float, guess: np.ndarray,
-                   tol: float = 1e-10) -> solver.GeodesicResult:
+                   tol: float) -> solver.GeodesicResult:
     spec = path.at(t)
     seed = DiscreteLoop(spec, geometry.surface_project(spec, guess))
     return solver.refine_to_geodesic(seed, tol=tol)
@@ -223,9 +223,9 @@ def continue_branch(
     closer than ``cluster_tol`` in t raise UnresolvedClusterError.
     """
     if isinstance(start, solver.GeodesicResult):
-        res0 = _solve_fixed_t(path, 0.0, np.asarray(start.loop.nodes))
+        res0 = _solve_fixed_t(path, 0.0, np.asarray(start.loop.nodes), tol)
     else:
-        res0 = _solve_fixed_t(path, 0.0, np.asarray(start.nodes))
+        res0 = _solve_fixed_t(path, 0.0, np.asarray(start.nodes), tol)
     tr0, data0, _ = _trace(res0)
     points = [BranchPoint(t=0.0, s=0.0, length=res0.length, trace=tr0, result=res0,
                           data=data0)]
@@ -252,19 +252,19 @@ def continue_branch(
             continue
         new_nodes, new_t = out
         if new_t < -1e-12:
-            res_end = _solve_fixed_t(path, 0.0, nodes)
+            res_end = _solve_fixed_t(path, 0.0, nodes, tol)
             tr_end, data_end, _ = _trace(res_end)
             _maybe_pd_event(path, points[-1], (0.0, tr_end, res_end), events,
-                            event_t_tol)
+                            event_t_tol, tol)
             points.append(BranchPoint(t=0.0, s=s_acc + step, length=res_end.length,
                                       trace=tr_end, result=res_end, data=data_end))
             stop_reason = "returned_to_start"
             break
         if new_t > 1.0 + 1e-12:
-            res_end = _solve_fixed_t(path, 1.0, nodes)
+            res_end = _solve_fixed_t(path, 1.0, nodes, tol)
             tr_end, data_end, _ = _trace(res_end)
             _maybe_pd_event(path, points[-1], (1.0, tr_end, res_end), events,
-                            event_t_tol)
+                            event_t_tol, tol)
             points.append(BranchPoint(t=1.0, s=s_acc + step, length=res_end.length,
                                       trace=tr_end, result=res_end, data=data_end))
             reached_end = True
@@ -280,7 +280,8 @@ def continue_branch(
         if tau[-1] * new_tau[-1] < 0.0:
             ev = _locate_fold(path, (nodes, t, tau, s_acc), step, tol)
             events.append(ev)
-        _maybe_pd_event(path, prev_pt, (new_t, tr_new, res_new), events, event_t_tol)
+        _maybe_pd_event(path, prev_pt, (new_t, tr_new, res_new), events, event_t_tol,
+                        tol)
         s_acc += step
         points.append(BranchPoint(t=new_t, s=s_acc, length=res_new.length,
                                   trace=tr_new, result=res_new, data=data_new))
@@ -300,7 +301,7 @@ def continue_branch(
                         reached_end=reached_end, stop_reason=stop_reason)
 
 
-def _maybe_pd_event(path, prev_pt: BranchPoint, new_state, events, t_tol):
+def _maybe_pd_event(path, prev_pt: BranchPoint, new_state, events, t_tol, tol):
     """Bisect a tr(M) = -2 crossing between consecutive branch points."""
     new_t, tr_new, res_new = new_state
     f_prev = prev_pt.trace + 2.0
@@ -313,14 +314,14 @@ def _maybe_pd_event(path, prev_pt: BranchPoint, new_state, events, t_tol):
     while hi_t - lo_t > t_tol:
         mid_t = 0.5 * (lo_t + hi_t)
         guess = 0.5 * (lo_nodes + hi_nodes)
-        res_mid = _solve_fixed_t(path, mid_t, guess)
+        res_mid = _solve_fixed_t(path, mid_t, guess, tol)
         tr_mid, _, _ = _trace(res_mid)
         if (tr_mid + 2.0) * f_lo <= 0.0:
             hi_t, hi_nodes = mid_t, np.asarray(res_mid.loop.nodes)
         else:
             lo_t, lo_nodes, f_lo = mid_t, np.asarray(res_mid.loop.nodes), tr_mid + 2.0
     t_star = 0.5 * (lo_t + hi_t)
-    res_star = _solve_fixed_t(path, t_star, 0.5 * (lo_nodes + hi_nodes))
+    res_star = _solve_fixed_t(path, t_star, 0.5 * (lo_nodes + hi_nodes), tol)
     tr_star, data_star, mono_star = _trace(res_star)
     # the bracketed point is within ~sqrt(kappa * t_tol) of the exact
     # degeneracy in multiplier distance, so the kernel count needs a
@@ -364,7 +365,7 @@ def _locate_fold(path, lo_state, gap, tol):
         if gap < 1e-6 or gap * gap < 1e-13:
             break
     t_star = lo_t
-    res_star = _solve_fixed_t(path, t_star, lo_nodes)
+    res_star = _solve_fixed_t(path, t_star, lo_nodes, tol)
     tr_star, data_star, mono_star = _trace(res_star)
     nu1 = jacobi.floquet_nullity(mono_star, 1, tol=_EVENT_NULLITY_TOL)
     nu2 = jacobi.floquet_nullity(mono_star, 2, tol=_EVENT_NULLITY_TOL)
@@ -584,7 +585,7 @@ def fit_normal_form(
         t_val = event.t + off
         if not 0.0 <= t_val <= 1.0:
             continue
-        res = _solve_fixed_t(path, t_val, np.asarray(event.loop.nodes))
+        res = _solve_fixed_t(path, t_val, np.asarray(event.loop.nodes), tol)
         data = jacobi.build_operator(res)
         sec = jacobi.sector_index_nullity(data, 2, 1)
         cand = sec.near_zero
@@ -676,7 +677,7 @@ def _pd_side_detail(path, event, t_val, samples, event_kicks, tol):
 
     ``event_kicks()`` returns the event's ``_doubling_kicks``, shared by
     both sides of the event."""
-    res = _solve_fixed_t(path, t_val, np.asarray(event.loop.nodes))
+    res = _solve_fixed_t(path, t_val, np.asarray(event.loop.nodes), tol)
     rep = jacobi.jacobi_report(res, d_max=2)
     rec = weights.weight(rep, ident="primitive", length=res.length)
     detail = {"primitive_double_cover": 2 * rec.n2}

@@ -11,10 +11,11 @@ Two independent computational routes are kept deliberately separate:
   built from the FFT of the curvature samples.  The two assemblies share no
   code, and the direct cover spectrum must equal the union of its sector
   spectra exactly.
-* Floquet monodromy: high-order ODE integration of the Jacobi system over
-  one primitive period gives the linearized return map; kernel dimensions of
-  M^d - I recover nullities with no spectral truncation, and unit-root
-  eigenvectors reconstruct the quasi-periodic Jacobi fields themselves.
+* Floquet monodromy: symplectic Gauss-Legendre collocation of the Jacobi
+  system over one primitive period gives the linearized return map and the
+  fundamental solution at the nodes; kernel dimensions of M^d - I recover
+  nullities with no spectral truncation, and unit-root eigenvectors carried
+  by the fundamental solution are the quasi-periodic Jacobi fields.
 
 Agreement between the routes is the package's main internal consistency
 check and is exposed in the report rather than assumed.
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from . import _spectral, geometry, loops, solver
 from .geometry import MetricSpec
@@ -261,54 +261,70 @@ class MonodromyResult:
     matrix: np.ndarray        # (2p, 2p) return map of (zeta, zeta')
     multipliers: np.ndarray   # eigenvalues
     det_defect: float         # |det M - 1|, exact symplectic volume check
+    fundamental: np.ndarray   # (N, 2p, 2p) fundamental solution at theta_i = i/N
 
 
-def _b_theta_interp(data: JacobiOperatorData):
-    """Trigonometric interpolant t -> speed^2 B(t), a real (p, p) matrix.
+# 3-stage Gauss-Legendre collocation, order 6: nodes c, stage matrix a,
+# weights w (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+# II.1; IV and VI for the quadratic invariants it keeps, symplecticity)
+_GL_ROOT = math.sqrt(15.0)
+_GL_C = np.array([0.5 - _GL_ROOT / 10.0, 0.5, 0.5 + _GL_ROOT / 10.0])
+_GL_A = np.array([
+    [5.0 / 36.0, 2.0 / 9.0 - _GL_ROOT / 15.0, 5.0 / 36.0 - _GL_ROOT / 30.0],
+    [5.0 / 36.0 + _GL_ROOT / 24.0, 2.0 / 9.0, 5.0 / 36.0 - _GL_ROOT / 24.0],
+    [5.0 / 36.0 + _GL_ROOT / 30.0, 2.0 / 9.0 + _GL_ROOT / 15.0, 5.0 / 36.0],
+])
+_GL_W = np.array([5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0])
 
-    The Fourier coefficients are laid out once as an (N, p^2) matrix, so an
-    evaluation is one (1, N) phase row times that matrix.
+
+def monodromy(data: JacobiOperatorData) -> MonodromyResult:
+    """Linearized return map over the primitive period, and its node values.
+
+    Propagates the 2p x 2p fundamental solution of zeta'' = -speed^2 B zeta
+    over K = 2N equal steps of 3-stage Gauss-Legendre collocation, with the
+    curvature taken from the trigonometric interpolant of its samples.  The
+    scheme has order 6 and is symplectic, so det M = 1 to round-off.  On a
+    linear system each step's propagator is one linear solve of its stage
+    equations; all K are solved as one batch and multiplied together by a
+    prefix scan, which also leaves the fundamental solution at every node.
+    This route is independent of the spectral quadratic forms.
     """
-    b_theta = data.speed ** 2 * data.b_unit
-    n, p = b_theta.shape[0], b_theta.shape[1]
-    coef = (np.fft.fft(b_theta, axis=0) / n).reshape(n, p * p)
-    freq = (2j * np.pi * _spectral.modes(n)).reshape(1, n)
-
-    def evaluate(t):
-        phase = np.exp(freq * t)
-        if n % 2 == 0:
-            phase[0, n // 2] = np.cos(np.pi * n * t)
-        return np.dot(phase, coef).reshape(p, p).real
-
-    return evaluate
-
-
-def monodromy(data: JacobiOperatorData, rtol: float = 1e-12, atol: float = 1e-12) -> MonodromyResult:
-    """Linearized return map over the primitive period by ODE integration.
-
-    Integrates the 2p x 2p fundamental solution of zeta'' = -speed^2 B zeta
-    with an 8th-order adaptive scheme and trigonometric interpolation of the
-    curvature samples; this route is independent of the spectral quadratic
-    forms.
-    """
-    p = data.normal_rank
-    beval = _b_theta_interp(data)
-
-    def rhs(t, y):
-        yy = y.reshape(2 * p, 2 * p)
-        top = yy[p:]
-        bot = -beval(t % 1.0) @ yy[:p]
-        return np.concatenate([top, bot]).reshape(-1)
-
-    y0 = np.eye(2 * p).reshape(-1)
-    sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, 1.0), y0, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise JacobiError(f"monodromy integration failed: {sol.message}")
-    mat = sol.y[:, -1].reshape(2 * p, 2 * p)
+    if not (math.isfinite(data.speed) and np.all(np.isfinite(data.b_unit))):
+        raise JacobiError("curvature samples are not finite")
+    n, p = data.b_unit.shape[0], data.normal_rank
+    q = 2 * p
+    steps = 2 * n
+    h = 1.0 / steps
+    # A(t) = [[0, I], [-speed^2 B(t), 0]] at the Gauss nodes (k + c_i) / K
+    b_nodes = _spectral.shifted_grids(data.speed ** 2 * data.b_unit, steps, _GL_C)
+    gen = np.zeros((steps, 3, q, q))
+    gen[:, :, :p, p:] = np.eye(p)
+    gen[:, :, p:, :p] = -np.swapaxes(b_nodes, 0, 1)
+    # stage values Z_i = Y + h sum_j a_ij A_j Z_j; with Y = I the solve gives
+    # the step propagator I + h sum_i w_i A_i Z_i
+    lhs = (-h * _GL_A[None, :, :, None, None]) * gen[:, None, :, :, :]
+    lhs = lhs.transpose(0, 1, 3, 2, 4).reshape(steps, 3 * q, 3 * q)
+    lhs += np.eye(3 * q)
+    try:
+        stages = np.linalg.solve(lhs, np.tile(np.eye(q), (3, 1)))
+    except np.linalg.LinAlgError as exc:
+        raise JacobiError(f"monodromy step is singular: {exc}") from exc
+    prop = np.eye(q) + h * np.tensordot(
+        _GL_W, gen @ stages.reshape(steps, 3, q, q), axes=(0, 1))
+    # node i to node i + 1, then inclusive prefix products in log2 N rounds
+    scan = prop[1::2] @ prop[0::2]
+    shift = 1
+    while shift < n:
+        scan = np.concatenate([scan[:shift], scan[shift:] @ scan[:-shift]])
+        shift *= 2
+    if not np.all(np.isfinite(scan)):
+        raise JacobiError("monodromy propagator is not finite")
+    mat = scan[-1]
+    fundamental = np.concatenate([np.eye(q)[None], scan[:-1]])
     mult = np.linalg.eigvals(mat)
     det_defect = float(abs(np.linalg.det(mat) - 1.0))
-    return MonodromyResult(matrix=mat, multipliers=mult, det_defect=det_defect)
+    return MonodromyResult(matrix=mat, multipliers=mult, det_defect=det_defect,
+                           fundamental=fundamental)
 
 
 def floquet_nullity(mono: MonodromyResult, d: int, tol: float = 1e-6) -> int:
@@ -351,7 +367,8 @@ def detect_lambda_jacobi(
 ) -> tuple:
     """Jacobi fields for every monodromy multiplier with lambda^d = 1.
 
-    Each unit-root eigenvector is integrated over the primitive period and
+    Each unit-root eigenvector is carried to the nodes of the primitive
+    period by the fundamental solution the monodromy already holds, then
     copied to the cover with the multiplier twist; the reported residual is
     the relative error of the cover Jacobi equation evaluated spectrally, so
     a successful detection is self-verifying.
@@ -368,33 +385,15 @@ def detect_lambda_jacobi(
     geo = floquet_nullity(mono, d)
     defective = geo < len(sel)
 
-    beval = _b_theta_interp(data)
-    n = data.loop.n
-    t_grid = np.arange(n) / n
-
+    bc = _cover_curvature(data, d)
     fields = []
     for i in sel:
         lam = vals[i]
-        v = vecs[:, i]
-        # integrate the complex system as stacked real/imag parts
-        def rhs_c(t, y):
-            zr = y[:p] + 1j * y[p:2 * p]
-            wr = y[2 * p:3 * p] + 1j * y[3 * p:]
-            dz = wr
-            dw = -(beval(t % 1.0) @ zr)
-            return np.concatenate([dz.real, dz.imag, dw.real, dw.imag])
-
-        y0 = np.concatenate([v[:p].real, v[:p].imag, v[p:].real, v[p:].imag])
-        sol = scipy.integrate.solve_ivp(
-            rhs_c, (0.0, 1.0), y0, method="DOP853", rtol=1e-12, atol=1e-12,
-            t_eval=t_grid, dense_output=False)
-        if not sol.success:
-            raise JacobiError(f"field integration failed: {sol.message}")
-        z_base = (sol.y[:p] + 1j * sol.y[p:2 * p]).T      # (n, p)
+        # the eigenvector carried to every node by the fundamental solution
+        z_base = mono.fundamental[:, :p, :] @ vecs[:, i]        # (n, p)
         z_cover = np.concatenate([z_base * lam ** k for k in range(d)], axis=0)
         # spectral residual of the cover equation on its unit interval
         zpp = _spectral.derivative(z_cover, order=2)
-        bc = _cover_curvature(data, d)
         forcing = np.einsum("nij,nj->ni", bc, z_cover)
         resid = zpp + forcing
         scale = max(float(np.max(np.abs(forcing))), float(np.max(np.abs(zpp))), 1e-30)

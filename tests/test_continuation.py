@@ -315,3 +315,27 @@ def test_stall_reports_partial_branch():
     assert len(partial.points) > 5
     # the parallel leaves the band where 0.7 t = 0.6
     assert abs(partial.points[-1].t - 6.0 / 7.0) < 0.02
+
+
+def test_continue_branch_refines_at_its_tolerance(fold_path, pd_path, monkeypatch):
+    # the start point, both end points, the period-doubling bisection and
+    # t*, and the fold's final solve all refine at the caller's tolerance
+    tols = []
+    real_refine = solver.refine_to_geodesic
+
+    def refine(seed, tol=1e-10, **kwargs):
+        tols.append(tol)
+        return real_refine(seed, tol=tol, **kwargs)
+
+    monkeypatch.setattr(solver, "refine_to_geodesic", refine)
+    fold = continuation.continue_branch(
+        fold_path, loops.parallel_circle(fold_path.start, 0.55, 128), tol=1e-11)
+    pd = continuation.continue_branch(
+        pd_path, loops.great_circle_seed(pd_path.start, np.eye(3)[0], np.eye(3)[1], 128),
+        tol=1e-11)
+    assert fold.stop_reason == "returned_to_start"
+    assert [e.kind for e in fold.events] == ["fold"]
+    assert pd.stop_reason == "reached_end"
+    assert [e.kind for e in pd.events] == ["period_doubling"]
+    assert len(tols) > len(fold.points) + len(pd.points)
+    assert set(tols) == {1e-11}

@@ -10,6 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -128,9 +129,68 @@ def test_eigen_gap_clears_the_kernel_threshold(ellipsoid_reports):
 
 
 def test_monodromy_is_area_preserving(sphere_report, spheroid_report, waist_report):
+    # Gauss-Legendre steps are symplectic, so det M = 1 up to round-off.  The
+    # waist's entries reach 1.7e3, and evaluating ad - bc of size 7e4 costs
+    # its own round-off: the exactly rounded cosh/sinh matrix is 1.3e-11 off.
     for rep in (sphere_report, spheroid_report, waist_report):
-        det = float(np.linalg.det(rep.mono.matrix))
-        assert abs(det - 1.0) < 1e-8
+        mat = rep.mono.matrix
+        det = float(np.linalg.det(mat))
+        floor = np.finfo(float).eps * (abs(mat[0, 0] * mat[1, 1]) + abs(mat[0, 1] * mat[1, 0]))
+        assert abs(det - 1.0) < max(1e-12, 16.0 * floor)
+
+
+def _b_theta_interp(data):
+    """Reference: the trigonometric interpolant t -> speed^2 B(t) that the
+    adaptive monodromy integration evaluated, one (1, N) phase row times the
+    (N, p^2) coefficient matrix per evaluation."""
+    b_theta = data.speed ** 2 * data.b_unit
+    n, p = b_theta.shape[0], b_theta.shape[1]
+    coef = (np.fft.fft(b_theta, axis=0) / n).reshape(n, p * p)
+    freq = (2j * np.pi * _spectral.modes(n)).reshape(1, n)
+
+    def evaluate(t):
+        phase = np.exp(freq * t)
+        if n % 2 == 0:
+            phase[0, n // 2] = np.cos(np.pi * n * t)
+        return np.dot(phase, coef).reshape(p, p).real
+
+    return evaluate
+
+
+def _dop853_fundamental(data, t_eval=None, rtol=1e-13, atol=1e-14):
+    """Reference: the 2p x 2p fundamental solution of zeta'' = -speed^2 B
+    zeta by adaptive DOP853 on the interpolant, at 1 and at ``t_eval``."""
+    p = data.normal_rank
+    beval = _b_theta_interp(data)
+
+    def rhs(t, y):
+        yy = y.reshape(2 * p, 2 * p)
+        return np.concatenate([yy[p:], -beval(t % 1.0) @ yy[:p]]).reshape(-1)
+
+    sol = scipy.integrate.solve_ivp(
+        rhs, (0.0, 1.0), np.eye(2 * p).reshape(-1), method="DOP853",
+        rtol=rtol, atol=atol, t_eval=t_eval)
+    assert sol.success
+    return np.moveaxis(sol.y, -1, 0).reshape(-1, 2 * p, 2 * p)
+
+
+def _dop853_field(data, vec, rtol=1e-12, atol=1e-12):
+    """Reference: the node values of the Jacobi field with initial data
+    ``vec``, integrated as stacked real and imaginary parts."""
+    p = data.normal_rank
+    beval = _b_theta_interp(data)
+
+    def rhs_c(t, y):
+        zr = y[:p] + 1j * y[p:2 * p]
+        dw = -(beval(t % 1.0) @ zr)
+        return np.concatenate([y[2 * p:3 * p], y[3 * p:], dw.real, dw.imag])
+
+    y0 = np.concatenate([vec[:p].real, vec[:p].imag, vec[p:].real, vec[p:].imag])
+    sol = scipy.integrate.solve_ivp(
+        rhs_c, (0.0, 1.0), y0, method="DOP853", rtol=rtol, atol=atol,
+        t_eval=np.arange(data.b_unit.shape[0]) / data.b_unit.shape[0])
+    assert sol.success
+    return (sol.y[:p] + 1j * sol.y[p:2 * p]).T
 
 
 def _tensordot_interp(data):
@@ -171,10 +231,119 @@ def interp_operators():
 @given(t=st.floats(0.0, 1.0, exclude_max=True))
 def test_b_theta_interp_matches_tensordot(interp_operators, p, parity, t):
     data = interp_operators[(p, parity)]
-    got = jacobi._b_theta_interp(data)(t)
+    got = _b_theta_interp(data)(t)
     want = _tensordot_interp(data)(t)
     assert got.shape == (p, p)
     assert np.array_equal(got, want)
+
+
+@st.composite
+def _band_limited_curvature(draw):
+    """Curvature samples their mesh resolves: symmetric p x p Fourier modes
+    up to max(1, N / 32), scaled to |B| <= 1, at a speed of at most
+    pi N / 32, so a Jacobi field oscillates over at least 64 samples."""
+    n = draw(st.sampled_from([16, 32, 64, 128]))
+    p = draw(st.sampled_from([1, 2]))
+    top = max(1, n // 32)
+    coef = draw(hnp.arrays(np.float64, (2 * top + 1, p, p),
+                           elements=st.floats(-1.0, 1.0)))
+    t = np.arange(n) / n
+    waves = 2.0 * np.pi * np.outer(t, np.arange(1, top + 1))
+    basis = np.concatenate([np.ones((n, 1)), np.cos(waves), np.sin(waves)], axis=1)
+    b = np.tensordot(basis, coef + np.swapaxes(coef, 1, 2), axes=(1, 0))
+    speed = draw(st.floats(0.5, np.pi * n / 32))
+    return _curvature_only(speed, b / max(1.0, float(np.max(np.abs(b)))))
+
+
+def _omega(p):
+    return np.block([[np.zeros((p, p)), np.eye(p)], [-np.eye(p), np.zeros((p, p))]])
+
+
+@settings(max_examples=30)
+@given(data=_band_limited_curvature())
+def test_monodromy_matches_the_adaptive_reference(data):
+    n, p = data.b_unit.shape[0], data.normal_rank
+    mono = jacobi.monodromy(data)
+    ref = _dop853_fundamental(data, t_eval=np.append(np.arange(n) / n, 1.0))
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(mono.matrix - ref[-1])) <= 1e-10 * scale
+    assert np.max(np.abs(mono.fundamental - ref[:-1])) <= 1e-10 * scale
+    m = mono.matrix
+    defect = m.T @ _omega(p) @ m - _omega(p)
+    assert np.max(np.abs(defect)) <= 1e-12 * max(1.0, float(np.max(np.abs(m)))) ** 2
+
+
+@settings(max_examples=30)
+@given(data=_band_limited_curvature(), edge=st.floats(-1.0, 1.0), odd=st.booleans())
+def test_gauss_node_curvature_matches_the_interpolant(data, edge, odd):
+    # the alternating term is the even-N Nyquist cosine; dropping the last
+    # sample leaves odd-N samples with content in every mode
+    n, p = data.b_unit.shape[0], data.normal_rank
+    b_unit = data.b_unit + edge * (-1.0) ** np.arange(n)[:, None, None] * np.eye(p)
+    data = dataclasses.replace(data, b_unit=b_unit[:-1] if odd else b_unit)
+    # the curvature the monodromy's stage equations read
+    steps = 2 * data.b_unit.shape[0]
+    got = _spectral.shifted_grids(data.speed ** 2 * data.b_unit, steps, jacobi._GL_C)
+    beval = _b_theta_interp(data)
+    t = (np.arange(steps)[None, :] + jacobi._GL_C[:, None]) / steps
+    want = np.array([[beval(x) for x in row] for row in t])
+    assert got.shape == want.shape == (3, steps, data.normal_rank, data.normal_rank)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("k", [1.0, 2.25, -1.0, 0.0])
+def test_constant_curvature_monodromy_is_closed_form(k):
+    # rotation for k > 0, boost for k < 0, shear for k = 0, at every node
+    n, speed = 128, 2.0 * np.pi
+    mono = jacobi.monodromy(_curvature_only(speed, np.full((n, 1, 1), k)))
+    w = speed * np.sqrt(abs(k))
+    t = np.append(np.arange(n) / n, 1.0)
+    if k > 0:
+        c, s, ws = np.cos(w * t), np.sin(w * t) / w, -w * np.sin(w * t)
+    elif k < 0:
+        c, s, ws = np.cosh(w * t), np.sinh(w * t) / w, w * np.sinh(w * t)
+    else:
+        c, s, ws = np.ones_like(t), t, np.zeros_like(t)
+    want = np.stack([np.stack([c, s], -1), np.stack([ws, c], -1)], 1)
+    got = np.concatenate([mono.fundamental, mono.matrix[None]])
+    assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_fields_match_the_adaptive_integration(sphere_report, spheroid_report,
+                                               interp_operators):
+    # every multiplier is selected by an infinite window, so the p = 2 and
+    # odd-N operators contribute complex and hyperbolic eigenvectors too
+    cases = [(sphere_report.data, 4, 1e-6), (spheroid_report.data, 2, 1e-6),
+             (interp_operators[(2, "even")], 1, np.inf),
+             (interp_operators[(1, "odd")], 2, np.inf)]
+    for data, d, unit_tol in cases:
+        mono = jacobi.monodromy(data)
+        fields = jacobi.detect_lambda_jacobi(data, d, mono=mono, unit_tol=unit_tol)
+        vals, vecs = np.linalg.eig(mono.matrix)
+        sel = [i for i in range(vals.size) if abs(vals[i] ** d - 1.0) < unit_tol]
+        assert len(fields) == len(sel) > 0
+        for field, i in zip(fields, sel):
+            base = _dop853_field(data, vecs[:, i])
+            want = np.concatenate([base * vals[i] ** k for k in range(d)])
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert field.multiplier == complex(vals[i])
+            assert np.max(np.abs(field.xi - want.real)) <= 1e-10 * scale
+            if field.twin is None:   # dropped as insignificant
+                assert np.max(np.abs(want.imag)) <= 1e-8 * scale
+            else:
+                assert np.max(np.abs(field.twin - want.imag)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+def test_monodromy_rejects_non_finite_curvature(sphere_report, bad):
+    # 1e308 is finite, but speed^2 times it overflows inside the propagator
+    b_unit = sphere_report.data.b_unit.copy()
+    b_unit[5] = bad
+    data = dataclasses.replace(sphere_report.data, b_unit=b_unit)
+    with np.errstate(all="ignore"), pytest.raises(jacobi.JacobiError):
+        jacobi.monodromy(data)
+    with np.errstate(all="ignore"), pytest.raises(jacobi.JacobiError):
+        jacobi.jacobi_report(data, d_max=1)
 
 
 def _fourier_cover_form(data, d):

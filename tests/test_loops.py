@@ -54,7 +54,8 @@ def test_resample_matches_scipy_signal(n, m, shape, seed):
 
 def test_cli_import_leaves_out_scipy_signal():
     code = ("import sys, geocount.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.integrate')"
+            " if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
