@@ -389,9 +389,7 @@ class DoubledOrbitSample:
 def _doubled_sample(path, t_val, cand, prim_seed_nodes, tol):
     """Package a doubled orbit with its deviation from the tiled primitive."""
     spec_t = path.at(t_val)
-    prim = solver.refine_to_geodesic(
-        DiscreteLoop(spec_t, geometry.surface_project(spec_t, prim_seed_nodes)),
-        tol=tol)
+    prim = _solve_fixed_t(path, t_val, prim_seed_nodes, tol)
     cover_nodes = np.tile(np.asarray(prim.loop.nodes), (2, 1))
     shift, _ = loops.align_rotation(cand.loop, DiscreteLoop(spec_t, cover_nodes))
     aligned = _spectral.fractional_shift(cover_nodes, shift)
@@ -462,11 +460,8 @@ def spawn_doubled_branch(
     data, kicks = _doubling_kicks(event, tol) if event_kicks is None else event_kicks
 
     def try_doubled(t_val, seed_nodes):
-        spec_t = path.at(t_val)
         try:
-            cand = solver.refine_to_geodesic(
-                DiscreteLoop(spec_t, geometry.surface_project(spec_t, seed_nodes)),
-                tol=tol)
+            cand = _solve_fixed_t(path, t_val, seed_nodes, tol)
         except (solver.RefineError, solver.StallError, GeometryError):
             return None
         if loops.primitive_decompose(cand.loop).degree != 1:
@@ -476,10 +471,7 @@ def spawn_doubled_branch(
     # bootstrap just inside the tongue
     t_boot = event.t + side * min(bootstrap_offset, abs(offsets[0 if side > 0 else -1]))
     t_boot = min(max(t_boot, 0.0), 1.0)
-    spec_b = path.at(t_boot)
-    prim_b = solver.refine_to_geodesic(
-        DiscreteLoop(spec_b, geometry.surface_project(
-            spec_b, np.asarray(data.loop.nodes))), tol=tol)
+    prim_b = _solve_fixed_t(path, t_boot, np.asarray(data.loop.nodes), tol)
     cover_b = np.tile(np.asarray(prim_b.loop.nodes), (2, 1))
     boot = None
     for eps in kick_sizes:
@@ -502,10 +494,7 @@ def spawn_doubled_branch(
         shift, _ = loops.align_rotation(
             DiscreteLoop(spec_c, cur_nodes), DiscreteLoop(spec_c, cov_c))
         dev = cur_nodes - _spectral.fractional_shift(cov_c, shift)
-        spec_n = path.at(next_t)
-        prim_n = solver.refine_to_geodesic(
-            DiscreteLoop(spec_n, geometry.surface_project(spec_n, prim_nodes)),
-            tol=tol)
+        prim_n = _solve_fixed_t(path, next_t, prim_nodes, tol)
         prim_n_nodes = np.asarray(prim_n.loop.nodes)
         scale = math.sqrt(max(abs(next_t - event.t), 1e-15)
                           / max(abs(cur_t - event.t), 1e-15))
@@ -711,15 +700,13 @@ def _fold_kick_direction(event, tol):
 def _fold_side_detail(path, event, t_val, kick_dir, tol):
     """Contributions of the two colliding branches at parameter t_val, seeded
     by kicks of the event loop along ``kick_dir``."""
-    spec_t = path.at(t_val)
     base = np.asarray(event.loop.nodes)
     base_len = loops.length(event.loop)
     detail = {}
     found = []
     for eps in (2e-2, 5e-2, 1e-1, -2e-2, -5e-2, -1e-1):
         try:
-            seed_nodes = geometry.surface_project(spec_t, base + eps * kick_dir)
-            cand = solver.refine_to_geodesic(DiscreteLoop(spec_t, seed_nodes), tol=tol)
+            cand = _solve_fixed_t(path, t_val, base + eps * kick_dir, tol)
         except (solver.RefineError, solver.StallError, GeometryError):
             continue
         if abs(cand.length - base_len) > 0.5 * max(1.0, base_len):
@@ -763,8 +750,7 @@ def metric_deformation_pairing(
 
     def pairing_at(nodes_in):
         spec0 = path.at(event.t)
-        loop0 = DiscreteLoop(spec0, geometry.surface_project(spec0, nodes_in))
-        res0 = solver.refine_to_geodesic(loop0)
+        res0 = _solve_fixed_t(path, event.t, nodes_in, 1e-10)
         data = jacobi.build_operator(res0)
         fields = jacobi.detect_lambda_jacobi(data, d_cover, unit_tol=_EVENT_FIELD_TOL)
         want = -1.0 if d_cover == 2 else 1.0
