@@ -45,6 +45,8 @@ protocol = degenerate
 trials = 1
 """
 
+NOISE_COUNT_CFG = SPHERE_COUNT_CFG + "strategy = conformal_noise\n"
+
 FOLD_CFG = """\
 [metric.start]
 family = revolution
@@ -376,6 +378,20 @@ def test_count_reuses_the_first_trials_census(tmp_path, monkeypatch):
     assert degenerate[1].split(",")[-1] == "-2"
     lines = (out / "count.csv").read_text().strip().splitlines()
     assert lines[0] == "length,weight,cumulative"
+    assert lines[-1].split(",")[2] == "-2"
+    assert "trials agree: PASS (value -2)" in (out / "summary.txt").read_text()
+
+
+def test_count_with_conformal_noise(tmp_path):
+    # the perturbation draws the noise harmonics of degree 1 to 3 on top of
+    # the round sphere, and the one trial still finds the three classes
+    code, out = _run(tmp_path, "count", NOISE_COUNT_CFG)
+    assert code == 0
+    degenerate = (out / "degenerate.csv").read_text().strip().splitlines()
+    assert degenerate[1] == "conformal_noise,0,11,0,3,-2"
+    lines = (out / "count.csv").read_text().strip().splitlines()
+    assert lines[0] == "length,weight,cumulative"
+    assert len(lines) == 4
     assert lines[-1].split(",")[2] == "-2"
     assert "trials agree: PASS (value -2)" in (out / "summary.txt").read_text()
 

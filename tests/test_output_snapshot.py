@@ -106,3 +106,4 @@ def test_changed_line_count_fails(tmp_path, capsys):
 
 def test_snapshot_runs_include_the_sphere_count():
     assert ("SPHERE_COUNT_CFG", "count") in snapshot.TEST_RUNS
+    assert ("NOISE_COUNT_CFG", "count") in snapshot.TEST_RUNS

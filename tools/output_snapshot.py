@@ -7,9 +7,9 @@ compare two such directories with a float tolerance.
 Runs ``geocount.cli.main`` on every benchmark workload config in
 ``perfbench/workloads.py`` at seeds 1 and 7, and on the CLI test configs of
 ``tests/test_cli.py`` (census, jacobi and weights on ``ELLIPSOID_CFG``, count
-on ``COUNT_CFG`` and ``SPHERE_COUNT_CFG``, continue on ``FOLD_CFG``,
-``PD_CFG`` and ``STALL_CFG``, the one config whose continuation gives up,
-with exit 3).  Each run writes its files to ``OUT_DIR/<run name>/`` plus an
+on ``COUNT_CFG``, ``SPHERE_COUNT_CFG`` and ``NOISE_COUNT_CFG``, continue on
+``FOLD_CFG``, ``PD_CFG`` and ``STALL_CFG``, the one config whose
+continuation gives up, with exit 3).  Each run writes its files to ``OUT_DIR/<run name>/`` plus an
 ``exit_code`` file.  The configs are imported from those two files, never
 copied, and geocount is imported from the ``src`` directory of the checkout
 that holds this script, so copying the script into another checkout
@@ -45,6 +45,7 @@ TEST_RUNS = (
     ("ELLIPSOID_CFG", "weights"),
     ("COUNT_CFG", "count"),
     ("SPHERE_COUNT_CFG", "count"),
+    ("NOISE_COUNT_CFG", "count"),
     ("FOLD_CFG", "continue"),
     ("PD_CFG", "continue"),
     ("STALL_CFG", "continue"),
