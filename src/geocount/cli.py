@@ -310,9 +310,9 @@ class Out:
 # shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _run_census(cfg: RunConfig, max_length: float) -> solver.Census:
+def _run_census(cfg: RunConfig, spec: MetricSpec, max_length: float) -> solver.Census:
     return solver.find_all(
-        cfg.metric, max_length, mesh=cfg.mesh, planes=cfg.planes,
+        spec, max_length, mesh=cfg.mesh, planes=cfg.planes,
         seed=cfg.seed, tol=cfg.tol_residual, dedup_tol=cfg.tol_dedup)
 
 
@@ -355,7 +355,7 @@ def _oriented_rows(census):
 # ---------------------------------------------------------------------------
 
 def cmd_census(cfg: RunConfig, out: Out) -> None:
-    census = _run_census(cfg, cfg.length_bound)
+    census = _run_census(cfg, cfg.metric, cfg.length_bound)
     _census_warnings(census, out)
     rows = []
     for rid, partner, entry, d, loop in _oriented_rows(census):
@@ -374,7 +374,7 @@ def cmd_census(cfg: RunConfig, out: Out) -> None:
 
 
 def cmd_jacobi(cfg: RunConfig, out: Out) -> None:
-    census = _run_census(cfg, cfg.length_bound)
+    census = _run_census(cfg, cfg.metric, cfg.length_bound)
     _census_warnings(census, out)
     blocks = []
     all_ok = True
@@ -406,7 +406,7 @@ def cmd_jacobi(cfg: RunConfig, out: Out) -> None:
 
 
 def cmd_weights(cfg: RunConfig, out: Out) -> None:
-    census = _run_census(cfg, cfg.length_bound)
+    census = _run_census(cfg, cfg.metric, cfg.length_bound)
     _census_warnings(census, out)
     rows = []
     agree = True
@@ -455,7 +455,7 @@ def _count_outputs(table, window, probes, out: Out) -> None:
 def cmd_count(cfg: RunConfig, out: Out) -> None:
     window = cfg.window or (0.0, cfg.length_bound)
     out.summary.append("command: count")
-    census = _run_census(cfg, window[1])
+    census = _run_census(cfg, cfg.metric, window[1])
     _census_warnings(census, out)
     protocol = cfg.protocol
     if protocol == "auto":
@@ -535,9 +535,7 @@ def _start_results(cfg: RunConfig):
     if cfg.start_kind == "census":
         if cfg.length_bound is None:
             raise ConfigError("continue with start=census needs length_bound")
-        census = solver.find_all(
-            spec0, cfg.length_bound, mesh=cfg.mesh, planes=cfg.planes,
-            seed=cfg.seed, tol=cfg.tol_residual, dedup_tol=cfg.tol_dedup)
+        census = _run_census(cfg, spec0, cfg.length_bound)
         return [(e.ident, e.result) for e in census.entries]
     if cfg.start_kind == "parallel":
         if cfg.start_z is None:
@@ -676,10 +674,7 @@ def _count_grid(cfg: RunConfig, out: Out):
     rows = []
     counts = []
     for s in svals:
-        spec_s = cfg.path.at(s)
-        census = solver.find_all(
-            spec_s, cfg.window[1], mesh=cfg.mesh, planes=cfg.planes,
-            seed=cfg.seed, tol=cfg.tol_residual, dedup_tol=cfg.tol_dedup)
+        census = _run_census(cfg, cfg.path.at(s), cfg.window[1])
         try:
             table = weights.build_count_table(census)
         except weights.NotSuperRigid:
