@@ -37,27 +37,6 @@ def derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
     return out.real if np.isrealobj(values) else out
 
 
-def trig_interp(values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of axis-0 samples at points t.
-
-    Returns shape t.shape + values.shape[1:].  The even-N Nyquist mode is
-    evaluated as a cosine so real inputs give real outputs.
-    """
-    values = np.asarray(values)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    n = values.shape[0]
-    coef = np.fft.fft(values, axis=0) / n
-    k = modes(n)
-    basis = np.exp(2j * np.pi * np.outer(t_arr, k))
-    if n % 2 == 0:
-        basis[:, n // 2] = np.cos(np.pi * n * t_arr)
-    out = np.tensordot(basis, coef, axes=(1, 0))
-    out = out.real if np.isrealobj(values) else out
-    return out[0] if scalar else out
-
-
 def fractional_shift(values: np.ndarray, s: float) -> np.ndarray:
     """Samples of f(theta + s) on the same grid, via the shift theorem."""
     values = np.asarray(values)
@@ -72,7 +51,9 @@ def fractional_shift(values: np.ndarray, s: float) -> np.ndarray:
 
 
 def shifted_grids(values: np.ndarray, m: int, offsets) -> np.ndarray:
-    """The interpolant of ``trig_interp`` on the grids (j + c) / m, j < m.
+    """The trigonometric interpolant of axis-0 samples on the grids
+    (j + c) / m, j < m, with the even-N Nyquist mode taken as the cosine
+    cos(pi N t), so real samples give real values.
 
     Real samples only, and m > n, so no bin of the finer grid aliases the
     samples' modes.  Returns shape (len(offsets), m) + values.shape[1:]: one

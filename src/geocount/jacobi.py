@@ -423,7 +423,7 @@ class JacobiReport:
     sector_checks: dict       # d -> bool
 
 
-def jacobi_report(source, d_max: int = 2, field_d: int | None = None) -> JacobiReport:
+def jacobi_report(source, d_max: int = 2) -> JacobiReport:
     """Full two-route stability report for one closed geodesic."""
     data = source if isinstance(source, JacobiOperatorData) else build_operator(source)
     mono = monodromy(data)
@@ -438,7 +438,7 @@ def jacobi_report(source, d_max: int = 2, field_d: int | None = None) -> JacobiR
         if direct.nu != floq[d] or not ok:
             agree = False
     resonances = {d: floq[d] > 0 for d in range(1, 5)}
-    fields = detect_lambda_jacobi(data, field_d or d_max, mono=mono)
+    fields = detect_lambda_jacobi(data, d_max, mono=mono)
     return JacobiReport(
         data=data, indices=tuple(indices), mono=mono, floquet_nullities=floq,
         fields=fields, resonances=resonances, routes_agree=agree,

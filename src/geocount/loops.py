@@ -208,43 +208,6 @@ def loop_distance(a: DiscreteLoop, b: DiscreteLoop) -> float:
     return align_rotation(a, b)[1]
 
 
-def reparametrize_constant_speed(loop: DiscreteLoop, fine: int = 8):
-    """Resample so the Riemannian speed is constant across nodes.
-
-    Inverts the cumulative arc length s(theta) (computed spectrally on a
-    refined grid) and evaluates the loop at the preimages of a uniform arc
-    grid.  Returns (new_loop, speed_variation) where the variation is the
-    relative spread of node speeds after one pass.
-    """
-    n = loop.n
-    dense_n = fine * n
-    dense_nodes = _spectral.resample(loop.nodes, dense_n)
-    dense_vel = _spectral.derivative(dense_nodes)
-    sig = geometry.speed(loop.metric, dense_nodes, dense_vel)
-    total = float(np.mean(sig))
-    # periodic antiderivative: s(theta) = total*theta + oscillating part
-    coef = np.fft.fft(sig - total)
-    k = _spectral.modes(dense_n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        anti = np.where(k == 0, 0.0, coef / (2j * np.pi * k))
-    osc = np.fft.ifft(anti).real
-    osc = osc - osc[0]
-    theta_dense = np.arange(dense_n) / dense_n
-    s_dense = total * theta_dense + osc
-    targets = total * np.arange(n) / n
-    # monotone bracket first, then Newton polish on the spectral series
-    theta = np.interp(targets, s_dense, theta_dense)
-    for _ in range(3):
-        s_val = total * theta + _spectral.trig_interp(osc, theta)
-        sig_val = np.maximum(_spectral.trig_interp(sig, theta), 1e-12)
-        theta = theta - (s_val - targets) / sig_val
-    new_nodes = _spectral.trig_interp(loop.nodes, theta % 1.0)
-    new_loop = DiscreteLoop(loop.metric, geometry.surface_project(loop.metric, new_nodes))
-    sp = speeds(new_loop)
-    variation = float((np.max(sp) - np.min(sp)) / np.mean(sp))
-    return new_loop, variation
-
-
 # ---------------------------------------------------------------------------
 # seed constructors
 # ---------------------------------------------------------------------------

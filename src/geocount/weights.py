@@ -176,16 +176,12 @@ def count_function(table: CountTable, ell: float) -> int:
     return out
 
 
-def set_weight(table: CountTable, window: tuple, idents: set | None = None) -> int:
-    """Sum of weighted contributions with iterate length inside the window.
-
-    ``idents`` restricts the sum to the given census classes, which is how
-    event-local invariance checks isolate the branches of one bifurcation.
-    """
+def set_weight(table: CountTable, window: tuple) -> int:
+    """Sum of weighted contributions with iterate length inside the window."""
     lo, hi = window
     total = 0
     for row in table.rows:
-        if lo < row.length < hi and (idents is None or row.ident in idents):
+        if lo < row.length < hi:
             total += row.contribution
     return total
 

@@ -73,4 +73,4 @@ def spheroid_equator():
 
 @pytest.fixture(scope="session")
 def spheroid_report(spheroid_equator):
-    return jacobi.jacobi_report(spheroid_equator, d_max=2, field_d=2)
+    return jacobi.jacobi_report(spheroid_equator, d_max=2)

@@ -164,19 +164,6 @@ def test_canonicalize_is_idempotent(sphere):
     assert np.max(np.abs(np.asarray(again.nodes) - np.asarray(canon.nodes))) < 1e-12
 
 
-def test_reparametrize_constant_speed(sphere):
-    # stretch the parametrization, then ask for it back
-    n = 64
-    warped = np.arange(n) / n + 0.08 * np.sin(2 * np.pi * np.arange(n) / n)
-    nodes = np.stack(
-        [np.cos(2 * np.pi * warped), np.sin(2 * np.pi * warped), np.zeros(n)], axis=1)
-    loop = DiscreteLoop(sphere, nodes)
-    even, defect = loops.reparametrize_constant_speed(loop)
-    assert defect < 1e-10
-    spd = loops.speeds(even)
-    assert (spd.max() - spd.min()) / spd.mean() < 1e-6
-
-
 def test_seed_constructors_land_on_surface():
     ell = geometry.MetricSpec.ellipsoid((1.05, 1.0, 0.95))
     pe = loops.principal_ellipse(ell, 0, 2, 64)

@@ -65,11 +65,6 @@ def test_set_weight_windows(ellipsoid_table):
     assert weights.set_weight(ellipsoid_table, (6.5, 7.0)) == 0
 
 
-def test_set_weight_ident_filter(ellipsoid_table):
-    assert weights.set_weight(ellipsoid_table, (0.0, 7.0), idents={"g000"}) == -2
-    assert weights.set_weight(ellipsoid_table, (0.0, 7.0), idents={"g001"}) == 2
-
-
 def test_cover_rows_carry_zero_weight(ellipsoid_spec):
     census = solver.find_all(ellipsoid_spec, 13.0, mesh=128, planes=24, seed=7)
     table = weights.build_count_table(census)
