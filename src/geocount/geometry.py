@@ -11,14 +11,16 @@ F(x) = 0 in R^m together with an optional conformal factor:
   u a fixed linear combination of real solid harmonics of degree <= 3.
 
 Everything needed in inner loops (constraint gradients, normals, conformal
-gradients) is analytic and vectorized over arrays of points.
+gradients) is analytic and vectorized over arrays of points.  The harmonic
+basis is one table of monomial coefficients, ``_HARMONICS``; each conformal
+metric folds its terms into that table once, and the value, gradient and
+spherical Laplacian of u are read from the folded table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -37,90 +39,26 @@ class BandExitError(GeometryError):
 # real solid harmonics, degree <= 3, unnormalized polynomial basis
 # ---------------------------------------------------------------------------
 
-def _h00(x, y, z):
-    return np.ones_like(x), (np.zeros_like(x),) * 3
-
-
-def _h10(x, y, z):
-    zero = np.zeros_like(x)
-    return z, (zero, zero, np.ones_like(x))
-
-
-def _h11(x, y, z):
-    zero = np.zeros_like(x)
-    return x, (np.ones_like(x), zero, zero)
-
-
-def _h1m1(x, y, z):
-    zero = np.zeros_like(x)
-    return y, (zero, np.ones_like(x), zero)
-
-
-def _h20(x, y, z):
-    return z * z - 0.5 * (x * x + y * y), (-x, -y, 2.0 * z)
-
-
-def _h21(x, y, z):
-    return x * z, (z, np.zeros_like(x), x)
-
-
-def _h2m1(x, y, z):
-    return y * z, (np.zeros_like(x), z, y)
-
-
-def _h22(x, y, z):
-    return x * x - y * y, (2.0 * x, -2.0 * y, np.zeros_like(x))
-
-
-def _h2m2(x, y, z):
-    return x * y, (y, x, np.zeros_like(x))
-
-
-def _h30(x, y, z):
-    s = x * x + y * y
-    return z ** 3 - 1.5 * z * s, (-3.0 * x * z, -3.0 * y * z, 3.0 * z * z - 1.5 * s)
-
-
-def _h31(x, y, z):
-    s = x * x + y * y
-    return x * z * z - 0.25 * x * s, (
-        z * z - 0.25 * (3.0 * x * x + y * y),
-        -0.5 * x * y,
-        2.0 * x * z,
-    )
-
-
-def _h3m1(x, y, z):
-    s = x * x + y * y
-    return y * z * z - 0.25 * y * s, (
-        -0.5 * x * y,
-        z * z - 0.25 * (x * x + 3.0 * y * y),
-        2.0 * y * z,
-    )
-
-
-def _h32(x, y, z):
-    return z * (x * x - y * y), (2.0 * x * z, -2.0 * y * z, x * x - y * y)
-
-
-def _h3m2(x, y, z):
-    return x * y * z, (y * z, x * z, x * y)
-
-
-def _h33(x, y, z):
-    return x ** 3 - 3.0 * x * y * y, (3.0 * (x * x - y * y), -6.0 * x * y, np.zeros_like(x))
-
-
-def _h3m3(x, y, z):
-    return 3.0 * x * x * y - y ** 3, (6.0 * x * y, 3.0 * (x * x - y * y), np.zeros_like(x))
-
-
-_HARMONICS: dict[tuple[int, int], Callable] = {
-    (0, 0): _h00,
-    (1, 0): _h10, (1, 1): _h11, (1, -1): _h1m1,
-    (2, 0): _h20, (2, 1): _h21, (2, -1): _h2m1, (2, 2): _h22, (2, -2): _h2m2,
-    (3, 0): _h30, (3, 1): _h31, (3, -1): _h3m1, (3, 2): _h32, (3, -2): _h3m2,
-    (3, 3): _h33, (3, -3): _h3m3,
+# (l, m) -> {(a, b, c): coefficient of x^a y^b z^c}.  Every entry is a
+# harmonic polynomial, homogeneous of degree l; m >= 0 is the cosine type,
+# m < 0 the sine type.
+_HARMONICS: dict[tuple[int, int], dict[tuple[int, int, int], float]] = {
+    (0, 0): {(0, 0, 0): 1.0},
+    (1, 0): {(0, 0, 1): 1.0},
+    (1, 1): {(1, 0, 0): 1.0},
+    (1, -1): {(0, 1, 0): 1.0},
+    (2, 0): {(0, 0, 2): 1.0, (2, 0, 0): -0.5, (0, 2, 0): -0.5},
+    (2, 1): {(1, 0, 1): 1.0},
+    (2, -1): {(0, 1, 1): 1.0},
+    (2, 2): {(2, 0, 0): 1.0, (0, 2, 0): -1.0},
+    (2, -2): {(1, 1, 0): 1.0},
+    (3, 0): {(0, 0, 3): 1.0, (2, 0, 1): -1.5, (0, 2, 1): -1.5},
+    (3, 1): {(1, 0, 2): 1.0, (3, 0, 0): -0.25, (1, 2, 0): -0.25},
+    (3, -1): {(0, 1, 2): 1.0, (2, 1, 0): -0.25, (0, 3, 0): -0.25},
+    (3, 2): {(2, 0, 1): 1.0, (0, 2, 1): -1.0},
+    (3, -2): {(1, 1, 1): 1.0},
+    (3, 3): {(3, 0, 0): 1.0, (1, 2, 0): -3.0},
+    (3, -3): {(2, 1, 0): 3.0, (0, 3, 0): -1.0},
 }
 
 
@@ -219,20 +157,6 @@ class MetricSpec:
         if self.family == "ellipsoid":
             return len(self.data)
         return 3
-
-    @property
-    def surface_dim(self) -> int:
-        return self.ambient_dim - 1
-
-    def describe(self) -> str:
-        if self.family == "ellipsoid":
-            return "ellipsoid(" + ", ".join(f"{a:g}" for a in self.data) + ")"
-        if self.family == "revolution":
-            kind, c, band = self.data
-            cs = ", ".join(f"{v:g}" for v in c)
-            return f"revolution[{kind}]({cs}; z in [{band[0]:g}, {band[1]:g}])"
-        terms = " + ".join(f"{c:g}*Y[{l},{m}]" for l, m, c in self.data)
-        return f"conformal_sphere(u = {terms or '0'})"
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +315,39 @@ class _Revolution:
 
 
 class _ConformalSphere:
+    """The round sphere with metric e^{2u} g_round, u(x) = p(x / |x|) for the
+    polynomial p = sum c * Y_{l,m} of the spec.
+
+    ``__init__`` folds the spec's terms into one table: for every monomial
+    y^e of p or of its gradient, the coefficients of y^e in p, in dp/dy_j
+    (j = 0, 1, 2), in the Euler sum y . grad p = sum |e| c y^e, and in the
+    spherical Laplacian of u, -sum |e| (|e| + 1) c y^e (exact, because every
+    harmonic's monomials share its degree l).  With y = x / |x|, the ambient
+    gradient of the degree-0 extension is (grad p - (y . grad p) y) / |x|.
+    """
+
     conformal = True
     m = 3
 
     def __init__(self, spec: MetricSpec):
-        self.terms = spec.data
+        folded: dict[tuple, float] = {}
+        for l, m, c in spec.data:
+            for e, a in _HARMONICS[(l, m)].items():
+                folded[e] = folded.get(e, 0.0) + c * a
+        # exponent -> coefficients in p, dp/dy_0..2, y . grad p, Lap u
+        rows: dict[tuple, list] = {}
+        for e, c in folded.items():
+            deg = sum(e)
+            row = rows.setdefault(e, [0.0] * 6)
+            row[0] += c
+            row[4] += deg * c
+            row[5] -= deg * (deg + 1) * c
+            for j in range(3):
+                if e[j]:
+                    lower = e[:j] + (e[j] - 1,) + e[j + 1:]
+                    rows.setdefault(lower, [0.0] * 6)[1 + j] += e[j] * c
+        self.exps = np.array(list(rows), dtype=np.intp).reshape(-1, 3)
+        self.coef = np.array(list(rows.values())).reshape(-1, 6).T
 
     def constraint(self, x):
         return _dot(x, x) - 1.0
@@ -412,33 +364,30 @@ class _ConformalSphere:
             raise GeometryError("cannot project the origin onto the sphere")
         return x / nrm
 
+    def _monomials(self, x):
+        """The table's monomials y^e at y = x / |x|, stacked on axis 0, with
+        |x| (trailing axis kept) and y."""
+        r = np.sqrt(_dot(x, x))[..., None]
+        y = x / r
+        y2 = y * y
+        powers = np.stack((np.ones_like(y), y, y2, y2 * y))
+        e = self.exps
+        mono = powers[e[:, 0], ..., 0] * powers[e[:, 1], ..., 1] * powers[e[:, 2], ..., 2]
+        return mono, r, y
+
     def u_value(self, x):
         """Conformal exponent at points x, extended as degree-0 homogeneous."""
-        r2 = np.sum(x * x, axis=-1)
-        out = np.zeros(np.shape(x)[:-1])
-        for l, m, c in self.terms:
-            p, _ = _HARMONICS[(l, m)](x[..., 0], x[..., 1], x[..., 2])
-            out = out + c * p / r2 ** (0.5 * l)
-        return out
+        return np.tensordot(self.coef[0], self._monomials(x)[0], axes=1)
 
     def u_grad(self, x):
         """Ambient gradient of the degree-0 extension; tangent on |x| = 1."""
-        r2 = np.sum(x * x, axis=-1)[..., None]
-        out = np.zeros_like(x, dtype=float)
-        for l, m, c in self.terms:
-            p, gp = _HARMONICS[(l, m)](x[..., 0], x[..., 1], x[..., 2])
-            gp = np.stack(gp, axis=-1)
-            out = out + c * (gp / r2 ** (0.5 * l) - l * p[..., None] * x / r2 ** (0.5 * l + 1))
-        return out
+        mono, r, y = self._monomials(x)
+        dp = np.tensordot(self.coef[1:5], mono, axes=1)
+        return (np.moveaxis(dp[:3], 0, -1) - dp[3][..., None] * y) / r
 
     def sphere_laplacian_u(self, x):
         """Exact spherical Laplacian of u: each degree-l term scales by -l(l+1)."""
-        out = np.zeros(np.shape(x)[:-1])
-        r2 = np.sum(x * x, axis=-1)
-        for l, m, c in self.terms:
-            p, _ = _HARMONICS[(l, m)](x[..., 0], x[..., 1], x[..., 2])
-            out = out - l * (l + 1) * c * p / r2 ** (0.5 * l)
-        return out
+        return np.tensordot(self.coef[5], self._monomials(x)[0], axes=1)
 
     def to_reference(self, x):
         return np.asarray(x, dtype=float)

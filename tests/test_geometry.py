@@ -218,9 +218,36 @@ def test_curvature_routes_agree_on_revolution():
     assert _curvature_route_gap(spec, np.array(pts)) < 1e-9
 
 
-def test_curvature_routes_agree_on_conformal_sphere():
-    spec = MetricSpec.conformal_sphere(CONFORMAL_TERMS)
+@pytest.mark.parametrize(
+    "terms",
+    [((l, m, 0.1),) for l, m in sorted(geometry._HARMONICS)] + [CONFORMAL_TERMS],
+    ids=[f"l{l}m{m}" for l, m in sorted(geometry._HARMONICS)] + ["mix"])
+def test_curvature_routes_agree_on_conformal_sphere(terms):
+    # each harmonic alone, then a mix: K = e^{-2u} (1 - Lap u) holds only if
+    # every table entry is harmonic and homogeneous of degree l, and the
+    # chart route differentiates u_grad
+    spec = MetricSpec.conformal_sphere(terms)
     assert _curvature_route_gap(spec, _unit_points()) < 1e-9
+
+
+@given(coeffs=st.lists(st.floats(-0.3, 0.3), min_size=16, max_size=16),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_conformal_grad_differentiates_the_exponent(coeffs, seed):
+    # off the sphere too: u is extended as degree-0 homogeneous, so its
+    # gradient has no radial part
+    spec = MetricSpec.conformal_sphere(
+        [(l, m, c) for (l, m), c in zip(sorted(geometry._HARMONICS), coeffs)])
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(8, 3))
+    x *= rng.uniform(0.5, 2.0, size=(8, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    grad = geometry.conformal_grad(spec, x)
+    h = 1e-5
+    fd = np.stack([
+        (geometry.conformal_exponent(spec, x + h * e)
+         - geometry.conformal_exponent(spec, x - h * e)) / (2.0 * h)
+        for e in np.eye(3)], axis=-1)
+    assert np.max(np.abs(grad - fd)) < 1e-7
+    assert np.max(np.abs(np.sum(x * grad, axis=-1))) < 1e-13
 
 
 def test_surface_project_is_idempotent(ellipsoid_spec):
