@@ -408,16 +408,12 @@ def cmd_jacobi(cfg: RunConfig, out: Out) -> None:
 def cmd_weights(cfg: RunConfig, out: Out) -> None:
     census = _run_census(cfg, cfg.metric, cfg.length_bound)
     _census_warnings(census, out)
-    rows = []
-    agree = True
-    for entry in census.entries:
-        rep = jacobi.jacobi_report(entry.result, d_max=2)
-        rec = weights.weight(rep, ident=entry.ident, length=entry.result.length)
-        orient = 1 if entry.self_reverse else 2
-        rows.append((rec.ident, rec.length, orient,
-                     rec.iota[0], rec.iota[1], rec.nu[0], rec.nu[1],
-                     rec.eps[0], rec.eps[1], rec.n1, rec.n2, rec.routes_agree))
-        agree = agree and rec.routes_agree
+    records = weights.build_count_table(census).records
+    rows = [(rec.ident, rec.length, 1 if entry.self_reverse else 2,
+             rec.iota[0], rec.iota[1], rec.nu[0], rec.nu[1],
+             rec.eps[0], rec.eps[1], rec.n1, rec.n2, rec.routes_agree)
+            for entry, rec in zip(census.entries, records)]
+    agree = all(rec.routes_agree for rec in records)
     out.add("weights.csv", _csv(
         ("ident", "length", "orientations", "iota_1", "iota_2", "nu_1", "nu_2",
          "eps_1", "eps_2", "n_1", "n_2", "routes_agree"), rows))
@@ -481,7 +477,7 @@ def cmd_count(cfg: RunConfig, out: Out) -> None:
     result = weights.degenerate_weight(
         cfg.metric, window, strategy=strategy, seed=cfg.seed,
         trials=cfg.trials, amplitude=cfg.amplitude, mesh=cfg.mesh,
-        planes=cfg.planes)
+        planes=cfg.planes, tol=cfg.tol_residual, dedup_tol=cfg.tol_dedup)
     out.add("degenerate.csv", _csv(
         ("strategy", "trial", "seed", "redraws", "classes", "value"),
         [(result.strategy, i, t.seed, t.redraws, t.classes, t.value)
@@ -513,7 +509,7 @@ def cmd_degenerate_weight(cfg: RunConfig, out: Out) -> None:
         result = weights.degenerate_weight(
             cfg.metric, window, strategy=strategy, seed=cfg.seed,
             trials=cfg.trials, amplitude=cfg.amplitude, mesh=cfg.mesh,
-            planes=cfg.planes)
+            planes=cfg.planes, tol=cfg.tol_residual, dedup_tol=cfg.tol_dedup)
         values[strategy] = result.value
         for i, t in enumerate(result.trials):
             rows.append((strategy, i, t.seed, t.redraws, t.classes, t.value))

@@ -14,11 +14,16 @@ The module also spawns the emergent doubled branch at a period-doubling
 event, fits the local normal form from measured data, checks the weighted
 count invariance across events, and evaluates the metric-deformation
 pairing that certifies transversality of the path at the event.
+
+Each event carries the Jacobi operator and monodromy of its loop, built
+once where it is located; its kicks and pairing read the kernel field from
+them (``_kernel_field``) instead of refining and rebuilding the loop.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +47,14 @@ _EVENT_NULLITY_TOL = 1e-3
 # be generous as long as it stays well inside the spacing to the next
 # multiplier pair
 _EVENT_FIELD_TOL = 3e-2
+_PARAM_H = 1e-6               # central-difference step of dR/dt on the branch
+_PAIRING_H = 1e-5             # ... and of the deformation pairing
+_DS_MIN = 1e-6                # continuation stalls below this arclength step
+_CORRECTOR_MAX_ITER = 16
+_KICK_SIZES = (3e-3, 1e-2, 3e-2, 1e-1)   # doubled-branch bootstrap kicks
+_BOOTSTRAP_OFFSET = 0.005     # bootstrap distance from the event in t
+_WALK_STEP = 0.02             # largest doubled-branch walk step in t
+_MU_OFFSETS = (-0.02, -0.01, 0.01, 0.02)   # normal-form eigenvalue samples
 
 
 class UnresolvedClusterError(RuntimeError):
@@ -102,12 +115,17 @@ class BranchPoint:
 class BifurcationEvent:
     kind: str                 # 'period_doubling' or 'fold'
     t: float
-    loop: DiscreteLoop
+    data: jacobi.JacobiOperatorData   # Jacobi operator of the event loop
+    mono: jacobi.MonodromyResult      # its primitive monodromy
     trace: float
     nu_signature: tuple       # (nu(1), nu(2)) at the event point
-    signature_ok: bool        # PD: nu(2)-nu(1) == 1; fold: nu(1) == 1
+    signature_ok: bool        # PD: nu(2)-nu(1) == 1; fold: nu(1) >= 1
     t_accuracy: float
     s: float | None = None    # fold: pseudo-arclength of the located turning point
+
+    @property
+    def loop(self) -> DiscreteLoop:
+        return self.data.loop
 
 
 @dataclass(frozen=True)
@@ -132,11 +150,11 @@ def _trace(result: solver.GeodesicResult) -> tuple:
     return float(np.trace(mono.matrix).real), data, mono
 
 
-def _param_derivative(path, t, nodes, h=1e-6):
+def _param_derivative(path, t, nodes):
     """Central difference dR/dt of the residual at fixed nodes, flattened."""
-    rp = solver.residual_field(path.at(t + h), nodes)[0]
-    rm = solver.residual_field(path.at(t - h), nodes)[0]
-    return ((rp - rm) / (2.0 * h)).reshape(-1)
+    rp = solver.residual_field(path.at(t + _PARAM_H), nodes)[0]
+    rm = solver.residual_field(path.at(t - _PARAM_H), nodes)[0]
+    return ((rp - rm) / (2.0 * _PARAM_H)).reshape(-1)
 
 
 def _branch_tangent(path, t, nodes, prev=None):
@@ -160,7 +178,7 @@ def _branch_tangent(path, t, nodes, prev=None):
     return tau
 
 
-def _corrector(path, nodes, t, tau, s_target_point, ds, tol=1e-10, max_iter=16):
+def _corrector(path, nodes, t, tau, s_target_point, ds, tol=1e-10):
     """One pseudo-arclength corrector solve; returns (nodes, t) or None.
 
     Unknowns are (nodes, t, mu) where mu multiplies the rotation direction;
@@ -169,7 +187,7 @@ def _corrector(path, nodes, t, tau, s_target_point, ds, tol=1e-10, max_iter=16):
     """
     n, m = nodes.shape
     sqn = math.sqrt(n)
-    for _ in range(max_iter):
+    for _ in range(_CORRECTOR_MAX_ITER):
         spec = path.at(t)
         try:
             geometry.check_band(spec, nodes)
@@ -207,7 +225,6 @@ def continue_branch(
     path: MetricPath,
     start,
     ds: float = 0.04,
-    ds_min: float = 1e-6,
     ds_max: float = 0.12,
     max_steps: int = 400,
     tol: float = 1e-10,
@@ -222,10 +239,8 @@ def continue_branch(
     by their nullity signatures, and returned in branch order; two events
     closer than ``cluster_tol`` in t raise UnresolvedClusterError.
     """
-    if isinstance(start, solver.GeodesicResult):
-        res0 = _solve_fixed_t(path, 0.0, np.asarray(start.loop.nodes), tol)
-    else:
-        res0 = _solve_fixed_t(path, 0.0, np.asarray(start.nodes), tol)
+    seed = start.loop if isinstance(start, solver.GeodesicResult) else start
+    res0 = _solve_fixed_t(path, 0.0, np.asarray(seed.nodes), tol)
     tr0, data0, _ = _trace(res0)
     points = [BranchPoint(t=0.0, s=0.0, length=res0.length, trace=tr0, result=res0,
                           data=data0)]
@@ -243,7 +258,7 @@ def continue_branch(
         out = _corrector(path, pred_nodes, pred_t, tau, (nodes, t), step, tol=tol)
         if out is None:
             step *= 0.5
-            if step < ds_min:
+            if step < _DS_MIN:
                 err = solver.StallError("continuation step size underflow")
                 err.partial = BranchResult(
                     path=path, points=tuple(points), events=tuple(events),
@@ -251,24 +266,17 @@ def continue_branch(
                 raise err
             continue
         new_nodes, new_t = out
-        if new_t < -1e-12:
-            res_end = _solve_fixed_t(path, 0.0, nodes, tol)
+        if new_t < -1e-12 or new_t > 1.0 + 1e-12:
+            # the step left [0, 1]: clamp the last point to the end it crossed
+            t_end = 0.0 if new_t < 0.0 else 1.0
+            res_end = _solve_fixed_t(path, t_end, nodes, tol)
             tr_end, data_end, _ = _trace(res_end)
-            _maybe_pd_event(path, points[-1], (0.0, tr_end, res_end), events,
+            _maybe_pd_event(path, points[-1], (t_end, tr_end, res_end), events,
                             event_t_tol, tol)
-            points.append(BranchPoint(t=0.0, s=s_acc + step, length=res_end.length,
+            points.append(BranchPoint(t=t_end, s=s_acc + step, length=res_end.length,
                                       trace=tr_end, result=res_end, data=data_end))
-            stop_reason = "returned_to_start"
-            break
-        if new_t > 1.0 + 1e-12:
-            res_end = _solve_fixed_t(path, 1.0, nodes, tol)
-            tr_end, data_end, _ = _trace(res_end)
-            _maybe_pd_event(path, points[-1], (1.0, tr_end, res_end), events,
-                            event_t_tol, tol)
-            points.append(BranchPoint(t=1.0, s=s_acc + step, length=res_end.length,
-                                      trace=tr_end, result=res_end, data=data_end))
-            reached_end = True
-            stop_reason = "reached_end"
+            reached_end = t_end == 1.0
+            stop_reason = "reached_end" if reached_end else "returned_to_start"
             break
         spec_new = path.at(new_t)
         res_new = solver.refine_to_geodesic(
@@ -320,18 +328,8 @@ def _maybe_pd_event(path, prev_pt: BranchPoint, new_state, events, t_tol, tol):
             hi_t, hi_nodes = mid_t, np.asarray(res_mid.loop.nodes)
         else:
             lo_t, lo_nodes, f_lo = mid_t, np.asarray(res_mid.loop.nodes), tr_mid + 2.0
-    t_star = 0.5 * (lo_t + hi_t)
-    res_star = _solve_fixed_t(path, t_star, 0.5 * (lo_nodes + hi_nodes), tol)
-    tr_star, data_star, mono_star = _trace(res_star)
-    # the bracketed point is within ~sqrt(kappa * t_tol) of the exact
-    # degeneracy in multiplier distance, so the kernel count needs a
-    # correspondingly loose singular value window
-    nu1 = jacobi.floquet_nullity(mono_star, 1, tol=_EVENT_NULLITY_TOL)
-    nu2 = jacobi.floquet_nullity(mono_star, 2, tol=_EVENT_NULLITY_TOL)
-    events.append(BifurcationEvent(
-        kind="period_doubling", t=t_star, loop=res_star.loop, trace=tr_star,
-        nu_signature=(nu1, nu2), signature_ok=(nu2 - nu1 == 1),
-        t_accuracy=hi_t - lo_t))
+    events.append(_event("period_doubling", path, 0.5 * (lo_t + hi_t),
+                         0.5 * (lo_nodes + hi_nodes), tol, hi_t - lo_t))
 
 
 def _locate_fold(path, lo_state, gap, tol):
@@ -364,15 +362,43 @@ def _locate_fold(path, lo_state, gap, tol):
         gap = half
         if gap < 1e-6 or gap * gap < 1e-13:
             break
-    t_star = lo_t
-    res_star = _solve_fixed_t(path, t_star, lo_nodes, tol)
-    tr_star, data_star, mono_star = _trace(res_star)
-    nu1 = jacobi.floquet_nullity(mono_star, 1, tol=_EVENT_NULLITY_TOL)
-    nu2 = jacobi.floquet_nullity(mono_star, 2, tol=_EVENT_NULLITY_TOL)
+    return _event("fold", path, lo_t, lo_nodes, tol, max(gap * gap, 1e-14), s=lo_s)
+
+
+def _event(kind, path, t_star, guess, tol, t_accuracy, s=None):
+    """Solve the event loop at t_star, keeping its operator and monodromy.
+
+    The located point sits ~sqrt(kappa * t_accuracy) from the exact
+    degeneracy in multiplier distance, hence the loose kernel window.  The
+    signature holds when a period doubling gains exactly one anti-periodic
+    field, nu(2) - nu(1) == 1, and when a fold has a kernel, nu(1) >= 1.
+    """
+    res = _solve_fixed_t(path, t_star, guess, tol)
+    trace, data, mono = _trace(res)
+    nu1 = jacobi.floquet_nullity(mono, 1, tol=_EVENT_NULLITY_TOL)
+    nu2 = jacobi.floquet_nullity(mono, 2, tol=_EVENT_NULLITY_TOL)
+    ok = nu2 - nu1 == 1 if kind == "period_doubling" else nu1 >= 1
     return BifurcationEvent(
-        kind="fold", t=t_star, loop=res_star.loop, trace=tr_star,
-        nu_signature=(nu1, nu2), signature_ok=(nu1 >= 1),
-        t_accuracy=max(gap * gap, 1e-14), s=lo_s)
+        kind=kind, t=t_star, data=data, mono=mono, trace=trace,
+        nu_signature=(nu1, nu2), signature_ok=ok, t_accuracy=t_accuracy, s=s)
+
+
+def _kernel_field(data, mono, d):
+    """The event's kernel Jacobi field on the d-cover, in ambient coordinates.
+
+    Returns (xi, twin): the real and imaginary parts of the field with
+    multiplier +1 (d = 1) or -1 (d = 2) as (dN, ambient_dim) node arrays;
+    ``twin`` is None for a real field.
+    """
+    want = 1.0 if d == 1 else -1.0
+    fields = jacobi.detect_lambda_jacobi(data, d, mono=mono, unit_tol=_EVENT_FIELD_TOL)
+    sel = [f for f in fields if abs(f.multiplier - want) < _EVENT_FIELD_TOL]
+    if not sel:
+        raise ContinuationError(f"no Jacobi field with multiplier {want:+.0f} at the event")
+    frame = np.tile(data.frame, (d, 1, 1))
+    twin = sel[0].twin
+    return (np.einsum("np,npm->nm", sel[0].xi, frame),
+            None if twin is None else np.einsum("np,npm->nm", twin, frame))
 
 
 # ---------------------------------------------------------------------------
@@ -386,37 +412,25 @@ class DoubledOrbitSample:
     amplitude: float          # L2 deviation from the tiled primitive
 
 
-def _doubled_sample(path, t_val, cand, prim_seed_nodes, tol):
-    """Package a doubled orbit with its deviation from the tiled primitive."""
-    spec_t = path.at(t_val)
-    prim = _solve_fixed_t(path, t_val, prim_seed_nodes, tol)
-    cover_nodes = np.tile(np.asarray(prim.loop.nodes), (2, 1))
-    shift, _ = loops.align_rotation(cand.loop, DiscreteLoop(spec_t, cover_nodes))
-    aligned = _spectral.fractional_shift(cover_nodes, shift)
-    dev = np.asarray(cand.loop.nodes) - aligned
-    amp = float(np.sqrt(np.mean(np.sum(dev * dev, axis=1))))
-    return DoubledOrbitSample(t=t_val, result=cand, amplitude=amp)
+def _cover_deviation(spec, nodes, prim_nodes):
+    """Rotation shift aligning the primitive's double cover with a doubled
+    orbit, and the orbit's node deviation from the shifted cover."""
+    cover = np.tile(prim_nodes, (2, 1))
+    shift, _ = loops.align_rotation(DiscreteLoop(spec, nodes), DiscreteLoop(spec, cover))
+    return shift, nodes - _spectral.fractional_shift(cover, shift)
 
 
-def _doubling_kicks(event, tol):
-    """Jacobi operator of the refined event loop and its anti-periodic kicks.
+def _doubling_kicks(event):
+    """Anti-periodic kicks of the event loop's double cover.
 
     The kicks are the anti-periodic Jacobi field on the double cover (both
     phases when they differ, both signs) in ambient coordinates, each scaled
     to max node norm 1.
     """
-    data = jacobi.build_operator(
-        solver.refine_to_geodesic(event.loop, tol=tol))
-    fields = jacobi.detect_lambda_jacobi(data, 2, unit_tol=_EVENT_FIELD_TOL)
-    anti = [f for f in fields if abs(f.multiplier + 1.0) < _EVENT_FIELD_TOL]
-    if not anti:
-        raise ContinuationError("no anti-periodic Jacobi field at the event")
-    field = anti[0]
-    frame_cover = np.tile(data.frame, (2, 1, 1))
-    dirs = [np.einsum("np,npm->nm", field.xi, frame_cover)]
-    if field.twin is not None:
-        tw = np.einsum("np,npm->nm", field.twin, frame_cover)
-        a, b = dirs[0].reshape(-1), tw.reshape(-1)
+    field, tw = _kernel_field(event.data, event.mono, 2)
+    dirs = [field]
+    if tw is not None:
+        a, b = field.reshape(-1), tw.reshape(-1)
         cos = abs(float(np.dot(a, b))) / max(np.linalg.norm(a) * np.linalg.norm(b), 1e-30)
         if cos < 0.99 and np.linalg.norm(b) > 1e-8 * np.linalg.norm(a):
             dirs.append(tw)
@@ -424,16 +438,13 @@ def _doubling_kicks(event, tol):
     for d in dirs:
         d = d / np.max(np.linalg.norm(d, axis=1))
         kicks.extend([d, -d])
-    return data, kicks
+    return kicks
 
 
 def spawn_doubled_branch(
     path: MetricPath,
     event: BifurcationEvent,
     offsets,
-    kick_sizes=(3e-3, 1e-2, 3e-2, 1e-1),
-    bootstrap_offset: float = 0.005,
-    walk_step: float = 0.02,
     tol: float = 1e-10,
     event_kicks=None,
 ) -> tuple:
@@ -446,9 +457,10 @@ def spawn_doubled_branch(
     kicked Newton solve can fall back onto the trivial cover.  The orbit is
     then walked in t to each requested offset, seeding every solve from its
     neighbor, which is far more reliable than cold kicks at a distance.
-    Offsets on the wrong side of the tongue produce no samples.
-    ``event_kicks`` is ``_doubling_kicks(event, tol)`` when the caller
-    already holds it.
+    Each sample is the walk's orbit at its offset, measured against the
+    primitive the walk carries alongside.  Offsets on the wrong side of the
+    tongue produce no samples.  ``event_kicks`` is ``_doubling_kicks(event)``
+    when the caller already holds it.
     """
     offsets = sorted(float(o) for o in offsets)
     if not offsets:
@@ -457,7 +469,7 @@ def spawn_doubled_branch(
     if any(o * side <= 0 for o in offsets):
         raise ValueError("offsets must be nonzero and on one side of the event")
 
-    data, kicks = _doubling_kicks(event, tol) if event_kicks is None else event_kicks
+    kicks = _doubling_kicks(event) if event_kicks is None else event_kicks
 
     def try_doubled(t_val, seed_nodes):
         try:
@@ -469,19 +481,15 @@ def spawn_doubled_branch(
         return cand
 
     # bootstrap just inside the tongue
-    t_boot = event.t + side * min(bootstrap_offset, abs(offsets[0 if side > 0 else -1]))
+    t_boot = event.t + side * min(_BOOTSTRAP_OFFSET, abs(offsets[0 if side > 0 else -1]))
     t_boot = min(max(t_boot, 0.0), 1.0)
-    prim_b = _solve_fixed_t(path, t_boot, np.asarray(data.loop.nodes), tol)
+    prim_b = _solve_fixed_t(path, t_boot, np.asarray(event.loop.nodes), tol)
     cover_b = np.tile(np.asarray(prim_b.loop.nodes), (2, 1))
-    boot = None
-    for eps in kick_sizes:
-        for kd in kicks:
-            boot = try_doubled(t_boot, cover_b + eps * kd)
-            if boot is not None:
-                break
+    for eps, kd in itertools.product(_KICK_SIZES, kicks):
+        boot = try_doubled(t_boot, cover_b + eps * kd)
         if boot is not None:
             break
-    if boot is None:
+    else:
         return ()
 
     # walk the doubled branch to each requested offset; the seed deviation
@@ -489,11 +497,7 @@ def spawn_doubled_branch(
     # otherwise a small near-event orbit falls back onto the cover basin of
     # the next step
     def step_to(cur_t, cur_nodes, prim_nodes, next_t):
-        spec_c = path.at(cur_t)
-        cov_c = np.tile(prim_nodes, (2, 1))
-        shift, _ = loops.align_rotation(
-            DiscreteLoop(spec_c, cur_nodes), DiscreteLoop(spec_c, cov_c))
-        dev = cur_nodes - _spectral.fractional_shift(cov_c, shift)
+        shift, dev = _cover_deviation(path.at(cur_t), cur_nodes, prim_nodes)
         prim_n = _solve_fixed_t(path, next_t, prim_nodes, tol)
         prim_n_nodes = np.asarray(prim_n.loop.nodes)
         scale = math.sqrt(max(abs(next_t - event.t), 1e-15)
@@ -503,23 +507,22 @@ def spawn_doubled_branch(
         return try_doubled(next_t, seed_nodes), prim_n_nodes
 
     samples = []
-    cur_t, cur_nodes = t_boot, np.asarray(boot.loop.nodes)
+    cur_t, cur = t_boot, boot
     prim_nodes = np.asarray(prim_b.loop.nodes)
     for off in (offsets if side > 0 else reversed(offsets)):
         target = event.t + off
         if not 0.0 <= target <= 1.0:
             continue
         while abs(target - cur_t) > 1e-12:
-            step_t = float(np.clip(target - cur_t, -walk_step, walk_step))
-            nxt, prim_nodes = step_to(cur_t, cur_nodes, prim_nodes, cur_t + step_t)
+            step_t = float(np.clip(target - cur_t, -_WALK_STEP, _WALK_STEP))
+            nxt, prim_nodes = step_to(
+                cur_t, np.asarray(cur.loop.nodes), prim_nodes, cur_t + step_t)
             if nxt is None:
                 return tuple(samples)
-            cur_t, cur_nodes = cur_t + step_t, np.asarray(nxt.loop.nodes)
-        got = try_doubled(cur_t, cur_nodes)
-        if got is None:
-            return tuple(samples)
-        samples.append(_doubled_sample(path, cur_t, got,
-                                       np.asarray(data.loop.nodes), tol))
+            cur_t, cur = cur_t + step_t, nxt
+        _, dev = _cover_deviation(path.at(cur_t), np.asarray(cur.loop.nodes), prim_nodes)
+        amp = float(np.sqrt(np.mean(np.sum(dev * dev, axis=1))))
+        samples.append(DoubledOrbitSample(t=cur_t, result=cur, amplitude=amp))
     return tuple(samples)
 
 
@@ -558,7 +561,6 @@ def fit_normal_form(
     path: MetricPath,
     event: BifurcationEvent,
     samples,
-    mu_offsets=(-0.02, -0.01, 0.01, 0.02),
     tol: float = 1e-10,
 ) -> NormalFormFit:
     """Fit the period-doubling normal form r' = r (f (t - t_k) + g r^2).
@@ -570,7 +572,7 @@ def fit_normal_form(
     a flat or crooked fit lowers the confidence flag instead of asserting.
     """
     mus, ts = [], []
-    for off in mu_offsets:
+    for off in _MU_OFFSETS:
         t_val = event.t + off
         if not 0.0 <= t_val <= 1.0:
             continue
@@ -642,11 +644,11 @@ def verify_invariance(
     t_a = min(1.0, event.t + delta)
     if event.kind == "period_doubling":
         # built on first use: neither side needs it when samples cover both
-        event_kicks = functools.cache(lambda: _doubling_kicks(event, tol))
+        event_kicks = functools.cache(lambda: _doubling_kicks(event))
         detail_b, rec_b = _pd_side_detail(path, event, t_b, samples, event_kicks, tol)
         detail_a, rec_a = _pd_side_detail(path, event, t_a, samples, event_kicks, tol)
     elif event.kind == "fold":
-        kick_dir = _fold_kick_direction(event, tol)
+        kick_dir = _fold_kick_direction(event)
         detail_b, rec_b = _fold_side_detail(path, event, t_b, kick_dir, tol)
         detail_a, rec_a = _fold_side_detail(path, event, t_a, kick_dir, tol)
     else:
@@ -687,13 +689,9 @@ def _pd_side_detail(path, event, t_val, samples, event_kicks, tol):
     return detail, records
 
 
-def _fold_kick_direction(event, tol):
+def _fold_kick_direction(event):
     """The fold's kernel Jacobi field in ambient coordinates, max node norm 1."""
-    data = jacobi.build_operator(solver.refine_to_geodesic(event.loop, tol=tol))
-    fields = jacobi.detect_lambda_jacobi(data, 1, unit_tol=_EVENT_FIELD_TOL)
-    if not fields:
-        raise ContinuationError("no kernel field at the fold event")
-    kick_dir = np.einsum("np,npm->nm", fields[0].xi, data.frame)
+    kick_dir, _ = _kernel_field(event.data, event.mono, 1)
     return kick_dir / np.max(np.linalg.norm(kick_dir, axis=1))
 
 
@@ -734,7 +732,6 @@ def _fold_side_detail(path, event, t_val, kick_dir, tol):
 def metric_deformation_pairing(
     path: MetricPath,
     event: BifurcationEvent,
-    h: float = 1e-5,
     mesh_doubling_check: bool = True,
 ) -> dict:
     """L2 pairing of the path's residual derivative with the kernel field.
@@ -744,37 +741,30 @@ def metric_deformation_pairing(
     central differences, and its L2 pairing with the (unit-normalized)
     kernel Jacobi field measures how transversally the path crosses the
     degeneracy.  The sign must be stable under mesh doubling; the magnitude
-    is reported as-is.
+    is reported as-is.  The event's own operator and monodromy give the
+    first pairing; the mesh-doubled check solves its own loop.
     """
     d_cover = 2 if event.kind == "period_doubling" else 1
+    spec0 = path.at(event.t)
+    spec_p, spec_m = path.at(event.t + _PAIRING_H), path.at(event.t - _PAIRING_H)
 
-    def pairing_at(nodes_in):
-        spec0 = path.at(event.t)
-        res0 = _solve_fixed_t(path, event.t, nodes_in, 1e-10)
-        data = jacobi.build_operator(res0)
-        fields = jacobi.detect_lambda_jacobi(data, d_cover, unit_tol=_EVENT_FIELD_TOL)
-        want = -1.0 if d_cover == 2 else 1.0
-        sel = [f for f in fields if abs(f.multiplier - want) < _EVENT_FIELD_TOL]
-        if not sel:
-            raise ContinuationError("kernel field unavailable for the pairing")
-        frame_c = np.tile(data.frame, (d_cover, 1, 1))
-        xi_amb = np.einsum("np,npm->nm", sel[0].xi, frame_c)
+    def pairing_at(data, mono):
+        xi_amb, _ = _kernel_field(data, mono, d_cover)
         xi_amb = xi_amb / np.sqrt(np.mean(np.sum(xi_amb * xi_amb, axis=1)))
-        base = np.tile(np.asarray(res0.loop.nodes), (d_cover, 1))
+        base = np.tile(np.asarray(data.loop.nodes), (d_cover, 1))
         ref = geometry.to_reference(spec0, base)
-        rp = solver.residual_field(path.at(event.t + h),
-                                   geometry.from_reference(path.at(event.t + h), ref))[0]
-        rm = solver.residual_field(path.at(event.t - h),
-                                   geometry.from_reference(path.at(event.t - h), ref))[0]
-        dr = (rp - rm) / (2.0 * h)
+        rp = solver.residual_field(spec_p, geometry.from_reference(spec_p, ref))[0]
+        rm = solver.residual_field(spec_m, geometry.from_reference(spec_m, ref))[0]
+        dr = (rp - rm) / (2.0 * _PAIRING_H)
         scale = float(np.sqrt(np.mean(np.sum(dr * dr, axis=1))))
         return float(np.mean(np.sum(dr * xi_amb, axis=1))), scale
 
-    value, scale = pairing_at(np.asarray(event.loop.nodes))
+    value, scale = pairing_at(event.data, event.mono)
     out = {"value": value, "mesh": event.loop.n, "derivative_scale": scale}
     if mesh_doubling_check:
         dense = _spectral.resample(np.asarray(event.loop.nodes), 2 * event.loop.n)
-        value2, _ = pairing_at(dense)
+        data = jacobi.build_operator(_solve_fixed_t(path, event.t, dense, 1e-10))
+        value2, _ = pairing_at(data, jacobi.monodromy(data))
         out["value_doubled_mesh"] = value2
         out["sign_stable"] = bool(np.sign(value) == np.sign(value2) and value != 0.0)
     return out

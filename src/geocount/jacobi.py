@@ -346,23 +346,23 @@ class LambdaJacobiField:
 
     ``xi`` and ``twin`` are the real and imaginary parts sampled on the
     d-cover grid; a real multiplier produces a single field with no twin.
-    ``generalized`` marks multipliers whose eigenspace is defective (Jordan
-    block), where genuine quasi-periodic fields span less than the algebraic
-    multiplicity.
+    One field is returned per selected eigenvalue, counted with algebraic
+    multiplicity; at a defective multiplier (a Jordan block) their
+    eigenvectors are nearly parallel, and ``floquet_nullity`` gives the
+    number of independent fields.
     """
 
     multiplier: complex
     d: int
     xi: np.ndarray            # (dN, p)
     twin: np.ndarray | None
-    generalized: bool
     residual: float           # relative defect of the cover Jacobi equation
 
 
 def detect_lambda_jacobi(
     data: JacobiOperatorData,
     d: int,
-    mono: MonodromyResult | None = None,
+    mono: MonodromyResult,
     unit_tol: float = 1e-6,
 ) -> tuple:
     """Jacobi fields for every monodromy multiplier with lambda^d = 1.
@@ -371,20 +371,14 @@ def detect_lambda_jacobi(
     period by the fundamental solution the monodromy already holds, then
     copied to the cover with the multiplier twist; the reported residual is
     the relative error of the cover Jacobi equation evaluated spectrally, so
-    a successful detection is self-verifying.
+    a successful detection is self-verifying.  ``mono`` is
+    ``monodromy(data)``.
     """
-    if mono is None:
-        mono = monodromy(data)
     p = data.normal_rank
     vals, vecs = np.linalg.eig(mono.matrix)
     sel = [i for i in range(vals.size) if abs(vals[i] ** d - 1.0) < unit_tol]
     if not sel:
         return ()
-    # defective multipliers: compare geometric kernel count with the number
-    # of selected eigenvalues (algebraic count)
-    geo = floquet_nullity(mono, d)
-    defective = geo < len(sel)
-
     bc = _cover_curvature(data, d)
     fields = []
     for i in sel:
@@ -403,7 +397,7 @@ def detect_lambda_jacobi(
         fields.append(LambdaJacobiField(
             multiplier=complex(lam), d=d, xi=z_cover.real,
             twin=z_cover.imag.copy() if significant_imag else None,
-            generalized=bool(defective), residual=rel))
+            residual=rel))
     return tuple(fields)
 
 
@@ -413,11 +407,15 @@ def detect_lambda_jacobi(
 
 @dataclass(frozen=True)
 class JacobiReport:
+    """Both routes' verdicts on one closed geodesic up to cover degree d_max.
+
+    Jacobi fields are not searched for: a caller that needs them passes the
+    report's ``data`` and ``mono`` to ``detect_lambda_jacobi``."""
+
     data: JacobiOperatorData
     indices: tuple            # IndexResult for d = 1..d_max
     mono: MonodromyResult
     floquet_nullities: dict   # d -> dim ker(M^d - I)
-    fields: tuple             # LambdaJacobiField for d = d_max resonances
     resonances: dict          # d -> nu(d) > 0 flags for d <= 4
     routes_agree: bool        # spectral vs Floquet nullities and sector sums
     sector_checks: dict       # d -> bool
@@ -438,8 +436,6 @@ def jacobi_report(source, d_max: int = 2) -> JacobiReport:
         if direct.nu != floq[d] or not ok:
             agree = False
     resonances = {d: floq[d] > 0 for d in range(1, 5)}
-    fields = detect_lambda_jacobi(data, d_max, mono=mono)
     return JacobiReport(
         data=data, indices=tuple(indices), mono=mono, floquet_nullities=floq,
-        fields=fields, resonances=resonances, routes_agree=agree,
-        sector_checks=sector_checks)
+        resonances=resonances, routes_agree=agree, sector_checks=sector_checks)

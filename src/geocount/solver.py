@@ -77,6 +77,10 @@ class StallError(RuntimeError):
 
 _FD_STEP = 6e-6
 _CONSTRAINT_TOL = 1e-11
+_MAX_NEWTON_ITER = 50
+_STEP_CAP = 0.5           # largest Newton node move, relative to the loop's scale
+_DEGENERATE_RUN = 50      # more classes of one length make a degenerate family
+_MAX_OSC = 8              # most oscillations a Clairaut orbit may take to close
 
 
 def residual_field(spec: MetricSpec, nodes: np.ndarray):
@@ -263,8 +267,6 @@ def _convergence_order(history):
 def refine_to_geodesic(
     seed: DiscreteLoop,
     tol: float = 1e-10,
-    max_iter: int = 50,
-    step_cap: float = 0.5,
 ) -> GeodesicResult:
     """Newton-refine a seed loop to a closed geodesic of its metric.
 
@@ -298,7 +300,7 @@ def refine_to_geodesic(
             history=tuple(history), convergence_order=None)
 
     failed_searches = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_NEWTON_ITER + 1):
         geometry.check_band(spec, nodes)
         if fields is None:
             fields = residual_field(spec, nodes)
@@ -316,8 +318,8 @@ def refine_to_geodesic(
         if not np.all(np.isfinite(delta)):
             raise DivergenceError("non-finite Newton correction")
         dmax = float(np.max(np.abs(delta)))
-        if dmax > step_cap * scale0:
-            delta = delta * (step_cap * scale0 / dmax)
+        if dmax > _STEP_CAP * scale0:
+            delta = delta * (_STEP_CAP * scale0 / dmax)
         # Armijo backtracking on |R|^2 with retraction: each trial point is
         # pulled back onto the surface so the N^2-scaled constraint rows do
         # not poison the merit with the step's quadratic normal drift.  The
@@ -359,7 +361,7 @@ def refine_to_geodesic(
                 convergence_order=_convergence_order(history))
         if res > 1e6 * max(res0, 1.0):
             raise DivergenceError("residual grew beyond recovery")
-    raise StallError(f"no convergence in {max_iter} Newton iterations")
+    raise StallError(f"no convergence in {_MAX_NEWTON_ITER} Newton iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +429,6 @@ def find_all(
     seed: int = 0,
     tol: float = 1e-10,
     dedup_tol: float = 1e-6,
-    degenerate_threshold: int = 50,
 ) -> Census:
     """Multistart census of primitive closed geodesics up to max_length.
 
@@ -505,7 +506,7 @@ def find_all(
     for i in range(1, len(lengths)):
         if lengths[i] - lengths[i - 1] <= 1e-6 * max(1.0, lengths[i]):
             run += 1
-            if run > degenerate_threshold:
+            if run > _DEGENERATE_RUN:
                 degenerate = True
                 break
         else:
@@ -570,7 +571,6 @@ def clairaut_shoot(
     spec: MetricSpec,
     c: float,
     z0: float | None = None,
-    max_osc: int = 8,
     closure_tol: float = 1e-9,
 ) -> ShootResult:
     """Quadrature integration of the Clairaut oscillation r^2 phi' = c.
@@ -635,7 +635,7 @@ def clairaut_shoot(
     osc_len = 2.0 * len_half
 
     best = (None, None, float("inf"))
-    for q in range(1, max_osc + 1):
+    for q in range(1, _MAX_OSC + 1):
         p = round(q * delta_phi / (2.0 * np.pi))
         if p == 0:
             continue

@@ -191,6 +191,7 @@ def set_weight(table: CountTable, window: tuple) -> int:
 # ---------------------------------------------------------------------------
 
 PERTURBATION_STRATEGIES = ("axis_jitter", "conformal_noise")
+_MAX_REDRAWS = 5          # per perturbation trial, before the protocol gives up
 _NOISE_TERMS = ((2, 0), (2, 1), (2, -1), (2, 2), (2, -2),
                 (3, 0), (3, 1), (3, -1), (3, 2), (3, -2), (3, 3), (3, -3))
 
@@ -247,15 +248,18 @@ def degenerate_weight(
     amplitude: float = 1e-2,
     mesh: int = 256,
     planes: int = 200,
-    max_redraws: int = 5,
+    tol: float = 1e-10,
+    dedup_tol: float = 1e-6,
 ) -> DegenerateWeightResult:
     """Windowed weighted count of a degenerate metric via perturbation.
 
     Each trial draws an independent perturbation, runs a census of the
     perturbed metric, and sums the iterate weights inside the window.  A
-    draw is discarded and redrawn (up to ``max_redraws`` times) when an
+    draw is discarded and redrawn (up to ``_MAX_REDRAWS`` times) when an
     iterate length comes too close to a window edge for the perturbation
-    size, or when some perturbed class is still not super-rigid.  Trials
+    size, or when some perturbed class is still not super-rigid.  Each
+    census refines at ``tol`` and identifies classes at ``dedup_tol``, as
+    ``solver.find_all`` does.  Trials
     must agree exactly; disagreement raises AmbiguousWeight with the raw
     per-trial outcomes attached, never an average.
     """
@@ -271,11 +275,11 @@ def degenerate_weight(
             pad = 3.0 * amplitude * max(abs(lo), abs(hi), 1.0)
             try:
                 census = solver.find_all(pert, hi + pad, mesh=mesh, planes=planes,
-                                         seed=seed + 31 * t)
+                                         seed=seed + 31 * t, tol=tol, dedup_tol=dedup_tol)
                 table = build_count_table(census)
             except NotSuperRigid:
                 redraws += 1
-                if redraws > max_redraws:
+                if redraws > _MAX_REDRAWS:
                     raise
                 continue
             boundary_risk = any(
@@ -283,7 +287,7 @@ def degenerate_weight(
                 for row in table.rows)
             if boundary_risk:
                 redraws += 1
-                if redraws > max_redraws:
+                if redraws > _MAX_REDRAWS:
                     raise AmbiguousWeight(
                         "iterate lengths keep landing near the window boundary",
                         tuple(outcomes))

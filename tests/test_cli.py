@@ -382,6 +382,22 @@ def test_count_reuses_the_first_trials_census(tmp_path, monkeypatch):
     assert "trials agree: PASS (value -2)" in (out / "summary.txt").read_text()
 
 
+def test_count_trials_use_the_configured_tolerances(tmp_path, monkeypatch):
+    # [tolerances] reaches the census of the metric and the trial census
+    tols = []
+    original = solver.find_all
+
+    def recording(spec, max_length, *args, **kwargs):
+        tols.append((kwargs.get("tol"), kwargs.get("dedup_tol")))
+        return original(spec, max_length, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "find_all", recording)
+    cfg = SPHERE_COUNT_CFG + "\n[tolerances]\nresidual = 1e-9\ndedup = 1e-5\n"
+    code, _ = _run(tmp_path, "count", cfg)
+    assert code == 0
+    assert tols == [(1e-9, 1e-5)] * 2
+
+
 def test_count_with_conformal_noise(tmp_path):
     # the perturbation draws the noise harmonics of degree 1 to 3 on top of
     # the round sphere, and the one trial still finds the three classes

@@ -114,7 +114,7 @@ def test_fold_kicks_past_the_turn_stall_early(fold_path, fold_branch, monkeypatc
     # no branch exists past the fold: every kick fails its line search
     # repeatedly and gives up long before the 50-iteration budget
     event = fold_branch.events[0]
-    kick_dir = continuation._fold_kick_direction(event, 1e-10)
+    kick_dir = continuation._fold_kick_direction(event)
     jacobians = []
     outcomes = []
     real_jacobian = solver._fd_jacobian
@@ -248,6 +248,64 @@ def test_doubled_branch_amplitude_follows_square_root_law(pd_path, pd_branch):
     assert not fit.low_confidence
     assert fit.relative_residual < 0.05
     assert abs(fit.t_intercept - event.t) < 0.01
+
+
+def _record_rebuilds(monkeypatch):
+    """List that receives the name of every refinement, operator build and
+    monodromy integration."""
+    calls = []
+    for module, name in ((solver, "refine_to_geodesic"), (jacobi, "build_operator"),
+                         (jacobi, "monodromy")):
+        real = getattr(module, name)
+
+        def wrapped(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_event_kicks_and_pairing_reuse_the_event_operator(pd_path, fold_branch,
+                                                          pd_branch, monkeypatch):
+    fold, pd = fold_branch.events[0], pd_branch.events[0]
+    for event in (fold, pd):
+        assert event.loop is event.data.loop
+        assert np.array_equal(event.mono.matrix, jacobi.monodromy(event.data).matrix)
+    calls = _record_rebuilds(monkeypatch)
+    kick_dir = continuation._fold_kick_direction(fold)
+    kicks = continuation._doubling_kicks(pd)
+    continuation.metric_deformation_pairing(pd_path, pd, mesh_doubling_check=False)
+    assert calls == []
+    assert kick_dir.shape == fold.loop.nodes.shape
+    assert len(kicks) in (2, 4)
+    assert all(k.shape == (2 * pd.loop.n, 3) for k in kicks)
+
+
+def test_doubled_branch_samples_are_the_walks_solves(pd_path, pd_branch, monkeypatch):
+    # the bootstrap refines the primitive and then one kick after another at
+    # t_boot; each walk step refines the primitive and the doubled orbit at
+    # its new t; a sample is the orbit the walk holds, with no further solve
+    event = pd_branch.events[0]
+    specs, results = [], []
+    real_refine = solver.refine_to_geodesic
+
+    def refine(seed, tol=1e-10):
+        specs.append(seed.metric)
+        results.append(None)          # stays None when the solve fails
+        results[-1] = real_refine(seed, tol=tol)
+        return results[-1]
+
+    monkeypatch.setattr(solver, "refine_to_geodesic", refine)
+    samples = continuation.spawn_doubled_branch(pd_path, event, (0.005, 0.01, 0.015, 0.02))
+    assert len(samples) == 4
+    boot_spec = pd_path.at(event.t + 0.005)
+    n_boot = specs.count(boot_spec)
+    assert n_boot >= 2
+    assert specs[:n_boot] == [boot_spec] * n_boot
+    assert specs[n_boot:] == [pd_path.at(s.t) for s in samples[1:] for _ in range(2)]
+    assert samples[0].result is results[n_boot - 1]
+    assert all(s.result is r for s, r in zip(samples[1:], results[n_boot + 1::2]))
 
 
 def test_fit_r2_recovers_synthetic_slopes():

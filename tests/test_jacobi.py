@@ -70,12 +70,23 @@ def test_spheroid_equator_antiperiodic_degeneracy(spheroid_equator, spheroid_rep
 
 
 def test_spheroid_equator_carries_antiperiodic_fields(spheroid_report):
-    fields = spheroid_report.fields
+    fields = jacobi.detect_lambda_jacobi(spheroid_report.data, 2, mono=spheroid_report.mono)
     assert fields, "expected lambda = -1 Jacobi fields on the double cover"
     for f in fields:
         assert f.d == 2
         assert abs(f.multiplier + 1.0) < 1e-6
         assert f.residual < 1e-6
+
+
+def test_report_searches_no_jacobi_fields(spheroid_equator, monkeypatch):
+    # the report counts kernels on both routes; fields are searched for only
+    # by callers that need them, from the report's operator and monodromy
+    def detect(*args, **kwargs):
+        raise AssertionError("jacobi_report searched for Jacobi fields")
+
+    monkeypatch.setattr(jacobi, "detect_lambda_jacobi", detect)
+    report = jacobi.jacobi_report(spheroid_equator, d_max=2)
+    assert report.floquet_nullities[2] == 2
 
 
 def test_ellipsoid_reports_are_super_rigid(ellipsoid_reports):
