@@ -42,8 +42,6 @@ from .continuation import (
     MetricPath,
     UnresolvedClusterError,
     continue_branch,
-    fit_normal_form,
-    metric_deformation_pairing,
     spawn_doubled_branch,
     verify_invariance,
 )
@@ -75,10 +73,8 @@ __all__ = [
     "count_function",
     "degenerate_weight",
     "find_all",
-    "fit_normal_form",
     "index_nullity",
     "jacobi_report",
-    "metric_deformation_pairing",
     "monodromy",
     "refine_to_geodesic",
     "sector_decomposition",

@@ -253,6 +253,11 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.command in ("count", "degenerate-weight") \
             and cfg.window is None and cfg.length_bound is None:
         raise ConfigError(f"{cfg.command} needs window or length_bound in [run]")
+    if cfg.command == "count":
+        hi = (cfg.window or (0.0, cfg.length_bound))[1]
+        above = [p for p in cfg.probes if p > hi]
+        if above:
+            raise ConfigError(f"probes: {above} lie above the window's end {hi}")
 
 
 # ---------------------------------------------------------------------------

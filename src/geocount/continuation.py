@@ -11,18 +11,15 @@ a transversal crossing of -2 is a period-doubling candidate (bisected in t
 to high accuracy, then certified by the kernel-dimension signature), and a
 sign change of dt/ds is a fold (the trace reaches +2 at the fold point).
 The module also spawns the emergent doubled branch at a period-doubling
-event, fits the local normal form from measured data, checks the weighted
-count invariance across events, and evaluates the metric-deformation
-pairing that certifies transversality of the path at the event.
+event and checks the weighted count invariance across events.
 
 Each event carries the Jacobi operator and monodromy of its loop, built
-once where it is located; its kicks and pairing read the kernel field from
-them (``_kernel_field``) instead of refining and rebuilding the loop.
+once where it is located; its kicks read the kernel field from them
+(``_kernel_field``) instead of refining and rebuilding the loop.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,18 +40,15 @@ class ContinuationError(RuntimeError):
 # sqrt(crossing rate * bracket width), far above the generic 1e-6 threshold
 _EVENT_NULLITY_TOL = 1e-3
 # multiplier window for extracting the (near-)kernel Jacobi field itself;
-# the field is only used as a kick or pairing direction, so the window can
-# be generous as long as it stays well inside the spacing to the next
-# multiplier pair
+# the field is only used as a kick direction, so the window can be generous
+# as long as it stays well inside the spacing to the next multiplier pair
 _EVENT_FIELD_TOL = 3e-2
 _PARAM_H = 1e-6               # central-difference step of dR/dt on the branch
-_PAIRING_H = 1e-5             # ... and of the deformation pairing
 _DS_MIN = 1e-6                # continuation stalls below this arclength step
 _CORRECTOR_MAX_ITER = 16
 _KICK_SIZES = (3e-3, 1e-2, 3e-2, 1e-1)   # doubled-branch bootstrap kicks
 _BOOTSTRAP_OFFSET = 0.005     # bootstrap distance from the event in t
 _WALK_STEP = 0.02             # largest doubled-branch walk step in t
-_MU_OFFSETS = (-0.02, -0.01, 0.01, 0.02)   # normal-form eigenvalue samples
 
 
 class UnresolvedClusterError(RuntimeError):
@@ -297,8 +291,6 @@ def continue_branch(
         t = new_t
         tau = new_tau
         step = min(step * 1.3, ds_max)
-    else:
-        stop_reason = "max_steps"
 
     events.sort(key=lambda e: e.t)
     for a, b in zip(events, events[1:]):
@@ -360,7 +352,7 @@ def _locate_fold(path, lo_state, gap, tol):
         if lo_tau[-1] * mid_tau[-1] > 0.0:
             lo_nodes, lo_t, lo_tau, lo_s = mid_nodes, mid_t, mid_tau, lo_s + half
         gap = half
-        if gap < 1e-6 or gap * gap < 1e-13:
+        if gap < 1e-6:
             break
     return _event("fold", path, lo_t, lo_nodes, tol, max(gap * gap, 1e-14), s=lo_s)
 
@@ -402,7 +394,7 @@ def _kernel_field(data, mono, d):
 
 
 # ---------------------------------------------------------------------------
-# emergent doubled branch and the normal form
+# emergent doubled branch
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -526,88 +518,6 @@ def spawn_doubled_branch(
     return tuple(samples)
 
 
-@dataclass(frozen=True)
-class NormalFormFit:
-    t_event: float
-    sign_f: int               # slope sign of the anti-periodic eigenvalue in t
-    sign_g: int               # inferred cubic coefficient sign
-    side: int                 # +1: doubled orbits exist for t > t_event
-    mu_slope: float           # d(mu_anti)/dt at the event
-    r2_slope: float           # d(amplitude^2)/dt along the emergent branch
-    t_intercept: float        # amplitude^2 fit root, should match t_event
-    relative_residual: float  # quality of the linear amplitude^2 fit
-    low_confidence: bool
-
-
-def _fit_r2(samples, t_event):
-    """Linear fit of squared branch amplitude against t - t_event.
-
-    Returns (side, slope, t_intercept, relative_residual); side is the sign
-    of the parameter interval the samples occupy.
-    """
-    st = np.array([s.t - t_event for s in samples])
-    sr2 = np.array([s.amplitude ** 2 for s in samples])
-    side = 1 if np.mean(st) > 0 else -1
-    coef = np.polyfit(st, sr2, 1)
-    fit_vals = np.polyval(coef, st)
-    resid = float(np.sqrt(np.mean((sr2 - fit_vals) ** 2))
-                  / max(np.max(np.abs(sr2)), 1e-30))
-    slope = float(coef[0])
-    t_int = t_event - float(coef[1] / coef[0]) if coef[0] != 0.0 else float("nan")
-    return side, slope, t_int, resid
-
-
-def fit_normal_form(
-    path: MetricPath,
-    event: BifurcationEvent,
-    samples,
-    tol: float = 1e-10,
-) -> NormalFormFit:
-    """Fit the period-doubling normal form r' = r (f (t - t_k) + g r^2).
-
-    ``sign_f`` comes from the measured slope of the anti-periodic sector
-    eigenvalue through the event; the emergent branch supplies amplitude^2
-    versus t, whose linearity (slope -f/g) determines sign_g and whose fit
-    residual gauges confidence.  Nothing here assumes the event is generic:
-    a flat or crooked fit lowers the confidence flag instead of asserting.
-    """
-    mus, ts = [], []
-    for off in _MU_OFFSETS:
-        t_val = event.t + off
-        if not 0.0 <= t_val <= 1.0:
-            continue
-        res = _solve_fixed_t(path, t_val, np.asarray(event.loop.nodes), tol)
-        data = jacobi.build_operator(res)
-        sec = jacobi.sector_index_nullity(data, 2, 1)
-        cand = sec.near_zero
-        if cand:
-            mu = min(cand, key=abs)
-        else:
-            h = jacobi.quadratic_form_matrix(data, 2, sector=-1.0 + 0.0j)
-            ev = np.linalg.eigvalsh(h)
-            mu = float(ev[np.argmin(np.abs(ev))])
-        mus.append(float(mu))
-        ts.append(t_val)
-    if len(ts) < 2:
-        raise ContinuationError("not enough sector samples to fit the normal form")
-    a = np.polyfit(np.asarray(ts) - event.t, np.asarray(mus), 1)
-    mu_slope = float(a[0])
-    sign_f = 1 if mu_slope > 0 else -1
-
-    if not samples:
-        raise ContinuationError("no emergent doubled orbits to fit against")
-    side, r2_slope, t_intercept, resid = _fit_r2(samples, event.t)
-    # existence side has r^2 = -(f/g)(t - t_k) > 0
-    sign_g = -sign_f * side
-    spread = max(abs(s.t - event.t) for s in samples)
-    low_conf = resid > 0.10 or not np.isfinite(t_intercept) \
-        or abs(t_intercept - event.t) > 0.5 * spread
-    return NormalFormFit(
-        t_event=event.t, sign_f=sign_f, sign_g=sign_g, side=side,
-        mu_slope=mu_slope, r2_slope=r2_slope, t_intercept=t_intercept,
-        relative_residual=resid, low_confidence=bool(low_conf))
-
-
 # ---------------------------------------------------------------------------
 # invariance of the weighted count across events
 # ---------------------------------------------------------------------------
@@ -630,7 +540,6 @@ def verify_invariance(
     path: MetricPath,
     event: BifurcationEvent,
     delta: float = 0.02,
-    samples=None,
     tol: float = 1e-10,
 ) -> InvarianceReport:
     """Weighted set count across an event over the local isolating set.
@@ -643,10 +552,9 @@ def verify_invariance(
     t_b = max(0.0, event.t - delta)
     t_a = min(1.0, event.t + delta)
     if event.kind == "period_doubling":
-        # built on first use: neither side needs it when samples cover both
-        event_kicks = functools.cache(lambda: _doubling_kicks(event))
-        detail_b, rec_b = _pd_side_detail(path, event, t_b, samples, event_kicks, tol)
-        detail_a, rec_a = _pd_side_detail(path, event, t_a, samples, event_kicks, tol)
+        kicks = _doubling_kicks(event)
+        detail_b, rec_b = _pd_side_detail(path, event, t_b, kicks, tol)
+        detail_a, rec_a = _pd_side_detail(path, event, t_a, kicks, tol)
     elif event.kind == "fold":
         kick_dir = _fold_kick_direction(event)
         detail_b, rec_b = _fold_side_detail(path, event, t_b, kick_dir, tol)
@@ -663,25 +571,20 @@ def verify_invariance(
         records_before=rec_b, records_after=rec_a)
 
 
-def _pd_side_detail(path, event, t_val, samples, event_kicks, tol):
+def _pd_side_detail(path, event, t_val, kicks, tol):
     """Contributions near twice the primitive length at parameter t_val.
 
-    ``event_kicks()`` returns the event's ``_doubling_kicks``, shared by
-    both sides of the event."""
+    ``kicks`` is the event's ``_doubling_kicks``, shared by both sides of
+    the event."""
     res = _solve_fixed_t(path, t_val, np.asarray(event.loop.nodes), tol)
     rep = jacobi.jacobi_report(res, d_max=2)
     rec = weights.weight(rep, ident="primitive", length=res.length)
     detail = {"primitive_double_cover": 2 * rec.n2}
     records = {"primitive_double_cover": rec}
-    doubled = None
-    if samples:
-        near = [s for s in samples if abs(s.t - t_val) < 1e-9]
-        doubled = near[0].result if near else None
-    if doubled is None:
-        got = spawn_doubled_branch(path, event, offsets=(t_val - event.t,), tol=tol,
-                                   event_kicks=event_kicks())
-        doubled = got[0].result if got else None
-    if doubled is not None:
+    got = spawn_doubled_branch(path, event, offsets=(t_val - event.t,), tol=tol,
+                               event_kicks=kicks)
+    if got:
+        doubled = got[0].result
         rep_d = jacobi.jacobi_report(doubled, d_max=2)
         rec_d = weights.weight(rep_d, ident="doubled", length=doubled.length)
         detail["emergent_doubled"] = 2 * rec_d.n1
@@ -723,48 +626,3 @@ def _fold_side_detail(path, event, t_val, kick_dir, tol):
     if not found:
         detail["no_branches"] = 0
     return detail, records
-
-
-# ---------------------------------------------------------------------------
-# metric-deformation pairing
-# ---------------------------------------------------------------------------
-
-def metric_deformation_pairing(
-    path: MetricPath,
-    event: BifurcationEvent,
-    mesh_doubling_check: bool = True,
-) -> dict:
-    """L2 pairing of the path's residual derivative with the kernel field.
-
-    The event loop is held fixed in family reference coordinates while the
-    metric moves, the t-derivative of the geodesic residual is formed by
-    central differences, and its L2 pairing with the (unit-normalized)
-    kernel Jacobi field measures how transversally the path crosses the
-    degeneracy.  The sign must be stable under mesh doubling; the magnitude
-    is reported as-is.  The event's own operator and monodromy give the
-    first pairing; the mesh-doubled check solves its own loop.
-    """
-    d_cover = 2 if event.kind == "period_doubling" else 1
-    spec0 = path.at(event.t)
-    spec_p, spec_m = path.at(event.t + _PAIRING_H), path.at(event.t - _PAIRING_H)
-
-    def pairing_at(data, mono):
-        xi_amb, _ = _kernel_field(data, mono, d_cover)
-        xi_amb = xi_amb / np.sqrt(np.mean(np.sum(xi_amb * xi_amb, axis=1)))
-        base = np.tile(np.asarray(data.loop.nodes), (d_cover, 1))
-        ref = geometry.to_reference(spec0, base)
-        rp = solver.residual_field(spec_p, geometry.from_reference(spec_p, ref))[0]
-        rm = solver.residual_field(spec_m, geometry.from_reference(spec_m, ref))[0]
-        dr = (rp - rm) / (2.0 * _PAIRING_H)
-        scale = float(np.sqrt(np.mean(np.sum(dr * dr, axis=1))))
-        return float(np.mean(np.sum(dr * xi_amb, axis=1))), scale
-
-    value, scale = pairing_at(event.data, event.mono)
-    out = {"value": value, "mesh": event.loop.n, "derivative_scale": scale}
-    if mesh_doubling_check:
-        dense = _spectral.resample(np.asarray(event.loop.nodes), 2 * event.loop.n)
-        data = jacobi.build_operator(_solve_fixed_t(path, event.t, dense, 1e-10))
-        value2, _ = pairing_at(data, jacobi.monodromy(data))
-        out["value_doubled_mesh"] = value2
-        out["sign_stable"] = bool(np.sign(value) == np.sign(value2) and value != 0.0)
-    return out

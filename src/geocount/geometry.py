@@ -208,9 +208,6 @@ class _Ellipsoid:
             raise GeometryError("cannot project the origin onto the ellipsoid")
         return x / s
 
-    def to_reference(self, x):
-        return self.a * x
-
     def from_reference(self, ref):
         return np.asarray(ref, dtype=float) / self.a
 
@@ -303,10 +300,6 @@ class _Revolution:
         out[..., :2] = x[..., :2] * scale
         return out
 
-    def to_reference(self, x):
-        phi = np.arctan2(x[..., 1], x[..., 0])
-        return np.stack([x[..., 2], phi], axis=-1)
-
     def from_reference(self, ref):
         ref = np.asarray(ref, dtype=float)
         z, phi = ref[..., 0], ref[..., 1]
@@ -389,9 +382,6 @@ class _ConformalSphere:
         """Exact spherical Laplacian of u: each degree-l term scales by -l(l+1)."""
         return np.tensordot(self.coef[5], self._monomials(x)[0], axes=1)
 
-    def to_reference(self, x):
-        return np.asarray(x, dtype=float)
-
     def from_reference(self, ref):
         return np.asarray(ref, dtype=float)
 
@@ -468,16 +458,6 @@ def metric_dot(spec: MetricSpec, x, v, w) -> np.ndarray:
 
 def speed(spec: MetricSpec, x, v) -> np.ndarray:
     return np.sqrt(metric_dot(spec, x, v, v))
-
-
-def to_reference(spec: MetricSpec, x) -> np.ndarray:
-    """Map surface points to family reference coordinates.
-
-    Ellipsoids map to the unit sphere (y = a * x componentwise), revolution
-    surfaces to (z, phi) pairs, conformal spheres to themselves.  Used to
-    identify loops across nearby metrics of the same family.
-    """
-    return _impl(spec).to_reference(np.asarray(x, dtype=float))
 
 
 def from_reference(spec: MetricSpec, ref) -> np.ndarray:

@@ -208,7 +208,6 @@ class IndexResult:
     tau: float
     eigen_gap: float        # smallest |eigenvalue| outside the kernel band
     borderline: bool        # an eigenvalue sits within 10x of the threshold
-    near_zero: tuple        # eigenvalues within 100 tau, for inspection
 
 
 def _index_result(data: JacobiOperatorData, d: int, h: np.ndarray) -> IndexResult:
@@ -220,9 +219,8 @@ def _index_result(data: JacobiOperatorData, d: int, h: np.ndarray) -> IndexResul
     outside = np.abs(ev[np.abs(ev) > tau])
     gap = float(np.min(outside)) if outside.size else float("inf")
     borderline = bool(np.any((np.abs(ev) > tau) & (np.abs(ev) < 10.0 * tau)))
-    near = tuple(float(e) for e in ev[np.abs(ev) <= 100.0 * tau])
     return IndexResult(d=d, iota=iota, nu=nu, tau=tau, eigen_gap=gap,
-                       borderline=borderline, near_zero=near)
+                       borderline=borderline)
 
 
 def index_nullity(data: JacobiOperatorData, d: int = 1) -> IndexResult:

@@ -527,12 +527,6 @@ def find_all(
         certificate=certificate)
 
 
-def synthesize_cover(entry_result: GeodesicResult, d: int, tol: float = 1e-10) -> GeodesicResult:
-    """Degree-d iterate of a converged geodesic, re-refined on the tiled mesh."""
-    tiled = loops.cover(entry_result.loop, d)
-    return refine_to_geodesic(tiled, tol=tol)
-
-
 def iterates(census: Census):
     """Yield (entry, degree) for every iterate up to max_length, entry-major."""
     for e in census.entries:

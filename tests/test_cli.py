@@ -170,6 +170,12 @@ def test_config_errors(tmp_path):
             _write(tmp_path, "w.cfg", COUNT_CFG.replace("window = 0.0, 7.0", "")),
             "count")
     with pytest.raises(cli.ConfigError):
+        # a probe above the window's end has no counted data behind it
+        cli.load_config(
+            _write(tmp_path, "p.cfg", COUNT_CFG.replace("probes = 5.0, 7.0",
+                                                        "probes = 5.0, 8.0")),
+            "count")
+    with pytest.raises(cli.ConfigError):
         # continuation requires both endpoint metrics
         cli.load_config(_write(tmp_path, "e.cfg", ELLIPSOID_CFG), "continue")
     with pytest.raises(cli.ConfigError):

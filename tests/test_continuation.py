@@ -1,4 +1,4 @@
-"""Branch continuation, event location, local invariance, and normal forms.
+"""Branch continuation, event location, local invariance, and doubled orbits.
 
 Two frozen one-parameter families anchor these tests: a cubic-profile band
 whose pair of geodesic parallels collides in a fold as the tilt coefficient
@@ -241,13 +241,14 @@ def test_doubled_branch_amplitude_follows_square_root_law(pd_path, pd_branch):
     assert all(a > 0 for a in amps)
     assert amps == sorted(amps)
 
-    fit = continuation.fit_normal_form(pd_path, event, samples)
-    assert fit.side == 1
-    assert fit.sign_f == -1
-    assert fit.sign_g == 1
-    assert not fit.low_confidence
-    assert fit.relative_residual < 0.05
-    assert abs(fit.t_intercept - event.t) < 0.01
+    # amplitude^2 is linear in t - t* and vanishes at the event
+    st = np.array([s.t - event.t for s in samples])
+    sr2 = np.array(amps) ** 2
+    coef = np.polyfit(st, sr2, 1)
+    resid = np.sqrt(np.mean((sr2 - np.polyval(coef, st)) ** 2)) / np.max(sr2)
+    assert coef[0] > 0
+    assert resid < 0.05
+    assert abs(coef[1] / coef[0]) < 0.01
 
 
 def _record_rebuilds(monkeypatch):
@@ -266,8 +267,7 @@ def _record_rebuilds(monkeypatch):
     return calls
 
 
-def test_event_kicks_and_pairing_reuse_the_event_operator(pd_path, fold_branch,
-                                                          pd_branch, monkeypatch):
+def test_event_kicks_reuse_the_event_operator(fold_branch, pd_branch, monkeypatch):
     fold, pd = fold_branch.events[0], pd_branch.events[0]
     for event in (fold, pd):
         assert event.loop is event.data.loop
@@ -275,7 +275,6 @@ def test_event_kicks_and_pairing_reuse_the_event_operator(pd_path, fold_branch,
     calls = _record_rebuilds(monkeypatch)
     kick_dir = continuation._fold_kick_direction(fold)
     kicks = continuation._doubling_kicks(pd)
-    continuation.metric_deformation_pairing(pd_path, pd, mesh_doubling_check=False)
     assert calls == []
     assert kick_dir.shape == fold.loop.nodes.shape
     assert len(kicks) in (2, 4)
@@ -308,49 +307,8 @@ def test_doubled_branch_samples_are_the_walks_solves(pd_path, pd_branch, monkeyp
     assert all(s.result is r for s, r in zip(samples[1:], results[n_boot + 1::2]))
 
 
-def test_fit_r2_recovers_synthetic_slopes():
-    class _S:
-        def __init__(self, t, amplitude):
-            self.t = t
-            self.amplitude = amplitude
-
-    t0 = 0.4
-    ts = np.array([0.41, 0.42, 0.43, 0.44])
-    right = [_S(t, np.sqrt(3.0 * (t - t0))) for t in ts]
-    side, slope, t_int, resid = continuation._fit_r2(right, t0)
-    assert side == 1
-    assert abs(slope - 3.0) < 1e-12
-    assert abs(t_int - t0) < 1e-12
-    assert resid < 1e-12
-
-    left = [_S(2 * t0 - t, np.sqrt(3.0 * (t - t0))) for t in ts]
-    side, slope, t_int, resid = continuation._fit_r2(left, t0)
-    assert side == -1
-    assert abs(slope + 3.0) < 1e-12
-    assert abs(t_int - t0) < 1e-12
-
-
-def test_fold_pairing_is_transversal(fold_path, fold_branch):
-    event = fold_branch.events[0]
-    out = continuation.metric_deformation_pairing(fold_path, event)
-    assert out["sign_stable"]
-    assert out["derivative_scale"] > 0.1
-    # the deformation is fully aligned with the kernel field at a fold
-    assert abs(out["value"]) > 0.5 * out["derivative_scale"]
-    assert abs(out["value"]) <= out["derivative_scale"] * (1 + 1e-6)
-    assert np.sign(out["value"]) == np.sign(out["value_doubled_mesh"])
-
-
-def test_period_doubling_pairing_vanishes(pd_path, pd_branch):
-    # every term of this path is even in z, so the equator is a geodesic for
-    # all t and the first-order deformation of its residual vanishes
-    # identically; transversality lives in the trace slope instead
+def test_period_doubling_trace_crosses_minus_two(pd_branch):
     event = pd_branch.events[0]
-    out = continuation.metric_deformation_pairing(
-        pd_path, event, mesh_doubling_check=False)
-    assert abs(out["value"]) < 1e-8
-    assert out["derivative_scale"] < 1e-6
-
     traces = [(p.t, p.trace) for p in pd_branch.points]
     below = [tr for t, tr in traces if t < event.t - 1e-3]
     above = [tr for t, tr in traces if t > event.t + 1e-3]

@@ -98,7 +98,7 @@ def chart_coords(spec: MetricSpec, x, chart: int | None = None):
         if chart == 1:
             phi = np.arctan2(-x[..., 1], -x[..., 0])
         return np.stack([z, phi], axis=-1), chart
-    y = impl.to_reference(x) if spec.family == "ellipsoid" else x
+    y = impl.a * x if spec.family == "ellipsoid" else x
     y = np.asarray(y, dtype=float)
     if chart is None:
         chart = 0 if np.all(y[..., 2] > -0.6) else 1

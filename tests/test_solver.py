@@ -206,9 +206,9 @@ def test_census_does_not_depend_on_seed_order(ellipsoid_spec, ellipsoid_census, 
         assert got.self_reverse == ref.self_reverse
 
 
-def test_synthesize_cover_doubles_the_orbit(ellipsoid_census):
+def test_refined_double_cover_doubles_the_orbit(ellipsoid_census):
     entry = ellipsoid_census.entries[0]
-    cover = solver.synthesize_cover(entry.result, 2)
+    cover = solver.refine_to_geodesic(loops.cover(entry.result.loop, 2))
     assert abs(cover.length - 2 * entry.result.length) < 1e-8
     assert cover.residual < 1e-10
     dec = loops.primitive_decompose(cover.loop)
