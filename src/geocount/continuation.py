@@ -600,7 +600,11 @@ def _fold_kick_direction(event):
 
 def _fold_side_detail(path, event, t_val, kick_dir, tol):
     """Contributions of the two colliding branches at parameter t_val, seeded
-    by kicks of the event loop along ``kick_dir``."""
+    by kicks of the event loop along ``kick_dir``.
+
+    The branches are numbered by ascending length, not in the order the kicks
+    find them: the sign of the kernel field is arbitrary, and negating it
+    reverses that order."""
     base = np.asarray(event.loop.nodes)
     base_len = loops.length(event.loop)
     detail = {}
@@ -618,7 +622,7 @@ def _fold_side_detail(path, event, t_val, kick_dir, tol):
                for f in found):
             found.append(cand)
     records = {}
-    for i, cand in enumerate(found):
+    for i, cand in enumerate(sorted(found, key=lambda c: c.length)):
         rep = jacobi.jacobi_report(cand, d_max=2)
         rec = weights.weight(rep, ident=f"branch{i}", length=cand.length)
         detail[f"branch{i}"] = 2 * rec.n1

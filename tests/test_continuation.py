@@ -110,6 +110,19 @@ def test_fold_invariance_and_branch_pairing(fold_path, fold_branch, monkeypatch)
     assert report.detail_after == {"no_branches": 0}
 
 
+def test_fold_branch_labels_do_not_depend_on_the_kernel_sign(fold_path, fold_branch):
+    # the kernel field's sign is whatever the eigensolver returns; negating it
+    # reverses the order in which the kicks find the two branches
+    event = fold_branch.events[0]
+    kick_dir = continuation._fold_kick_direction(event)
+    t_val = event.t - 0.02
+    detail, records = continuation._fold_side_detail(fold_path, event, t_val, kick_dir, 1e-10)
+    flipped = continuation._fold_side_detail(fold_path, event, t_val, -kick_dir, 1e-10)
+    assert flipped == (detail, records)
+    assert detail == {"branch0": 2, "branch1": -2}
+    assert records["branch0"].length < records["branch1"].length
+
+
 def test_fold_kicks_past_the_turn_stall_early(fold_path, fold_branch, monkeypatch):
     # no branch exists past the fold: every kick fails its line search
     # repeatedly and gives up long before the 50-iteration budget
