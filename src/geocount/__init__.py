@@ -4,7 +4,12 @@ conformally perturbed round spheres.
 The pipeline runs census -> stability analysis -> iterate weights ->
 windowed counts, plus branch continuation along one-parameter metric
 families with bifurcation-event detection and count-invariance checks.
+
+The package logs through ``logging.getLogger("geocount")``, which has no
+handler of its own: the census logs the outcome of every seed at DEBUG.
 """
+
+import logging
 
 from .geometry import BandExitError, GeometryError, MetricSpec
 from .loops import DiscreteLoop
@@ -45,6 +50,8 @@ from .continuation import (
     spawn_doubled_branch,
     verify_invariance,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"
 

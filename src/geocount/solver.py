@@ -45,6 +45,7 @@ folds in t are regular points of the extended system.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,6 +58,8 @@ import scipy.sparse.linalg
 from . import geometry, loops
 from .geometry import BandExitError, GeometryError, MetricSpec, _dot
 from .loops import DiscreteLoop
+
+_log = logging.getLogger(__name__)
 
 
 class RefineError(RuntimeError):
@@ -421,6 +424,17 @@ def _census_seeds(spec: MetricSpec, mesh: int, planes: int, seed: int):
     return seeds
 
 
+def _failure_class(exc) -> str:
+    """The census certificate's name for a failed seed refinement."""
+    if isinstance(exc, BandExitError):
+        return "band_exits"
+    if isinstance(exc, StallError):
+        return "stalled"
+    if isinstance(exc, CollapseError):
+        return "collapsed"
+    return "diverged"
+
+
 def find_all(
     spec: MetricSpec,
     max_length: float,
@@ -438,29 +452,27 @@ def find_all(
     an existing class counts as a hit on that class.  A seed whose
     refinement, or the refinement of its primitive base, fails is counted in
     the certificate by the failure's class: ``stalled``, ``diverged``,
-    ``collapsed`` or ``band_exits``.
+    ``collapsed`` or ``band_exits``.  Each seed's outcome is logged at DEBUG:
+    its index, then its Newton iterations (the primitive base's included)
+    or its failure class and message.
     """
     seeds = _census_seeds(spec, mesh, planes, seed)
     converged = []
     failed = {"stalled": 0, "diverged": 0, "collapsed": 0, "band_exits": 0}
-    for s in seeds:
+    for k, s in enumerate(seeds):
         try:
             res = refine_to_geodesic(s, tol=tol)
+            iterations = res.iterations
             dec = loops.primitive_decompose(res.loop)
             if dec.degree > 1:
                 res = refine_to_geodesic(dec.base, tol=tol)
-        except BandExitError:
-            failed["band_exits"] += 1
+                iterations += res.iterations
+        except (BandExitError, StallError, RefineError) as exc:
+            kind = _failure_class(exc)
+            failed[kind] += 1
+            _log.debug("seed %d: %s: %s", k, kind, exc)
             continue
-        except StallError:
-            failed["stalled"] += 1
-            continue
-        except CollapseError:
-            failed["collapsed"] += 1
-            continue
-        except RefineError:
-            failed["diverged"] += 1
-            continue
+        _log.debug("seed %d: converged in %d iterations", k, iterations)
         if res.length <= max_length:
             converged.append(res)
     if seeds and not converged \

@@ -1,7 +1,12 @@
-"""The snapshot tool's tolerance comparison of two output trees."""
+"""The snapshot tool: its tolerance comparison of two output trees, and the
+seed log it writes for each run."""
 
 import importlib.util
+import logging
+import os
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -107,3 +112,22 @@ def test_changed_line_count_fails(tmp_path, capsys):
 def test_snapshot_runs_include_the_sphere_count():
     assert ("SPHERE_COUNT_CFG", "count") in snapshot.TEST_RUNS
     assert ("NOISE_COUNT_CFG", "count") in snapshot.TEST_RUNS
+
+
+def test_snapshot_writes_the_seed_log_of_each_run(tmp_path, monkeypatch):
+    # one census run of the snapshot set; its 24 seeds each log one line
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    real_runs = snapshot.runs
+    monkeypatch.setattr(snapshot, "runs", lambda: [
+        r for r in real_runs() if r[0] == "test_cli-ELLIPSOID_CFG-census"])
+    assert snapshot.main([str(tmp_path)]) == 0
+    run = tmp_path / "test_cli-ELLIPSOID_CFG-census"
+    assert (run / "exit_code").read_text() == "0\n"
+    lines = (run / "seeds.log").read_text().splitlines()
+    assert len(lines) == 24
+    for k, line in enumerate(lines):
+        assert re.fullmatch(
+            rf"geocount\.solver DEBUG seed {k}: (converged in \d+ iterations|\w+: .+)", line)
+    assert logging.getLogger("geocount").level == logging.NOTSET

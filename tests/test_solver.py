@@ -12,6 +12,9 @@ per-color COO loop and the ``scipy.sparse.bmat`` layout it replaced, which
 it must reproduce bit for bit.
 """
 
+import logging
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -156,7 +159,7 @@ def test_refinement_keeps_collapse_apart_from_a_singular_solve(ellipsoid_spec, m
             solver.refine_to_geodesic(seed)
 
 
-def test_census_counts_failed_seeds_by_class(ellipsoid_spec, monkeypatch):
+def test_census_counts_failed_seeds_by_class(ellipsoid_spec, monkeypatch, caplog):
     real_seeds = solver._census_seeds
     real_refine = solver.refine_to_geodesic
     raised = {0: solver.StallError, 1: solver.DivergenceError, 2: solver.DivergenceError,
@@ -176,17 +179,57 @@ def test_census_counts_failed_seeds_by_class(ellipsoid_spec, monkeypatch):
 
     monkeypatch.setattr(solver, "_census_seeds", census_seeds)
     monkeypatch.setattr(solver, "refine_to_geodesic", refine)
+    caplog.set_level(logging.DEBUG, logger="geocount")
     census = solver.find_all(ellipsoid_spec, 7.0, mesh=64, planes=12, seed=7)
     cert = census.certificate
     assert (cert["stalled"], cert["diverged"], cert["collapsed"], cert["band_exits"]) \
         == (1, 2, 3, 1)
     assert census.boundary_collisions == 1
     assert cert["converged"] == 12 - 7
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[:7] == [
+        "seed 0: stalled: seed 0", "seed 1: diverged: seed 1", "seed 2: diverged: seed 2",
+        "seed 3: collapsed: seed 3", "seed 4: collapsed: seed 4",
+        "seed 5: collapsed: seed 5", "seed 6: band_exits: seed 6"]
+    assert all(re.fullmatch(rf"seed {k}: converged in \d+ iterations", messages[k])
+               for k in range(7, 12))
+    assert len(messages) == 12
+    assert {r.name for r in caplog.records} == {"geocount.solver"}
+    assert {r.levelno for r in caplog.records} == {logging.DEBUG}
 
     raised = {k: solver.StallError for k in range(12)}
     seeds.clear()
     with pytest.raises(solver.StallError, match="no convergent seed"):
         solver.find_all(ellipsoid_spec, 7.0, mesh=64, planes=12, seed=7)
+
+
+def test_census_logs_the_iterations_of_each_seed(ellipsoid_spec, monkeypatch, caplog):
+    # the first seed converges to a double cover of an 18-node loop, whose
+    # base is resampled to 32 nodes and refined again: its logged count
+    # covers both refinements
+    ellipse = np.asarray(loops.principal_ellipse(ellipsoid_spec, 0, 1, 72).nodes)
+    rng = np.random.default_rng(3)
+    kicked = geometry.surface_project(
+        ellipsoid_spec, ellipse[::2] + 0.02 * rng.normal(size=(36, 3)))
+    seeds = [loops.DiscreteLoop(ellipsoid_spec, np.tile(ellipse[::4], (2, 1))),
+             loops.DiscreteLoop(ellipsoid_spec, kicked)]
+    iterations = []
+    real_refine = solver.refine_to_geodesic
+
+    def refine(seed, tol=1e-10):
+        res = real_refine(seed, tol=tol)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(solver, "_census_seeds", lambda *args: seeds)
+    monkeypatch.setattr(solver, "refine_to_geodesic", refine)
+    caplog.set_level(logging.DEBUG, logger="geocount")
+    solver.find_all(ellipsoid_spec, 7.0, mesh=64, planes=2)
+    assert len(iterations) == 3 and min(iterations) > 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"seed 0: converged in {iterations[0] + iterations[1]} iterations",
+        f"seed 1: converged in {iterations[2]} iterations"]
+    assert caplog.records[0].args == (0, iterations[0] + iterations[1])
 
 
 @settings(max_examples=4)

@@ -9,13 +9,15 @@ Runs ``geocount.cli.main`` on every benchmark workload config in
 ``tests/test_cli.py`` (census, jacobi and weights on ``ELLIPSOID_CFG``, count
 on ``COUNT_CFG``, ``SPHERE_COUNT_CFG`` and ``NOISE_COUNT_CFG``, continue on
 ``FOLD_CFG``, ``PD_CFG`` and ``STALL_CFG``, the one config whose
-continuation gives up, with exit 3).  Each run writes its files to ``OUT_DIR/<run name>/`` plus an
-``exit_code`` file.  The configs are imported from those two files, never
-copied, and geocount is imported from the ``src`` directory of the checkout
-that holds this script, so copying the script into another checkout
-snapshots that checkout.  Two snapshots of the same outputs compare equal
-under ``diff -r``.  BLAS runs on one thread unless the environment says
-otherwise.
+continuation gives up, with exit 3).  Each run writes its files to
+``OUT_DIR/<run name>/`` plus an ``exit_code`` file and a ``seeds.log`` file,
+which holds what the run logged to the ``geocount`` logger at DEBUG: one
+line per census seed with its Newton iterations or its failure.  The
+configs are imported from those two files, never copied, and geocount is
+imported from the ``src`` directory of the checkout that holds this script,
+so copying the script into another checkout snapshots that checkout.  Two
+snapshots of the same outputs compare equal under ``diff -r``.  BLAS runs on
+one thread unless the environment says otherwise.
 
 ``--compare`` checks two snapshot trees token by token.  Both must hold the
 same files with the same line counts.  Each line is split on whitespace,
@@ -23,7 +25,9 @@ same files with the same line counts.  Each line is split on whitespace,
 ``yes``/``no`` flags, text) must match exactly, and a float token passes
 when |a - b| <= REL_TOL * max(|a|, |b|).  Every difference is listed with
 its file, line, both values and the relative difference; the exit code is 1
-when any difference is outside the tolerance, 0 otherwise.
+when any difference is outside the tolerance, 0 otherwise.  The lines of
+``seeds.log`` hold integers and text only, so every seed's outcome and
+iteration count must match exactly.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import importlib.util
 import io
+import logging
 import os
 import re
 import sys
@@ -87,18 +92,32 @@ def snapshot(out_root: str) -> int:
     from geocount import cli
 
     os.makedirs(out_root, exist_ok=True)
-    with tempfile.TemporaryDirectory() as cfg_dir:
-        for name, subcommand, text in runs():
-            cfg_path = os.path.join(cfg_dir, f"{name}.cfg")
-            with open(cfg_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            out_dir = os.path.join(out_root, name)
-            t0 = time.perf_counter()
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main([subcommand, "--config", cfg_path, "--out", out_dir])
-            with open(os.path.join(out_dir, "exit_code"), "w", encoding="utf-8") as fh:
-                fh.write(f"{code}\n")
-            print(f"{name}: exit {code} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    logger = logging.getLogger("geocount")
+    level = logger.level
+    logger.setLevel(logging.DEBUG)
+    try:
+        with tempfile.TemporaryDirectory() as cfg_dir:
+            for name, subcommand, text in runs():
+                cfg_path = os.path.join(cfg_dir, f"{name}.cfg")
+                with open(cfg_path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                out_dir = os.path.join(out_root, name)
+                log = io.StringIO()
+                handler = logging.StreamHandler(log)
+                handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
+                logger.addHandler(handler)
+                t0 = time.perf_counter()
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = cli.main([subcommand, "--config", cfg_path, "--out", out_dir])
+                finally:
+                    logger.removeHandler(handler)
+                for fname, body in (("exit_code", f"{code}\n"), ("seeds.log", log.getvalue())):
+                    with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
+                        fh.write(body)
+                print(f"{name}: exit {code} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    finally:
+        logger.setLevel(level)
     return 0
 
 
