@@ -17,14 +17,13 @@ Powell & Reid 1974): the stencil only couples neighbors, so nodes with equal
 index mod 4 have disjoint residual footprints and one perturbed loop probes
 a whole color class.  The 4m probes (color, coordinate) are stacked into one
 (4m, N, m) array, so a Jacobian costs two residual evaluations, one on the
-+h stack and one on the -h stack.  Its CSC pattern (three m x m blocks per
-column block) is fixed by (N, m); ``indptr``, ``indices``, the unit probe
-stack and the index that gathers the central differences straight into the
-CSC ``data`` are built once per (N, m) and cached.  The bordered matrix
-below is assembled from the Jacobian's arrays directly, in the layout that
-``scipy.sparse.bmat`` gives: explicit zeros of J are kept, exact zeros of
-the dense border rows and columns are dropped, so the sparse LU orders the
-same structure.
++h stack and one on the -h stack.  The central differences are gathered
+straight into LAPACK band storage with the nodes in the folded order
+(0, N-1, 1, N-2, ...): there the periodic neighbors of every node, node 0
+and node N-1 included, sit at most two blocks away, so J is a band matrix
+with kl = ku = 3m - 1 and its LU (``dgbtrf``) costs O(N m^3).  The probe
+stack, the folded order and the gather and scatter indices are built once
+per (N, m) and cached.
 
 Every Newton step in the package, here and in branch continuation, solves
 one gauge-bordered linear system (``_bordered_solve``):
@@ -41,6 +40,12 @@ they remove the rotation near-nullspace without biasing the geometry.
 Refinement uses only this core.  Continuation adds the optional column
 c = dR/dt for the path parameter and the arclength row (a, a_t), so simple
 folds in t are regular points of the extended system.
+
+The dense border columns and rows are eliminated around the band LU of J
+through their 1 x 1 or 2 x 2 Schur complement.  J itself is nearly singular
+along the rotation direction, and at a fold, where that elimination alone
+loses digits, so every solve ends with one step of residual correction on
+the full bordered system (Govaerts & Pryce, IMA J. Numer. Anal. 1993).
 """
 
 from __future__ import annotations
@@ -51,9 +56,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import geometry, loops
 from .geometry import BandExitError, GeometryError, MetricSpec, _dot
@@ -128,87 +132,73 @@ def _velocity(nodes: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _jacobian_pattern(n: int, m: int):
-    """Unit color bumps and the fixed CSC pattern of the (Nm, Nm) Jacobian.
+def _band_pattern(n: int, m: int):
+    """Unit color bumps, the folded order and the band layout of the Jacobian.
 
-    Returns (units, indptr, indices, gather): ``units[c * m + d]`` is 1 at
-    coordinate d of every node j with j mod 4 == c; column j*m + d holds rows
-    i*m + k for the neighbors i of j in sorted order, and ``gather`` indexes
-    the flattened (4m, N, m) difference stack at those entries.
+    Returns (units, fold, gather, target): ``units[c * m + d]`` is 1 at
+    coordinate d of every node j with j mod 4 == c; ``fold`` lists the
+    flattened coordinates in the folded node order (0, N-1, 1, N-2, ...);
+    ``gather`` indexes the flattened (4m, N, m) difference stack at every
+    Jacobian entry and ``target`` is where that entry sits in the LAPACK band
+    storage (3 kl + 1, Nm), kl = 3m - 1, flattened in Fortran order.
     """
     units = np.zeros((4 * m, n, m))
     for color in range(4):
         for d in range(m):
             units[color * m + d, color::4, d] = 1.0
-    j = np.arange(n)
-    nbrs = np.sort(np.stack([(j - 1) % n, j, (j + 1) % n], axis=1), axis=1)
-    rows = (nbrs[:, :, None] * m + np.arange(m)).reshape(n, 1, 3 * m)
-    probe = (j % 4)[:, None] * m + np.arange(m)           # (n, m): bump of column j*m + d
-    gather = (probe[:, :, None] * (n * m) + rows).reshape(-1)
-    indices = np.broadcast_to(rows, (n, m, 3 * m)).reshape(-1).astype(np.int32)
-    indptr = np.arange(0, 3 * m * n * m + 1, 3 * m, dtype=np.int32)
-    for arr in (units, indptr, indices, gather):
+    order = np.empty(n, dtype=np.intp)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = n - 1 - np.arange(n // 2)
+    pos = np.argsort(order)                                  # folded position of each node
+    fold = (order[:, None] * m + np.arange(m)).reshape(-1)
+    j = order[:, None]                                       # node of each folded column block
+    nbrs = np.concatenate([(j - 1) % n, j, (j + 1) % n], axis=1)        # (n, 3)
+    coord = np.arange(m)
+    # entry (column block p, coordinate d, neighbor i, row coordinate k)
+    probe = ((j % 4) * m)[:, None, :, None] + coord[None, :, None, None]
+    gather = probe * (n * m) + (nbrs * m)[:, None, :, None] + coord
+    col = np.arange(n)[:, None, None, None] * m + coord[None, :, None, None]
+    row = (pos[nbrs] * m)[:, None, :, None] + coord
+    kl = 3 * m - 1
+    target = col * (3 * kl + 1) + 2 * kl + row - col
+    gather, target = (np.broadcast_to(a, (n, m, 3, m)).reshape(-1)
+                      for a in (gather, target))
+    for arr in (units, fold, gather, target):
         arr.flags.writeable = False
-    return units, indptr, indices, gather
+    return units, fold, gather, target
 
 
-def _fd_jacobian(spec: MetricSpec, nodes: np.ndarray) -> scipy.sparse.csc_matrix:
-    """Colored central-difference Jacobian of the residual, sparse (Nm, Nm).
+def _fd_jacobian(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
+    """Colored central-difference Jacobian of the residual in band storage.
 
     Perturbing node j only touches residual rows j-1, j, j+1, so all nodes in
     one color class (index mod 4) are probed by one perturbed loop.  The 4m
-    probe loops are evaluated as one stack per sign of the step.
+    probe loops are evaluated as one stack per sign of the step.  Rows and
+    columns are in the folded node order, where neighbors sit at most two
+    blocks apart, so the Jacobian has kl = ku = 3m - 1 sub- and
+    super-diagonals; the result is the (3 kl + 1, Nm) LAPACK band array
+    whose first kl rows are left free for the LU factors.
     """
     n, m = nodes.shape
     h = _FD_STEP * max(1.0, float(np.max(np.abs(nodes))))
-    units, indptr, indices, gather = _jacobian_pattern(n, m)
+    units, _, gather, target = _band_pattern(n, m)
     bump = units * h
     rp = residual_field(spec, nodes + bump)[0].reshape(-1)
     rm = residual_field(spec, nodes - bump)[0].reshape(-1)
-    data = (rp[gather] - rm[gather]) / (2.0 * h)
-    return scipy.sparse.csc_matrix((data, indices, indptr), shape=(n * m, n * m))
-
-
-def _bordered_matrix(jac, right, below):
-    """CSC of [[J, right], [below]] with the zeros of the dense borders dropped.
-
-    ``right`` is dense (Nm, c), ``below`` dense (r, Nm + c).  Explicit zeros of
-    J are kept and zeros of the borders dropped, exactly as
-    ``scipy.sparse.bmat`` builds it, so the LU sees the same structure.
-    """
-    size = jac.shape[1]
-    jcount = np.diff(jac.indptr)
-    keep = below[:, :size] != 0.0
-    start = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(jcount + np.sum(keep, axis=0), out=start[1:])
-    tail = np.concatenate([right, below[:, size:]]).T   # (c, Nm + r), one row per column
-    tail_keep = tail != 0.0
-    nnz_left = int(start[-1])
-    indptr = np.concatenate([start, nnz_left + np.cumsum(np.sum(tail_keep, axis=1))])
-    data = np.empty(int(indptr[-1]))
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    pos = np.arange(jac.nnz) + np.repeat(start[:-1] - jac.indptr[:-1], jcount)
-    data[pos] = jac.data
-    indices[pos] = jac.indices
-    border = np.nonzero(keep)                             # (row, column) of each kept entry
-    pos = start[border[1]] + jcount[border[1]] + np.cumsum(keep, axis=0)[border] - 1
-    data[pos] = below[border]
-    indices[pos] = size + border[0]
-    cols, rows = np.nonzero(tail_keep)
-    data[nnz_left:] = tail[cols, rows]
-    indices[nnz_left:] = rows
-    shape = (size + below.shape[0],) * 2
-    return scipy.sparse.csc_matrix((data, indices, indptr.astype(np.int32)), shape=shape)
+    band = np.zeros((n * m, 9 * m - 2))                   # (Nm, 3 kl + 1), transposed below
+    band.reshape(-1)[target] = (rp[gather] - rm[gather]) / (2.0 * h)
+    return band.T
 
 
 def _bordered_solve(jac, nodes, rhs, extra_col=None, extra_row=None):
     """Solve the gauge-bordered Newton system of the module docstring.
 
-    ``rhs`` covers every row: the residual rows, the gauge row and, with
-    ``extra_col`` (length Nm) and ``extra_row`` (length Nm + 1, the last
-    entry in the extra column), the extra row.  The unknowns are ordered
-    (dx, [dt,] mu).  Raises CollapseError when the loop velocity vanishes;
-    a singular system raises splu's RuntimeError.
+    ``jac`` is the band Jacobian of ``_fd_jacobian``.  ``rhs`` covers every
+    row: the residual rows, the gauge row and, with ``extra_col`` (length
+    Nm) and ``extra_row`` (length Nm + 1, the last entry in the extra
+    column), the extra row.  The unknowns are ordered (dx, [dt,] mu).
+    Raises CollapseError when the loop velocity vanishes and RuntimeError
+    when the band LU or the Schur complement is exactly singular.
     """
     vel = _velocity(nodes)
     n, m = nodes.shape
@@ -216,17 +206,49 @@ def _bordered_solve(jac, nodes, rhs, extra_col=None, extra_row=None):
     wn = np.linalg.norm(w)
     if wn < 1e-12 * n:
         raise CollapseError("loop velocity collapsed during refinement")
-    w = w / wn
+    size = n * m
+    kl = 3 * m - 1
+    fold = _band_pattern(n, m)[1]
     if extra_col is None:
-        right = w[:, None]
-        below = np.zeros((1, n * m + 1))
+        right = w[:, None] / wn
+        below = np.zeros((1, size))
+        corner = np.zeros((1, 1))
     else:
-        right = np.stack([extra_col, w], axis=1)
-        below = np.zeros((2, n * m + 2))
-        below[1, :-1] = extra_row
+        right = np.stack([extra_col, w / wn], axis=1)
+        below = np.zeros((2, size))
+        below[1] = extra_row[:-1]
+        corner = np.array([[0.0, 0.0], [extra_row[-1], 0.0]])
     below[0, :m] = vel[0] / np.linalg.norm(vel[0])
-    bordered = _bordered_matrix(jac, right, below)
-    return scipy.sparse.linalg.splu(bordered).solve(rhs)
+    right, below = right[fold], below[:, fold]
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(jac, kl, kl)
+    if info > 0:
+        raise RuntimeError(f"singular Jacobian: zero pivot in column {info}")
+    rhs_top = rhs[:size][fold]
+    z = scipy.linalg.lapack.dgbtrs(lu, kl, kl, np.column_stack([rhs_top, right]), piv)[0]
+    # block elimination of the borders: with J z = [f, B], the Schur
+    # complement S = D - C J^-1 B carries the border unknowns
+    schur = corner - below @ z[:, 1:]
+
+    def eliminate(x0, rhs_bottom):
+        y = np.linalg.solve(schur, rhs_bottom - below @ x0)
+        return x0 - z[:, 1:] @ y, y
+
+    try:
+        x, y = eliminate(z[:, 0], rhs[size:])
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"singular bordered system: {exc}") from exc
+    # block elimination loses accuracy when J is nearly singular, as at a
+    # fold; one step of residual correction on the full system restores it
+    # (Govaerts & Pryce 1993)
+    band_jx = scipy.linalg.blas.dgbmv(size, size, kl, kl, 1.0, jac[kl:], x)
+    res_top = rhs_top - band_jx - right @ y
+    res_bottom = rhs[size:] - below @ x - corner @ y
+    dx0 = scipy.linalg.lapack.dgbtrs(lu, kl, kl, res_top[:, None], piv)[0][:, 0]
+    dx, dy = eliminate(dx0, res_bottom)
+    out = np.empty(size + len(y))
+    out[fold] = x + dx
+    out[size:] = y + dy
+    return out
 
 
 @dataclass(frozen=True)

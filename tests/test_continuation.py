@@ -14,6 +14,8 @@ from geocount import cli, continuation, geometry, jacobi, loops, solver
 from geocount.continuation import MetricPath
 from geocount.geometry import GeometryError, MetricSpec
 
+from test_solver import _bordered_dense
+
 FOLD_START = ("poly", (1.0, -0.02, 0.0, 0.1 / 3.0), (-1.0, 1.0))
 FOLD_END = ("poly", (1.0, 0.02, 0.0, 0.1 / 3.0), (-1.0, 1.0))
 PD_TERMS_START = ((1, 1, 0.05), (2, 0, 0.16), (2, 2, 0.08), (3, 3, 0.03))
@@ -108,6 +110,24 @@ def test_fold_invariance_and_branch_pairing(fold_path, fold_branch, monkeypatch)
     assert eps == {(1, 1), (-1, -1)}  # colliding branches carry opposite signs
     assert report.records_after == {}
     assert report.detail_after == {"no_branches": 0}
+
+
+def test_corrector_solve_at_the_fold_matches_a_dense_solve(fold_path, fold_branch):
+    # at the fold J is nearly singular, so the band LU's border elimination
+    # relies on its residual correction; the extended system stays regular
+    event = fold_branch.events[0]
+    before = max((p for p in fold_branch.points if p.s <= event.s), key=lambda p: p.s)
+    tau = continuation._branch_tangent(
+        fold_path, before.t, np.asarray(before.result.loop.nodes))
+    nodes = np.asarray(event.loop.nodes)
+    n, m = nodes.shape
+    jac = solver._fd_jacobian(fold_path.at(event.t), nodes)
+    r_t = continuation._param_derivative(fold_path, event.t, nodes)
+    arc_row = np.concatenate([tau[:-1] / np.sqrt(n), [tau[-1]]])
+    rhs = np.random.default_rng(0).normal(size=n * m + 2)
+    want = np.linalg.solve(_bordered_dense(jac, nodes, r_t, arc_row), rhs)
+    got = solver._bordered_solve(jac, nodes, rhs, r_t, arc_row)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_fold_branch_labels_do_not_depend_on_the_kernel_sign(fold_path, fold_branch):

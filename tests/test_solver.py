@@ -5,11 +5,13 @@ and the oscillating orbit on a barrel profile is computed twice: once by the
 Clairaut quadrature (which never touches the discrete solver) and once by
 Newton refinement of a synthetic seed.
 
-The Newton kernel (stacked residual, colored Jacobian on its cached CSC
-pattern, bordered assembly) is checked against reference implementations
-kept here: the ``np.roll`` / ``np.sum`` / ``np.linalg.norm`` residual, the
-per-color COO loop and the ``scipy.sparse.bmat`` layout it replaced, which
-it must reproduce bit for bit.
+The Newton kernel is checked against reference implementations kept here.
+The stacked residual must reproduce the ``np.roll`` / ``np.sum`` /
+``np.linalg.norm`` residual bit for bit.  The colored Jacobian in folded
+band storage must hold the per-color COO loop's differences bit for bit
+and match a dense one-column-at-a-time difference.  The bordered solve, a
+band LU with the borders eliminated around it, must agree with
+``np.linalg.solve`` of the bordered matrix assembled densely.
 """
 
 import logging
@@ -18,7 +20,6 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse
-import scipy.sparse.linalg
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,9 +148,17 @@ def test_revolution_census_seeds_close_critical_parallels():
 
 
 def test_refinement_keeps_collapse_apart_from_a_singular_solve(ellipsoid_spec, monkeypatch):
+    # the collapse check comes before the factorization
     with pytest.raises(solver.CollapseError):
         solver._bordered_solve(None, np.zeros((16, 3)), np.zeros(49))
     seed = loops.great_circle_seed(ellipsoid_spec, np.eye(3)[0], np.eye(3)[1], 64)
+    with pytest.raises(RuntimeError, match="singular"):
+        solver._bordered_solve(np.zeros((25, 192)), seed.nodes, np.zeros(193))
+    identity = np.zeros((25, 192))
+    identity[16] = 1.0                        # the main diagonal, row 2 kl
+    with pytest.raises(RuntimeError, match="singular"):   # a zero extra row and column
+        solver._bordered_solve(identity, seed.nodes, np.zeros(194), np.zeros(192),
+                               np.zeros(193))
     for raised, expected in ((solver.CollapseError("collapsed"), solver.CollapseError),
                              (RuntimeError("singular matrix"), solver.StallError)):
         def fail(*args, raised=raised):
@@ -427,26 +436,37 @@ def _dense_jacobian(spec, nodes):
     return out
 
 
-def _bmat_bordered(jac, nodes, extra_col=None, extra_row=None):
-    """Reference: the bordered matrix through scipy.sparse.bmat."""
+def _folded_order(n, m):
+    """Reference: the flattened coordinates of nodes 0, N-1, 1, N-2, ..."""
+    order = [j for k in range(n // 2) for j in (k, n - 1 - k)] + [n // 2] * (n % 2)
+    return (np.asarray(order)[:, None] * m + np.arange(m)).reshape(-1)
+
+
+def _band_dense(band, m):
+    """Reference: the dense matrix held in a (3 kl + 1, size) LAPACK band array."""
+    kl = 3 * m - 1
+    size = band.shape[1]
+    out = np.zeros((size, size))
+    for off in range(-kl, kl + 1):            # off = row - column
+        out += np.diag(band[2 * kl + off, max(0, -off):size - max(0, off)], -off)
+    return out
+
+
+def _bordered_dense(jac, nodes, extra_col=None, extra_row=None):
+    """Reference: the bordered matrix assembled densely in the natural order."""
     n, m = nodes.shape
+    fold = _folded_order(n, m)
+    dense = np.empty((n * m, n * m))
+    dense[np.ix_(fold, fold)] = _band_dense(jac, m)
     vel = solver._velocity(nodes)
-    w = vel.reshape(-1)
-    w = w / np.linalg.norm(w)
-    gauge = np.zeros(n * m)
-    gauge[:m] = vel[0] / np.linalg.norm(vel[0])
+    w = vel.reshape(-1) / np.linalg.norm(vel)
+    gauge = np.zeros((1, n * m))
+    gauge[0, :m] = vel[0] / np.linalg.norm(vel[0])
     if extra_col is None:
-        blocks = [[jac, w[:, None]], [gauge[None, :], None]]
-    else:
-        blocks = [[jac, extra_col[:, None], w[:, None]],
-                  [gauge[None, :], None, None],
-                  [extra_row[None, :-1], extra_row[None, -1:], None]]
-    return scipy.sparse.bmat(blocks, format="csc")
-
-
-def _same_csc(a, b):
-    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+        return np.block([[dense, w[:, None]], [gauge, np.zeros((1, 1))]])
+    return np.block([[dense, extra_col[:, None], w[:, None]],
+                     [gauge, np.zeros((1, 2))],
+                     [extra_row[None, :-1], np.array([[extra_row[-1], 0.0]])]])
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
@@ -463,10 +483,19 @@ def test_stacked_residual_equals_single_calls(name, seed, amplitude):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_fd_jacobian_matches_the_per_color_loop(name):
+    # the band holds the per-color differences bit for bit, in the folded
+    # order, and the first kl rows are left free for the LU
     spec, nodes = _kernel_nodes(name, 32)
+    n, m = nodes.shape
+    fold = _folded_order(n, m)
+    assert np.array_equal(solver._band_pattern(n, m)[1], fold)
     jac = solver._fd_jacobian(spec, nodes)
-    assert _same_csc(jac, _coo_jacobian(spec, nodes))
-    assert np.allclose(jac.toarray(), _dense_jacobian(spec, nodes), rtol=1e-12, atol=1e-12)
+    assert jac.shape == (9 * m - 2, n * m)
+    assert not np.any(jac[:3 * m - 1])
+    folded = np.ix_(fold, fold)
+    assert np.array_equal(_band_dense(jac, m), _coo_jacobian(spec, nodes).toarray()[folded])
+    assert np.allclose(_band_dense(jac, m), _dense_jacobian(spec, nodes)[folded],
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_fd_jacobian_makes_two_residual_calls(monkeypatch):
@@ -479,34 +508,21 @@ def test_fd_jacobian_makes_two_residual_calls(monkeypatch):
     assert calls == [(16, 32, 4)] * 2
 
 
-@pytest.mark.parametrize("name", ["circle"] + sorted(KERNEL_SPECS))
-def test_bordered_assembly_matches_bmat(name, monkeypatch):
-    if name == "circle":
-        # a great circle in a coordinate plane: its velocity and gauge row
-        # have exact zeros, which bmat drops
-        spec = MetricSpec.ellipsoid((1.0, 1.0, 1.0))
-        nodes = loops.great_circle_seed(spec, np.eye(3)[0], np.eye(3)[1], 32).nodes
-    else:
-        spec, nodes = _kernel_nodes(name, 32)
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_bordered_solve_matches_a_dense_solve(name, seed):
+    spec, nodes = _kernel_nodes(name, 32, seed)
     n, m = nodes.shape
     jac = solver._fd_jacobian(spec, nodes)
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     extra_col = rng.normal(size=n * m)
-    extra_col[::3] = 0.0
     extra_row = rng.normal(size=n * m + 1)
-    extra_row[1::4] = 0.0
-    seen = []
-    real_splu = scipy.sparse.linalg.splu
-    monkeypatch.setattr(scipy.sparse.linalg, "splu",
-                        lambda a: seen.append(a) or real_splu(a))
-    for args in ((), (extra_col, extra_row), (extra_col, np.append(extra_row[:-1], 0.0))):
+    for args in ((), (extra_col, extra_row)):
         rhs = rng.normal(size=n * m + 1 + len(args) // 2)
-        sol = solver._bordered_solve(jac, nodes, rhs, *args)
-        want = _bmat_bordered(jac, nodes, *args)
-        assert _same_csc(seen[-1], want)
-        assert np.array_equal(sol, real_splu(want).solve(rhs))
-    if name == "circle":
-        assert seen[0].nnz < jac.nnz + n * m + m   # the zeros of w and the gauge are gone
+        want = np.linalg.solve(_bordered_dense(jac, nodes, *args), rhs)
+        got = solver._bordered_solve(jac, nodes, rhs, *args)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_refinement_evaluates_each_residual_once(ellipsoid_spec, monkeypatch):
