@@ -335,24 +335,9 @@ def _census_warnings(census, out: Out) -> None:
         out.warnings.append(
             "coverage: revolution census seeds only critical parallels; "
             "non-parallel classes below the bound are not searched")
-    if census.boundary_collisions:
+    if cert["band_exits"]:
         out.warnings.append(
-            f"band-exit: {census.boundary_collisions} seeds left the chart band")
-
-
-def _oriented_rows(census):
-    """(row id, partner id, entry, d, loop) per oriented iterate in range."""
-    out = []
-    for entry, d in solver.iterates(census):
-        base = entry.result.loop if d == 1 else loops.cover(entry.result.loop, d)
-        fwd = f"{entry.ident}.{d}+"
-        rev = f"{entry.ident}.{d}-"
-        if entry.self_reverse:
-            out.append((fwd, fwd, entry, d, base))
-        else:
-            out.append((fwd, rev, entry, d, base))
-            out.append((rev, fwd, entry, d, loops.reverse(base)))
-    return out
+            f"band-exit: {cert['band_exits']} seeds left the chart band")
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +348,13 @@ def cmd_census(cfg: RunConfig, out: Out) -> None:
     census = _run_census(cfg, cfg.metric, cfg.length_bound)
     _census_warnings(census, out)
     rows = []
-    for rid, partner, entry, d, loop in _oriented_rows(census):
-        rows.append((rid, d, d * entry.result.length, entry.result.residual, partner))
-        out.add(f"loops/{rid}.txt", _loop_record(loop.nodes))
+    for entry, d in solver.iterates(census):
+        # both orientations of every iterate, each naming the other
+        loop = entry.result.loop if d == 1 else loops.cover(entry.result.loop, d)
+        fwd, rev = f"{entry.ident}.{d}+", f"{entry.ident}.{d}-"
+        for rid, partner, oriented in ((fwd, rev, loop), (rev, fwd, loops.reverse(loop))):
+            rows.append((rid, d, d * entry.result.length, entry.result.residual, partner))
+            out.add(f"loops/{rid}.txt", _loop_record(oriented.nodes))
     out.add("geodesics.csv",
             _csv(("id", "d", "length", "residual", "partner"), rows))
     cert = census.certificate
@@ -398,8 +387,8 @@ def cmd_jacobi(cfg: RunConfig, out: Out) -> None:
                 f"gap {_fmt(idx.eigen_gap)} floquet_nu "
                 f"{rep.floquet_nullities[idx.d]} "
                 f"sector_ok {_fmt(rep.sector_checks[idx.d])}")
-        res_flags = ",".join(str(d) for d, flag in sorted(rep.resonances.items())
-                             if flag) or "none"
+        res_flags = ",".join(str(d) for d in range(1, 5)
+                             if rep.floquet_nullities[d]) or "none"
         lines.append(f"flags routes_agree={_fmt(rep.routes_agree)} "
                      f"resonances={res_flags}")
         blocks.append("\n".join(lines))
@@ -414,10 +403,9 @@ def cmd_weights(cfg: RunConfig, out: Out) -> None:
     census = _run_census(cfg, cfg.metric, cfg.length_bound)
     _census_warnings(census, out)
     records = weights.build_count_table(census).records
-    rows = [(rec.ident, rec.length, 1 if entry.self_reverse else 2,
-             rec.iota[0], rec.iota[1], rec.nu[0], rec.nu[1],
+    rows = [(rec.ident, rec.length, 2, rec.iota[0], rec.iota[1], rec.nu[0], rec.nu[1],
              rec.eps[0], rec.eps[1], rec.n1, rec.n2, rec.routes_agree)
-            for entry, rec in zip(census.entries, records)]
+            for rec in records]
     agree = all(rec.routes_agree for rec in records)
     out.add("weights.csv", _csv(
         ("ident", "length", "orientations", "iota_1", "iota_2", "nu_1", "nu_2",
@@ -487,14 +475,15 @@ def cmd_count(cfg: RunConfig, out: Out) -> None:
         ("strategy", "trial", "seed", "redraws", "classes", "value"),
         [(result.strategy, i, t.seed, t.redraws, t.classes, t.value)
          for i, t in enumerate(result.trials)]))
-    # the first trial's census supplies the step-plot data, cut to this
+    # the first trial's table supplies the step-plot data, cut to this
     # bound; the trial counted up to hi + pad, which is never below it
     bound = window[1] + 3.0 * cfg.amplitude
-    first = result.trials[0].census
-    rep_census = replace(
-        first, max_length=bound,
-        entries=tuple(e for e in first.entries if e.result.length <= bound))
-    table = weights.build_count_table(rep_census)
+    first = result.trials[0].table
+    rows = tuple(r for r in first.rows if r.length <= bound)
+    table = replace(
+        first, max_length=bound, rows=rows,
+        records=tuple(r for r in first.records if r.length <= bound),
+        collisions=tuple(c for c in first.collisions if c[1] < len(rows)))
     _count_outputs(table, window, cfg.probes, out)
     out.warnings.append(
         "degenerate protocol: step data and probes come from the first "

@@ -86,13 +86,10 @@ class MetricPath:
             cb = b.data[1]
             coeffs = tuple((1 - t) * x + t * y for x, y in zip(ca, cb))
             return MetricSpec.revolution(kind, coeffs, band)
-        terms = {}
-        for l, m, c in a.data:
-            terms[(l, m)] = terms.get((l, m), 0.0) + (1 - t) * c
-        for l, m, c in b.data:
-            terms[(l, m)] = terms.get((l, m), 0.0) + t * c
+        # conformal_sphere sums the (l, m) terms the two endpoints share
         return MetricSpec.conformal_sphere(
-            [(l, m, c) for (l, m), c in sorted(terms.items())])
+            [(l, m, (1 - t) * c) for l, m, c in a.data]
+            + [(l, m, t * c) for l, m, c in b.data])
 
 
 @dataclass(frozen=True)

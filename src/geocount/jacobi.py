@@ -257,7 +257,7 @@ def sector_decomposition(data: JacobiOperatorData, d: int):
 @dataclass(frozen=True)
 class MonodromyResult:
     matrix: np.ndarray        # (2p, 2p) return map of (zeta, zeta')
-    multipliers: np.ndarray   # eigenvalues
+    multipliers: np.ndarray   # eigenvalues: ascending real part, then +imag first
     det_defect: float         # |det M - 1|, exact symplectic volume check
     fundamental: np.ndarray   # (N, 2p, 2p) fundamental solution at theta_i = i/N
 
@@ -320,6 +320,8 @@ def monodromy(data: JacobiOperatorData) -> MonodromyResult:
     mat = scan[-1]
     fundamental = np.concatenate([np.eye(q)[None], scan[:-1]])
     mult = np.linalg.eigvals(mat)
+    # eigvals' own order is decided by round-off
+    mult = mult[np.lexsort((-mult.imag, mult.real))]
     det_defect = float(abs(np.linalg.det(mat) - 1.0))
     return MonodromyResult(matrix=mat, multipliers=mult, det_defect=det_defect,
                            fundamental=fundamental)
@@ -413,8 +415,7 @@ class JacobiReport:
     data: JacobiOperatorData
     indices: tuple            # IndexResult for d = 1..d_max
     mono: MonodromyResult
-    floquet_nullities: dict   # d -> dim ker(M^d - I)
-    resonances: dict          # d -> nu(d) > 0 flags for d <= 4
+    floquet_nullities: dict   # d -> dim ker(M^d - I), d <= max(d_max, 4)
     routes_agree: bool        # spectral vs Floquet nullities and sector sums
     sector_checks: dict       # d -> bool
 
@@ -433,7 +434,6 @@ def jacobi_report(source, d_max: int = 2) -> JacobiReport:
         sector_checks[d] = ok
         if direct.nu != floq[d] or not ok:
             agree = False
-    resonances = {d: floq[d] > 0 for d in range(1, 5)}
     return JacobiReport(
         data=data, indices=tuple(indices), mono=mono, floquet_nullities=floq,
-        resonances=resonances, routes_agree=agree, sector_checks=sector_checks)
+        routes_agree=agree, sector_checks=sector_checks)

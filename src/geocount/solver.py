@@ -395,12 +395,11 @@ def refine_to_geodesic(
 
 @dataclass(frozen=True)
 class CensusEntry:
-    """One unoriented primitive closed-geodesic class."""
+    """One unoriented primitive closed-geodesic class: its two orientations."""
 
     ident: str
     result: GeodesicResult
     hits: int                 # converged seeds that landed on this class
-    self_reverse: bool        # reversal is a rotation of the loop itself
 
 
 @dataclass(frozen=True)
@@ -409,7 +408,6 @@ class Census:
     max_length: float
     entries: tuple
     degenerate_family: bool
-    boundary_collisions: int
     certificate: dict
 
 
@@ -471,7 +469,9 @@ def find_all(
     Seeds are refined independently and in a fixed order; results are reduced
     under a canonical sort, so the outcome does not depend on evaluation
     order.  Classes are unoriented: a converged loop matching the reversal of
-    an existing class counts as a hit on that class.  A seed whose
+    an existing class counts as a hit on that class, so every class stands
+    for two oriented geodesics (a closed geodesic is never a rotation of its
+    own reversal).  A seed whose
     refinement, or the refinement of its primitive base, fails is counted in
     the certificate by the failure's class: ``stalled``, ``diverged``,
     ``collapsed`` or ``band_exits``.  Each seed's outcome is logged at DEBUG:
@@ -506,33 +506,21 @@ def find_all(
         key=lambda i: (round(converged[i].length, 9),
                        loops.canonicalize(converged[i].loop).nodes.tobytes()),
     )
-    classes: list[list] = []   # [representative GeodesicResult, hits, reverse_hit]
+    classes: list[list] = []   # [representative GeodesicResult, hits]
     for idx in order:
         cand = converged[idx]
-        placed = False
         for cls in classes:
             rep = cls[0]
             tol_len = dedup_tol * max(1.0, rep.length)
-            if abs(cand.length - rep.length) > tol_len:
-                continue
-            if loops.loop_distance(rep.loop, cand.loop) <= tol_len:
+            if abs(cand.length - rep.length) <= tol_len and (
+                    loops.loop_distance(rep.loop, cand.loop) <= tol_len
+                    or loops.loop_distance(rep.loop, loops.reverse(cand.loop)) <= tol_len):
                 cls[1] += 1
-                placed = True
                 break
-            if loops.loop_distance(rep.loop, loops.reverse(cand.loop)) <= tol_len:
-                cls[1] += 1
-                cls[2] = True
-                placed = True
-                break
-        if not placed:
-            classes.append([cand, 1, False])
-
-    entries = []
-    for k, (rep, hits, _) in enumerate(classes):
-        self_rev = loops.loop_distance(rep.loop, loops.reverse(rep.loop)) \
-            <= dedup_tol * max(1.0, rep.length)
-        entries.append(CensusEntry(
-            ident=f"g{k:03d}", result=rep, hits=hits, self_reverse=self_rev))
+        else:
+            classes.append([cand, 1])
+    entries = [CensusEntry(ident=f"g{k:03d}", result=rep, hits=hits)
+               for k, (rep, hits) in enumerate(classes)]
 
     degenerate = False
     lengths = sorted(e.result.length for e in entries)
@@ -546,19 +534,19 @@ def find_all(
         else:
             run = 1
 
+    min_hits = min((e.hits for e in entries), default=0)
     certificate = {
         "seeds": len(seeds),
         "converged": len(converged),
         **failed,
         "classes": len(entries),
-        "min_hits": min((e.hits for e in entries), default=0),
-        "complete": bool(entries) and min((e.hits for e in entries), default=0) >= 2,
+        "min_hits": min_hits,
+        "complete": bool(entries) and min_hits >= 2,
         "max_residual": max((e.result.residual for e in entries), default=0.0),
     }
     return Census(
         metric=spec, max_length=max_length, entries=tuple(entries),
-        degenerate_family=degenerate, boundary_collisions=failed["band_exits"],
-        certificate=certificate)
+        degenerate_family=degenerate, certificate=certificate)
 
 
 def iterates(census: Census):
@@ -598,16 +586,16 @@ class ShootResult:
 def clairaut_shoot(
     spec: MetricSpec,
     c: float,
-    z0: float | None = None,
     closure_tol: float = 1e-9,
 ) -> ShootResult:
     """Quadrature integration of the Clairaut oscillation r^2 phi' = c.
 
     Works entirely from the profile: the geodesic oscillates between the two
-    heights where r = |c| that bracket z0.  The turning-point square-root
-    singularities are removed by the substitution z = mid + half * sin(u), so
-    plain Gauss-Legendre quadrature converges geometrically.  This route
-    never touches the discrete solver and serves as its independent check.
+    heights where r = |c| that bracket the profile's widest point.  The
+    turning-point square-root singularities are removed by the substitution
+    z = mid + half * sin(u), so plain Gauss-Legendre quadrature converges
+    geometrically.  This route never touches the discrete solver and serves
+    as its independent check.
     """
     if spec.family != "revolution":
         raise GeometryError("Clairaut shooting requires a revolution surface")
@@ -617,11 +605,9 @@ def clairaut_shoot(
     zs = np.linspace(lo, hi, 2049)
     r_grid = impl.profile(zs, 0)[0]
     above = r_grid > cc
-    if z0 is None:
-        z0 = float(zs[np.argmax(r_grid)])
-    i0 = int(np.clip(np.searchsorted(zs, z0), 1, len(zs) - 2))
+    i0 = int(np.clip(np.argmax(r_grid), 1, len(zs) - 2))
     if not above[i0]:
-        raise GeometryError("no oscillation: the profile never exceeds |c| at z0")
+        raise GeometryError("no oscillation: the profile never exceeds |c|")
 
     def fr(z):
         return impl.profile(z, 0)[0] - cc
@@ -684,19 +670,18 @@ def clairaut_find_closed(
     p: int,
     q: int,
     c_bracket: tuple,
-    z0: float | None = None,
 ) -> ShootResult:
     """Solve delta_phi(c) = 2 pi p / q for the Clairaut constant by bisection."""
     target = 2.0 * np.pi * p / q
 
     def fun(c):
-        res = clairaut_shoot(spec, c, z0=z0)
+        res = clairaut_shoot(spec, c)
         if res.leaves_band:
             raise BandExitError("bracket reaches orbits that leave the band")
         return res.delta_phi - target
 
     c_star = scipy.optimize.brentq(fun, c_bracket[0], c_bracket[1], xtol=1e-14)
-    return clairaut_shoot(spec, c_star, z0=z0, closure_tol=1e-6)
+    return clairaut_shoot(spec, c_star, closure_tol=1e-6)
 
 
 def parallel_heights(spec: MetricSpec) -> tuple:

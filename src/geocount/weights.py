@@ -9,9 +9,9 @@ of the Morse indices alone:
 
 and every deeper iterate contributes zero.  The count function adds n_d over
 all oriented closed geodesics of length at most L; the census stores
-unoriented classes, so each class enters with orientation multiplicity two
-(a closed geodesic is never a rotation of its own reversal: that would force
-a zero of its velocity).
+unoriented classes, and each class enters twice, once per orientation (a
+closed geodesic is never a rotation of its own reversal: that would force a
+zero of its velocity).
 
 Degenerate families (round spheres and friends) have no well-defined
 individual weights; their windowed counts are computed by perturbing the
@@ -63,7 +63,6 @@ class WeightRecord:
     eps: tuple                # ((-1)^iota(1), (-1)^iota(2))
     n1: int
     n2: int
-    resonances: dict          # d <= 4 -> nullity of M^d - I (informational)
     routes_agree: bool
 
 
@@ -71,8 +70,7 @@ def weight(report: jacobi.JacobiReport, ident: str = "", length: float | None = 
     """Weights of a primitive geodesic from its stability report.
 
     Requires nu(1) = nu(2) = 0 (checked on both computational routes);
-    deeper resonances d = 3, 4 do not obstruct the weights and are only
-    recorded as flags.
+    deeper resonances d = 3, 4 do not obstruct the weights.
     """
     by_d = {r.d: r for r in report.indices}
     if 1 not in by_d or 2 not in by_d:
@@ -93,8 +91,7 @@ def weight(report: jacobi.JacobiReport, ident: str = "", length: float | None = 
     ell = length if length is not None else loops.length(report.data.loop)
     return WeightRecord(
         ident=ident, length=ell, iota=(i1.iota, i2.iota), nu=(i1.nu, i2.nu),
-        eps=(eps1, eps2), n1=eps1, n2=n2,
-        resonances=dict(report.floquet_nullities), routes_agree=report.routes_agree)
+        eps=(eps1, eps2), n1=eps1, n2=n2, routes_agree=report.routes_agree)
 
 
 @dataclass(frozen=True)
@@ -102,8 +99,7 @@ class CountRow:
     length: float             # length of the iterate (d * primitive length)
     ident: str
     d: int
-    orientations: int
-    contribution: int         # orientations * n_d
+    contribution: int         # 2 * n_d: both orientations
     cumulative: int
 
 
@@ -142,11 +138,10 @@ def build_count_table(census: solver.Census, reports: dict | None = None) -> Cou
     cum = 0
     for entry, d, ell in solver.iterate_table(census):
         rec = by_ident[entry.ident]
-        orient = 1 if entry.self_reverse else 2
-        contrib = orient * (rec.n1 if d == 1 else rec.n2 if d == 2 else 0)
+        contrib = 2 * (rec.n1 if d == 1 else rec.n2 if d == 2 else 0)
         cum += contrib
         rows.append(CountRow(length=ell, ident=entry.ident, d=d,
-                             orientations=orient, contribution=contrib, cumulative=cum))
+                             contribution=contrib, cumulative=cum))
     collisions = tuple(
         (i, i + 1) for i in range(len(rows) - 1)
         if rows[i + 1].length - rows[i].length <= _LENGTH_RESOLUTION * max(1.0, rows[i].length)
@@ -228,7 +223,7 @@ class TrialOutcome:
     metric: MetricSpec
     classes: int
     value: int
-    census: solver.Census     # the census the trial counted, up to hi + pad
+    table: CountTable         # the table the trial counted, up to hi + pad
 
 
 @dataclass(frozen=True)
@@ -295,7 +290,7 @@ def degenerate_weight(
             value = set_weight(table, (lo, hi))
             outcomes.append(TrialOutcome(
                 seed=seed + 31 * t, redraws=redraws, metric=pert,
-                classes=len(census.entries), value=value, census=census))
+                classes=len(census.entries), value=value, table=table))
             break
     values = {o.value for o in outcomes}
     if len(values) != 1:

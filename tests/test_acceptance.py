@@ -154,8 +154,8 @@ def test_criterion_02_sphere_window_count(capsys):
             outcomes[strategy] = res
             assert res.value == -2
             assert all(t.value == -2 for t in res.trials)
-        # the trial's own census, counted up to 7.0 plus the perturbation pad
-        table = weights.build_count_table(outcomes["axis_jitter"].trials[0].census)
+        # the trial's own table, counted up to 7.0 plus the perturbation pad
+        table = outcomes["axis_jitter"].trials[0].table
         assert weights.count_function(table, 5.0) == 0
         assert weights.count_function(table, 7.0) == -2
         assert time.perf_counter() - t0 < 600.0

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from geocount import cli, continuation, solver, weights
+from geocount import cli, continuation, jacobi, solver, weights
+from geocount.geometry import MetricSpec
 
 ELLIPSOID_CFG = """\
 [metric]
@@ -365,20 +366,38 @@ grid = 3
     assert "count grid: PASS" in (out / "summary.txt").read_text()
 
 
+def test_census_warnings_count_the_seeds_that_left_the_band():
+    census = solver.Census(
+        metric=MetricSpec.ellipsoid((1.0, 1.0, 1.0)), max_length=1.0, entries=(),
+        degenerate_family=False, certificate={"band_exits": 2, "complete": False})
+    out = cli.Out("unused")
+    cli._census_warnings(census, out)
+    assert out.warnings == ["band-exit: 2 seeds left the chart band"]
+
+
 def test_count_reuses_the_first_trials_census(tmp_path, monkeypatch):
     # one census of the metric itself and one per trial; the step data come
-    # from trial 0's census, cut to the count's bound, with no third census
+    # from trial 0's count table, cut to the count's bound, with no third
+    # census and no second Jacobi report of any class
     bounds = []
+    reports = []
     original = solver.find_all
+    original_report = jacobi.jacobi_report
 
     def counting(spec, max_length, *args, **kwargs):
         bounds.append(max_length)
         return original(spec, max_length, *args, **kwargs)
 
+    def reporting(source, *args, **kwargs):
+        reports.append(source)
+        return original_report(source, *args, **kwargs)
+
     monkeypatch.setattr(solver, "find_all", counting)
+    monkeypatch.setattr(jacobi, "jacobi_report", reporting)
     code, out = _run(tmp_path, "count", SPHERE_COUNT_CFG)
     assert code == 0
     assert len(bounds) == 2
+    assert len(reports) == 3  # the trial's three classes, once each
     assert bounds[1] >= 7.0 + 3.0 * 1e-2
     degenerate = (out / "degenerate.csv").read_text().strip().splitlines()
     assert degenerate[1].split(",")[-1] == "-2"

@@ -150,6 +150,16 @@ def test_monodromy_is_area_preserving(sphere_report, spheroid_report, waist_repo
         assert abs(det - 1.0) < max(1e-12, 16.0 * floor)
 
 
+def test_multipliers_ascend_by_real_part_then_positive_imaginary_first(
+        ellipsoid_reports, waist_report):
+    # a reciprocal hyperbolic pair prints small then large, a conjugate
+    # elliptic pair +imag then -imag, whatever order eigvals returned
+    for rep in list(ellipsoid_reports.values()) + [waist_report]:
+        mult = rep.mono.multipliers
+        keys = [(m.real, -m.imag) for m in mult]
+        assert keys == sorted(keys)
+
+
 def _b_theta_interp(data):
     """Reference: the trigonometric interpolant t -> speed^2 B(t) that the
     adaptive monodromy integration evaluated, one (1, N) phase row times the

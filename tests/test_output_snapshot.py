@@ -82,6 +82,14 @@ def test_float_inside_parentheses_and_exponent_compare_as_floats(tmp_path, capsy
     assert "within run-a/jacobi.txt:4" in out
 
 
+def test_integer_against_float_fails_with_its_relative_size(tmp_path, capsys):
+    # an exact 0.0 prints as the integer literal 0
+    code, out = _compare(tmp_path, capsys, edits={
+        "run-b/summary.txt": ("(0, 7)", "(1.2e-17, 7)")})
+    assert code == 1
+    assert "FAIL   run-b/summary.txt:2: 0 -> 1.2e-17 (rel 1.00e+00, integer and float)" in out
+
+
 @pytest.mark.parametrize("rel, old, new", [
     ("run-a/jacobi.txt", "iota 1 ", "iota 2 "),          # integer
     ("run-a/count.csv", ",-2,-2", ",-2,0"),               # integer column

@@ -35,7 +35,8 @@ def test_ellipsoid_weight_records(ellipsoid_records):
 def test_count_table_totals_minus_two(ellipsoid_table):
     table = ellipsoid_table
     assert len(table.rows) == 3
-    assert all(row.orientations == 2 for row in table.rows)
+    n1 = {rec.ident: rec.n1 for rec in table.records}
+    assert all(row.d == 1 and row.contribution == 2 * n1[row.ident] for row in table.rows)
     assert [row.contribution for row in table.rows] == [-2, 2, -2]
     assert [row.cumulative for row in table.rows] == [-2, 0, -2]
     assert table.total() == -2

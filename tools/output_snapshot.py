@@ -23,9 +23,11 @@ one thread unless the environment says otherwise.
 same files with the same line counts.  Each line is split on whitespace,
 ``,``, ``(`` and ``)``; separators and non-float tokens (integers, ids,
 ``yes``/``no`` flags, text) must match exactly, and a float token passes
-when |a - b| <= REL_TOL * max(|a|, |b|).  Every difference is listed with
-its file, line, both values and the relative difference; the exit code is 1
-when any difference is outside the tolerance, 0 otherwise.  The lines of
+when |a - b| <= REL_TOL * max(|a|, |b|).  A float against an integer
+literal, such as ``0`` against ``1.2e-17`` (an exact 0.0 prints as ``0``),
+always fails.  Every difference is listed with its file, line, both values
+and, for numbers, the relative difference; the exit code is 1 when any
+difference is outside the tolerance, 0 otherwise.  The lines of
 ``seeds.log`` hold integers and text only, so every seed's outcome and
 iteration count must match exactly.
 """
@@ -59,6 +61,7 @@ REL_TOL = 1e-9
 
 _SEPARATORS = re.compile(r"([\s,()]+)")
 _FLOAT = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][+-]?\d+)?|[+-]?(?:inf|nan)")
+_INT = re.compile(r"[+-]?\d+")
 USAGE = ("usage: python3 tools/output_snapshot.py OUT_DIR\n"
          "       python3 tools/output_snapshot.py --compare PARENT_DIR CHANGE_DIR")
 
@@ -146,12 +149,18 @@ def _compare_lines(rel: str, lineno: int, a: str, b: str) -> list:
     for x, y in zip(ta[0::2], tb[0::2]):
         if x == y:
             continue
-        if not (_is_float(x) and _is_float(y)):
+        floats = _is_float(x) + _is_float(y)
+        # a float against an integer literal (``.17g`` prints 0.0 as ``0``)
+        mixed = floats == 1 and all(_is_float(t) or _INT.fullmatch(t) for t in (x, y))
+        if floats < 2 and not mixed:
             out.append((False, f"{where}: {x!r} -> {y!r} (not a float)"))
             continue
         fx, fy = float(x), float(y)
         scale = max(abs(fx), abs(fy))
         rel_diff = abs(fx - fy) / scale if scale > 0.0 else 0.0
+        if mixed:
+            out.append((False, f"{where}: {x} -> {y} (rel {rel_diff:.2e}, integer and float)"))
+            continue
         ok = abs(fx - fy) <= REL_TOL * scale
         out.append((ok, f"{where}: {x} -> {y} (rel {rel_diff:.2e})"))
     return out
