@@ -3,9 +3,9 @@
 Run configurations live in flat key/value text files (INI sections, no
 nesting).  Every command writes CSV tables and plain-text reports into an
 output directory; identical configs (including the master seed) produce
-byte-identical files.  Exit codes: 0 success, 2 config parse error, 3 solver
-stall (partial results are still written), 4 ambiguous windowed count,
-5 unresolved event cluster.
+byte-identical files.  Exit codes: 0 success, 1 anything else, 2 config
+parse error, 3 solver stall (partial results are still written), 4 ambiguous
+windowed count, 5 unresolved event cluster.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -415,6 +415,21 @@ def cmd_weights(cfg: RunConfig, out: Out) -> None:
     out.summary.append(f"route agreement: {'PASS' if agree else 'FAIL'}")
 
 
+_DEGENERATE_HEADER = ("strategy", "trial", "seed", "redraws", "classes", "value")
+
+
+def _perturbation_trials(cfg: RunConfig, window: tuple, strategy: str):
+    """The perturbation protocol at the run's settings: its result and one
+    ``degenerate.csv`` row per trial."""
+    result = weights.degenerate_weight(
+        cfg.metric, window, strategy=strategy, seed=cfg.seed,
+        trials=cfg.trials, amplitude=cfg.amplitude, mesh=cfg.mesh,
+        planes=cfg.planes, tol=cfg.tol_residual, dedup_tol=cfg.tol_dedup)
+    rows = [(strategy, i, t.seed, t.redraws, len(t.table.records), t.value)
+            for i, t in enumerate(result.trials)]
+    return result, rows
+
+
 def _count_outputs(table, window, probes, out: Out) -> None:
     out.add("count.csv", _csv(
         ("length", "weight", "cumulative"),
@@ -467,24 +482,12 @@ def cmd_count(cfg: RunConfig, out: Out) -> None:
             return
 
     strategy = cfg.strategy if cfg.strategy != "both" else "axis_jitter"
-    result = weights.degenerate_weight(
-        cfg.metric, window, strategy=strategy, seed=cfg.seed,
-        trials=cfg.trials, amplitude=cfg.amplitude, mesh=cfg.mesh,
-        planes=cfg.planes, tol=cfg.tol_residual, dedup_tol=cfg.tol_dedup)
-    out.add("degenerate.csv", _csv(
-        ("strategy", "trial", "seed", "redraws", "classes", "value"),
-        [(result.strategy, i, t.seed, t.redraws, t.classes, t.value)
-         for i, t in enumerate(result.trials)]))
-    # the first trial's table supplies the step-plot data, cut to this
-    # bound; the trial counted up to hi + pad, which is never below it
-    bound = window[1] + 3.0 * cfg.amplitude
-    first = result.trials[0].table
-    rows = tuple(r for r in first.rows if r.length <= bound)
-    table = replace(
-        first, max_length=bound, rows=rows,
-        records=tuple(r for r in first.records if r.length <= bound),
-        collisions=tuple(c for c in first.collisions if c[1] < len(rows)))
-    _count_outputs(table, window, cfg.probes, out)
+    result, rows = _perturbation_trials(cfg, window, strategy)
+    out.add("degenerate.csv", _csv(_DEGENERATE_HEADER, rows))
+    # an accepted trial has no iterate within pad of hi and counted only up
+    # to hi + pad, so its rows, records and collisions lie below hi - pad;
+    # probes lie at or below hi, so its table serves them as it is
+    _count_outputs(result.trials[0].table, window, cfg.probes, out)
     out.warnings.append(
         "degenerate protocol: step data and probes come from the first "
         "perturbation trial; the window total is the all-trial consensus")
@@ -500,23 +503,18 @@ def cmd_degenerate_weight(cfg: RunConfig, out: Out) -> None:
     rows = []
     values = {}
     for strategy in strategies:
-        result = weights.degenerate_weight(
-            cfg.metric, window, strategy=strategy, seed=cfg.seed,
-            trials=cfg.trials, amplitude=cfg.amplitude, mesh=cfg.mesh,
-            planes=cfg.planes, tol=cfg.tol_residual, dedup_tol=cfg.tol_dedup)
+        result, trial_rows = _perturbation_trials(cfg, window, strategy)
         values[strategy] = result.value
-        for i, t in enumerate(result.trials):
-            rows.append((strategy, i, t.seed, t.redraws, t.classes, t.value))
+        rows.extend(trial_rows)
         out.summary.append(f"strategy {strategy}: value {result.value} "
                            f"({len(result.trials)} trials agree)")
-    out.add("degenerate.csv", _csv(
-        ("strategy", "trial", "seed", "redraws", "classes", "value"), rows))
+    out.add("degenerate.csv", _csv(_DEGENERATE_HEADER, rows))
     if len(set(values.values())) == 1:
         out.summary.append(f"strategies agree: PASS (value {next(iter(values.values()))})")
     else:
         out.summary.append(f"strategies agree: FAIL {values}")
         raise weights.AmbiguousWeight(
-            f"perturbation strategies disagree: {values}", tuple(values.items()))
+            f"perturbation strategies disagree: {values}", values.values())
 
 
 def _start_results(cfg: RunConfig):
@@ -706,10 +704,7 @@ def exit_code_for(exc: BaseException) -> int:
 
 def _describe(exc: BaseException) -> str:
     if isinstance(exc, weights.AmbiguousWeight):
-        vals = []
-        for t in exc.trials:
-            vals.append(str(t[1]) if isinstance(t, tuple) else str(t.value))
-        return f"{exc} [trial values: {', '.join(vals)}]"
+        return f"{exc} [trial values: {', '.join(str(v) for v in exc.values)}]"
     return str(exc)
 
 

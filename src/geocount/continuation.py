@@ -124,7 +124,6 @@ class BranchResult:
     path: MetricPath
     points: tuple
     events: tuple
-    reached_end: bool
     stop_reason: str
 
 
@@ -241,7 +240,6 @@ def continue_branch(
     s_acc = 0.0
     events = []
     stop_reason = "max_steps"
-    reached_end = False
     step = ds
     for _ in range(max_steps):
         pred_nodes = nodes + step * tau[:-1].reshape(nodes.shape) * math.sqrt(nodes.shape[0])
@@ -253,7 +251,7 @@ def continue_branch(
                 err = solver.StallError("continuation step size underflow")
                 err.partial = BranchResult(
                     path=path, points=tuple(points), events=tuple(events),
-                    reached_end=False, stop_reason="stall")
+                    stop_reason="stall")
                 raise err
             continue
         new_nodes, new_t = out
@@ -266,8 +264,7 @@ def continue_branch(
                             event_t_tol, tol)
             points.append(BranchPoint(t=t_end, s=s_acc + step, length=res_end.length,
                                       trace=tr_end, result=res_end, data=data_end))
-            reached_end = t_end == 1.0
-            stop_reason = "reached_end" if reached_end else "returned_to_start"
+            stop_reason = "reached_end" if t_end == 1.0 else "returned_to_start"
             break
         spec_new = path.at(new_t)
         res_new = solver.refine_to_geodesic(
@@ -295,7 +292,7 @@ def continue_branch(
             raise UnresolvedClusterError(
                 f"events at t={a.t!r} and t={b.t!r} are closer than {cluster_tol}")
     return BranchResult(path=path, points=tuple(points), events=tuple(events),
-                        reached_end=reached_end, stop_reason=stop_reason)
+                        stop_reason=stop_reason)
 
 
 def _maybe_pd_event(path, prev_pt: BranchPoint, new_state, events, t_tol, tol):
@@ -521,7 +518,6 @@ def spawn_doubled_branch(
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    event_kind: str
     t_before: float
     t_after: float
     total_before: int
@@ -561,7 +557,7 @@ def verify_invariance(
     total_b = sum(detail_b.values())
     total_a = sum(detail_a.values())
     return InvarianceReport(
-        event_kind=event.kind, t_before=t_b, t_after=t_a,
+        t_before=t_b, t_after=t_a,
         total_before=total_b, total_after=total_a,
         invariant=(total_b == total_a),
         detail_before=detail_b, detail_after=detail_a,

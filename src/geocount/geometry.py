@@ -19,8 +19,7 @@ spherical Laplacian of u are read from the folded table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,48 +71,20 @@ class MetricSpec:
 
     Use the classmethod constructors; ``data`` is a canonicalized tuple whose
     layout depends on the family.  Every construction, direct or through a
-    classmethod, validates the parameters once.
+    classmethod, builds the family object once, which validates the
+    parameters; ``impl`` holds it and takes no part in equality, hashing or
+    repr.
     """
 
     family: str
     data: tuple
+    impl: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family == "ellipsoid":
-            a = self.data
-            if len(a) < 3:
-                raise GeometryError("ellipsoid needs at least 3 coefficients")
-            if not all(np.isfinite(a)) or min(a) <= 0.0:
-                raise GeometryError("ellipsoid coefficients must be finite and positive")
-        elif self.family == "revolution":
-            self._check_revolution()
-        elif self.family == "conformal_sphere":
-            for l, m, c in self.data:
-                if (l, m) not in _HARMONICS:
-                    raise GeometryError(f"unsupported harmonic degree ({l}, {m})")
-                if not np.isfinite(c):
-                    raise GeometryError("harmonic coefficients must be finite")
-        else:
+        impl_cls = _FAMILIES.get(self.family)
+        if impl_cls is None:
             raise GeometryError(f"unknown metric family {self.family!r}")
-
-    def _check_revolution(self):
-        kind, c, (lo, hi) = self.data
-        if kind not in _PROFILE_KINDS:
-            raise GeometryError(f"unknown profile kind {kind!r}")
-        if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-            raise GeometryError("z band must be a finite increasing pair")
-        if kind == "cosh" and (len(c) != 2 or c[0] <= 0.0):
-            raise GeometryError("cosh profile takes (scale, center) with scale > 0")
-        if kind == "ellipse":
-            if len(c) != 2 or c[0] <= 0.0 or c[1] <= 0.0:
-                raise GeometryError("ellipse profile takes positive (equator, pole)")
-            if max(abs(lo), abs(hi)) >= c[1]:
-                raise GeometryError("z band must lie strictly between the poles")
-        if kind == "poly" and len(c) == 0:
-            raise GeometryError("poly profile needs at least one coefficient")
-        zs = np.linspace(lo, hi, 257)
-        if np.min(_impl(self).profile(zs, 0)[0]) <= 0.0:
-            raise GeometryError("profile radius must stay positive on the band")
+        object.__setattr__(self, "impl", impl_cls(self))
 
     @classmethod
     def ellipsoid(cls, axes) -> "MetricSpec":
@@ -154,13 +125,11 @@ class MetricSpec:
 
     @property
     def ambient_dim(self) -> int:
-        if self.family == "ellipsoid":
-            return len(self.data)
-        return 3
+        return self.impl.m
 
 
 # ---------------------------------------------------------------------------
-# family implementations (internal, cached per spec)
+# family implementations (internal, one per spec)
 # ---------------------------------------------------------------------------
 
 def _dot(x, y):
@@ -187,7 +156,12 @@ class _Ellipsoid:
     conformal = False
 
     def __init__(self, spec: MetricSpec):
-        self.a = np.asarray(spec.data, dtype=float)
+        a = spec.data
+        if len(a) < 3:
+            raise GeometryError("ellipsoid needs at least 3 coefficients")
+        if not all(np.isfinite(a)) or min(a) <= 0.0:
+            raise GeometryError("ellipsoid coefficients must be finite and positive")
+        self.a = np.asarray(a, dtype=float)
         self.m = self.a.size
 
     def constraint(self, x):
@@ -227,15 +201,30 @@ class _Revolution:
     _MARGIN = 1e-9
 
     def __init__(self, spec: MetricSpec):
-        kind, coeffs, band = spec.data
+        kind, c, (lo, hi) = spec.data
+        if kind not in _PROFILE_KINDS:
+            raise GeometryError(f"unknown profile kind {kind!r}")
+        if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
+            raise GeometryError("z band must be a finite increasing pair")
+        if kind == "cosh" and (len(c) != 2 or c[0] <= 0.0):
+            raise GeometryError("cosh profile takes (scale, center) with scale > 0")
+        if kind == "ellipse":
+            if len(c) != 2 or c[0] <= 0.0 or c[1] <= 0.0:
+                raise GeometryError("ellipse profile takes positive (equator, pole)")
+            if max(abs(lo), abs(hi)) >= c[1]:
+                raise GeometryError("z band must lie strictly between the poles")
+        if kind == "poly" and len(c) == 0:
+            raise GeometryError("poly profile needs at least one coefficient")
         self.kind = kind
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.band = band
+        self.coeffs = np.asarray(c, dtype=float)
+        self.band = (lo, hi)
         if kind == "poly":
             der = np.polynomial.polynomial.polyder
             # coefficients of r, r', r'' as numpy derives them
             self.derivs = tuple(
                 tuple(der(self.coeffs, k).tolist()) for k in range(3))
+        if np.min(self.profile(np.linspace(lo, hi, 257), 0)[0]) <= 0.0:
+            raise GeometryError("profile radius must stay positive on the band")
 
     def profile(self, z, order: int):
         """Return (r, r', ..., r^(order)) at heights z (vectorized), order <= 2.
@@ -325,6 +314,10 @@ class _ConformalSphere:
     def __init__(self, spec: MetricSpec):
         folded: dict[tuple, float] = {}
         for l, m, c in spec.data:
+            if (l, m) not in _HARMONICS:
+                raise GeometryError(f"unsupported harmonic degree ({l}, {m})")
+            if not np.isfinite(c):
+                raise GeometryError("harmonic coefficients must be finite")
             for e, a in _HARMONICS[(l, m)].items():
                 folded[e] = folded.get(e, 0.0) + c * a
         # exponent -> coefficients in p, dp/dy_0..2, y . grad p, Lap u
@@ -386,13 +379,11 @@ class _ConformalSphere:
         return np.asarray(ref, dtype=float)
 
 
-@lru_cache(maxsize=128)
-def _impl(spec: MetricSpec):
-    if spec.family == "ellipsoid":
-        return _Ellipsoid(spec)
-    if spec.family == "revolution":
-        return _Revolution(spec)
-    return _ConformalSphere(spec)
+_FAMILIES = {
+    "ellipsoid": _Ellipsoid,
+    "revolution": _Revolution,
+    "conformal_sphere": _ConformalSphere,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +391,15 @@ def _impl(spec: MetricSpec):
 # ---------------------------------------------------------------------------
 
 def constraint(spec: MetricSpec, x) -> np.ndarray:
-    return _impl(spec).constraint(np.asarray(x, dtype=float))
+    return spec.impl.constraint(np.asarray(x, dtype=float))
 
 
 def constraint_grad(spec: MetricSpec, x) -> np.ndarray:
-    return _impl(spec).grad(np.asarray(x, dtype=float))
+    return spec.impl.grad(np.asarray(x, dtype=float))
 
 
 def constraint_hess(spec: MetricSpec, x) -> np.ndarray:
-    return _impl(spec).hess(np.asarray(x, dtype=float))
+    return spec.impl.hess(np.asarray(x, dtype=float))
 
 
 def unit_normal(spec: MetricSpec, x) -> np.ndarray:
@@ -425,12 +416,12 @@ def project_tangent(spec: MetricSpec, x, w) -> np.ndarray:
 
 def surface_project(spec: MetricSpec, x) -> np.ndarray:
     """Cheap retraction of nearby ambient points onto the surface."""
-    return _impl(spec).surface_project(np.asarray(x, dtype=float))
+    return spec.impl.surface_project(np.asarray(x, dtype=float))
 
 
 def conformal_exponent(spec: MetricSpec, x) -> np.ndarray:
     """u with metric e^{2u} (identically 0 for induced-metric families)."""
-    impl = _impl(spec)
+    impl = spec.impl
     x = np.asarray(x, dtype=float)
     if impl.conformal:
         return impl.u_value(x)
@@ -438,7 +429,7 @@ def conformal_exponent(spec: MetricSpec, x) -> np.ndarray:
 
 
 def conformal_grad(spec: MetricSpec, x) -> np.ndarray:
-    impl = _impl(spec)
+    impl = spec.impl
     x = np.asarray(x, dtype=float)
     if impl.conformal:
         return impl.u_grad(x)
@@ -450,7 +441,7 @@ def metric_dot(spec: MetricSpec, x, v, w) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     dot = _dot(v, w)
-    impl = _impl(spec)
+    impl = spec.impl
     if impl.conformal:
         dot = dot * np.exp(2.0 * impl.u_value(np.asarray(x, dtype=float)))
     return dot
@@ -461,13 +452,13 @@ def speed(spec: MetricSpec, x, v) -> np.ndarray:
 
 
 def from_reference(spec: MetricSpec, ref) -> np.ndarray:
-    return _impl(spec).from_reference(np.asarray(ref, dtype=float))
+    return spec.impl.from_reference(np.asarray(ref, dtype=float))
 
 
 def check_band(spec: MetricSpec, x) -> None:
     """Raise BandExitError if any point left a revolution surface's z band."""
     if spec.family == "revolution":
-        _impl(spec).check_band(np.asarray(x, dtype=float)[..., 2])
+        spec.impl.check_band(np.asarray(x, dtype=float)[..., 2])
 
 
 def gauss_curvature(spec: MetricSpec, x) -> np.ndarray:
@@ -478,7 +469,7 @@ def gauss_curvature(spec: MetricSpec, x) -> np.ndarray:
     curvature transformation K = e^{-2u} (1 - Lap_S2 u).
     """
     x = np.asarray(x, dtype=float)
-    impl = _impl(spec)
+    impl = spec.impl
     if impl.conformal:
         return np.exp(-2.0 * impl.u_value(x)) * (1.0 - impl.sphere_laplacian_u(x))
     if spec.ambient_dim != 3:

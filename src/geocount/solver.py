@@ -599,7 +599,7 @@ def clairaut_shoot(
     """
     if spec.family != "revolution":
         raise GeometryError("Clairaut shooting requires a revolution surface")
-    impl = geometry._impl(spec)
+    impl = spec.impl
     lo, hi = spec.data[2]
     cc = abs(float(c))
     zs = np.linspace(lo, hi, 2049)
@@ -686,7 +686,7 @@ def clairaut_find_closed(
 
 def parallel_heights(spec: MetricSpec) -> tuple:
     """Heights of geodesic parallels (critical radii) inside the band."""
-    impl = geometry._impl(spec)
+    impl = spec.impl
     lo, hi = spec.data[2]
     zs = np.linspace(lo, hi, 2049)
     rp = impl.profile(zs, 1)[1]

@@ -41,11 +41,15 @@ class NotSuperRigid(RuntimeError):
 
 
 class AmbiguousWeight(RuntimeError):
-    """Independent perturbation trials disagreed on a windowed count."""
+    """Independent perturbation trials disagreed on a windowed count.
 
-    def __init__(self, message, trials):
+    ``values`` holds the windowed counts that were compared, one per trial
+    or per perturbation strategy.
+    """
+
+    def __init__(self, message, values):
         super().__init__(message)
-        self.trials = trials
+        self.values = tuple(values)
 
 
 class SpectrumCollision(ValueError):
@@ -220,8 +224,6 @@ def perturb_metric(spec: MetricSpec, strategy: str, rng: np.random.Generator,
 class TrialOutcome:
     seed: int
     redraws: int
-    metric: MetricSpec
-    classes: int
     value: int
     table: CountTable         # the table the trial counted, up to hi + pad
 
@@ -229,8 +231,6 @@ class TrialOutcome:
 @dataclass(frozen=True)
 class DegenerateWeightResult:
     value: int
-    strategy: str
-    window: tuple
     trials: tuple             # TrialOutcome per independent draw
 
 
@@ -249,53 +249,42 @@ def degenerate_weight(
     """Windowed weighted count of a degenerate metric via perturbation.
 
     Each trial draws an independent perturbation, runs a census of the
-    perturbed metric, and sums the iterate weights inside the window.  A
+    perturbed metric up to ``hi + pad``, with ``pad = 3 * amplitude *
+    max(|lo|, |hi|, 1)``, and sums the iterate weights inside the window.  A
     draw is discarded and redrawn (up to ``_MAX_REDRAWS`` times) when an
-    iterate length comes too close to a window edge for the perturbation
-    size, or when some perturbed class is still not super-rigid.  Each
-    census refines at ``tol`` and identifies classes at ``dedup_tol``, as
-    ``solver.find_all`` does.  Trials
-    must agree exactly; disagreement raises AmbiguousWeight with the raw
-    per-trial outcomes attached, never an average.
+    iterate length lies within ``pad`` of a window edge, or when some
+    perturbed class is still not super-rigid.  Each census refines at
+    ``tol`` and identifies classes at ``dedup_tol``, as ``solver.find_all``
+    does.  Trials must agree exactly; disagreement raises AmbiguousWeight
+    with the per-trial values attached, never an average.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be an increasing pair")
+    pad = 3.0 * amplitude * max(abs(lo), abs(hi), 1.0)
     outcomes = []
     for t in range(trials):
-        redraws = 0
-        while True:
+        for redraws in range(_MAX_REDRAWS + 1):
             rng = np.random.default_rng((seed + 1) * 100003 + t * 7919 + redraws)
             pert = perturb_metric(spec, strategy, rng, amplitude)
-            pad = 3.0 * amplitude * max(abs(lo), abs(hi), 1.0)
             try:
                 census = solver.find_all(pert, hi + pad, mesh=mesh, planes=planes,
                                          seed=seed + 31 * t, tol=tol, dedup_tol=dedup_tol)
                 table = build_count_table(census)
             except NotSuperRigid:
-                redraws += 1
-                if redraws > _MAX_REDRAWS:
+                if redraws == _MAX_REDRAWS:
                     raise
                 continue
-            boundary_risk = any(
-                min(abs(row.length - lo), abs(row.length - hi)) < pad
-                for row in table.rows)
-            if boundary_risk:
-                redraws += 1
-                if redraws > _MAX_REDRAWS:
-                    raise AmbiguousWeight(
-                        "iterate lengths keep landing near the window boundary",
-                        tuple(outcomes))
-                continue
-            value = set_weight(table, (lo, hi))
-            outcomes.append(TrialOutcome(
-                seed=seed + 31 * t, redraws=redraws, metric=pert,
-                classes=len(census.entries), value=value, table=table))
-            break
-    values = {o.value for o in outcomes}
-    if len(values) != 1:
-        raise AmbiguousWeight(
-            f"perturbation trials disagree: {sorted(values)}", tuple(outcomes))
-    return DegenerateWeightResult(
-        value=outcomes[0].value, strategy=strategy, window=(lo, hi),
-        trials=tuple(outcomes))
+            if not any(min(abs(row.length - lo), abs(row.length - hi)) < pad
+                       for row in table.rows):
+                break
+        else:
+            raise AmbiguousWeight(
+                "iterate lengths keep landing near the window boundary",
+                [o.value for o in outcomes])
+        outcomes.append(TrialOutcome(seed=seed + 31 * t, redraws=redraws,
+                                     value=set_weight(table, (lo, hi)), table=table))
+    values = [o.value for o in outcomes]
+    if len(set(values)) != 1:
+        raise AmbiguousWeight(f"perturbation trials disagree: {sorted(set(values))}", values)
+    return DegenerateWeightResult(value=values[0], trials=tuple(outcomes))

@@ -1,5 +1,7 @@
 """Command line behavior: config parsing, file outputs, exit codes, determinism."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,25 @@ def test_cli_reports_config_error_exit_code(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_command_line_overrides_reach_the_command(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "census", lambda cfg, out: seen.append(cfg))
+    code, _ = _run(tmp_path, "census", ELLIPSOID_CFG,
+                   extra=("--mesh", "256", "--seed", "3", "--trials", "4"))
+    assert code == 0
+    assert [(c.mesh, c.seed, c.trials) for c in seen] == [(256, 3, 4)]
+
+
+@pytest.mark.parametrize("extra", [("--mesh", "100"), ("--trials", "0"), ("--seed", "-1")])
+def test_invalid_command_line_overrides_exit_2(tmp_path, monkeypatch, capsys, extra):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "census", lambda cfg, out: seen.append(cfg))
+    code, _ = _run(tmp_path, "census", ELLIPSOID_CFG, extra=extra)
+    assert code == 2
+    assert not seen
+    assert "config error" in capsys.readouterr().err
+
+
 def test_census_outputs(tmp_path):
     code, out = _run(tmp_path, "census", ELLIPSOID_CFG)
     assert code == 0
@@ -315,17 +336,30 @@ def test_stall_exit_code_and_partial_outputs(tmp_path, capsys):
 
 def test_ambiguous_weight_exit_code(tmp_path, monkeypatch, capsys):
     def fake(*args, **kwargs):
-        raise weights.AmbiguousWeight(
-            "strategies disagree",
-            [("axis_jitter", -2), ("conformal_noise", 0)])
+        raise weights.AmbiguousWeight("trials disagree", (-2, 0))
 
     monkeypatch.setattr(weights, "degenerate_weight", fake)
     sphere_cfg = COUNT_CFG.replace("1.05, 1.0, 0.95", "1.0, 1.0, 1.0")
     code, out = _run(tmp_path, "degenerate-weight", sphere_cfg)
     assert code == 4
     err = capsys.readouterr().err
-    assert "trial values" in err
-    assert "-2" in err and "0" in err
+    assert "trials disagree [trial values: -2, 0]" in err
+
+
+def test_degenerate_weight_strategies_disagree(tmp_path, monkeypatch, capsys):
+    def fake(spec, window, strategy, **kwargs):
+        value = -2 if strategy == "axis_jitter" else 0
+        return SimpleNamespace(value=value, trials=())
+
+    monkeypatch.setattr(weights, "degenerate_weight", fake)
+    sphere_cfg = COUNT_CFG.replace("1.05, 1.0, 0.95", "1.0, 1.0, 1.0")
+    code, out = _run(tmp_path, "degenerate-weight", sphere_cfg)
+    assert code == 4
+    summary = (out / "summary.txt").read_text()
+    assert "strategies agree: FAIL" in summary
+    assert (out / "degenerate.csv").read_text() == \
+        "strategy,trial,seed,redraws,classes,value\n"
+    assert "[trial values: -2, 0]" in capsys.readouterr().err
 
 
 def test_unresolved_cluster_exit_code(tmp_path, monkeypatch):

@@ -46,7 +46,7 @@ def _stereographic(q, sign):
 
 def _chart_embedding(spec, q, chart):
     """Embedding point, Jacobian (3,2) and second derivatives (3,2,2)."""
-    impl = geometry._impl(spec)
+    impl = spec.impl
     q = np.asarray(q, dtype=float)
     if spec.family == "revolution":
         z, phi = q[..., 0], q[..., 1]
@@ -89,7 +89,7 @@ def chart_coords(spec: MetricSpec, x, chart: int | None = None):
     Returns (q, chart_index).
     """
     x = np.asarray(x, dtype=float)
-    impl = geometry._impl(spec)
+    impl = spec.impl
     if spec.family == "revolution":
         z = x[..., 2]
         phi = np.arctan2(x[..., 1], x[..., 0])
@@ -114,7 +114,7 @@ def metric_at(spec: MetricSpec, q, chart: int = 0) -> np.ndarray:
     """Metric components g_{ab}(q) in the chosen chart, shape (..., 2, 2)."""
     x, jac, _ = _chart_embedding(spec, q, chart)
     g = np.einsum("...ia,...ib->...ab", jac, jac)
-    impl = geometry._impl(spec)
+    impl = spec.impl
     if impl.conformal:
         g = g * np.exp(2.0 * impl.u_value(x))[..., None, None]
     return g
@@ -123,7 +123,7 @@ def metric_at(spec: MetricSpec, q, chart: int = 0) -> np.ndarray:
 def christoffel_at(spec: MetricSpec, q, chart: int = 0) -> np.ndarray:
     """Christoffel symbols Gamma^a_{bc}(q), analytic, shape (..., 2, 2, 2)."""
     x, jac, hess = _chart_embedding(spec, q, chart)
-    impl = geometry._impl(spec)
+    impl = spec.impl
     jj = np.einsum("...ia,...ib->...ab", jac, jac)
     # dg[c, a, b] = d g_{ab} / d q_c
     dg = np.einsum("...iac,...ib->...cab", hess, jac)
@@ -336,7 +336,11 @@ def test_invalid_metric_parameters_raise():
             ("torus", ())):
         with pytest.raises(GeometryError):
             MetricSpec(family, data)
-    assert MetricSpec("ellipsoid", (1.0, 2.0, 3.0)) == MetricSpec.ellipsoid((1, 2, 3))
+    direct, built = MetricSpec("ellipsoid", (1.0, 2.0, 3.0)), MetricSpec.ellipsoid((1, 2, 3))
+    # each spec holds its own family object, which equality, hash and repr ignore
+    assert direct == built and hash(direct) == hash(built)
+    assert direct.impl is not built.impl
+    assert repr(direct) == "MetricSpec(family='ellipsoid', data=(1.0, 2.0, 3.0))"
     assert MetricSpec.conformal_sphere(((2, 0, 0.1), (2, 0, -0.1))).data == ()
 
 
@@ -346,7 +350,7 @@ def test_poly_profile_matches_polyval(c0, rest, n, stacked, seed):
     # reference: what profile evaluated before it cached the derivative
     # coefficients, polyval(z, polyder(c, k)) on every call
     coeffs = (c0,) + tuple(rest)
-    impl = geometry._impl(MetricSpec.revolution("poly", coeffs, (-1.0, 1.0)))
+    impl = MetricSpec.revolution("poly", coeffs, (-1.0, 1.0)).impl
     z = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(12, n) if stacked else (n,))
     z[..., 0] = -0.0
     for order in range(3):

@@ -112,10 +112,45 @@ def test_degenerate_weight_on_the_round_sphere(sphere_spec):
         sphere_spec, (0.0, 7.0), strategy="axis_jitter", seed=11, trials=2,
         mesh=128, planes=24)
     assert result.value == -2
-    assert result.strategy == "axis_jitter"
-    assert result.window == (0.0, 7.0)
     assert len(result.trials) == 2
     for trial in result.trials:
         assert trial.value == -2
-        assert trial.classes == 3
-        assert trial.metric.family == "ellipsoid"
+        assert len(trial.table.records) == 3
+        assert trial.table.metric.family == "ellipsoid"
+
+
+def test_degenerate_weight_redraws_after_a_degenerate_draw(
+        monkeypatch, ellipsoid_spec, ellipsoid_census, ellipsoid_table):
+    # every draw "finds" the triaxial census; the first draw's table refuses
+    monkeypatch.setattr(solver, "find_all", lambda *a, **k: ellipsoid_census)
+    calls = []
+
+    def table_once_degenerate(census):
+        calls.append(census)
+        if len(calls) == 1:
+            raise NotSuperRigid("degenerate draw", "g000")
+        return ellipsoid_table
+
+    monkeypatch.setattr(weights, "build_count_table", table_once_degenerate)
+    result = weights.degenerate_weight(ellipsoid_spec, (0.0, 7.0), trials=1)
+    assert len(calls) == 2
+    assert result.value == -2
+    assert [(t.redraws, t.value) for t in result.trials] == [(1, -2)]
+
+
+def test_degenerate_weight_gives_up_on_the_window_boundary(
+        monkeypatch, ellipsoid_spec, ellipsoid_census, ellipsoid_table):
+    drawn = []
+
+    def census_of(spec, *args, **kwargs):
+        drawn.append(spec)
+        return ellipsoid_census
+
+    monkeypatch.setattr(solver, "find_all", census_of)
+    monkeypatch.setattr(weights, "build_count_table", lambda census: ellipsoid_table)
+    # the window ends on a class length, so every draw lands on its edge
+    edge = ellipsoid_table.rows[1].length
+    with pytest.raises(AmbiguousWeight, match="window boundary"):
+        weights.degenerate_weight(ellipsoid_spec, (0.0, edge), trials=1)
+    assert len(drawn) == weights._MAX_REDRAWS + 1
+    assert len(set(drawn)) == len(drawn)
