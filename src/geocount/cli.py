@@ -459,9 +459,10 @@ def _count_outputs(table, window, probes, out: Out) -> None:
 def cmd_count(cfg: RunConfig, out: Out) -> None:
     window = cfg.window or (0.0, cfg.length_bound)
     out.summary.append("command: count")
-    census = _run_census(cfg, cfg.metric, window[1])
-    _census_warnings(census, out)
     protocol = cfg.protocol
+    if protocol != "degenerate":
+        census = _run_census(cfg, cfg.metric, window[1])
+        _census_warnings(census, out)
     if protocol == "auto":
         protocol = "degenerate" if census.degenerate_family else "census"
         out.summary.append(f"protocol: {protocol} (auto)")
@@ -555,7 +556,7 @@ def _trace_rows(branch_id, result: continuation.BranchResult):
             marker = ";".join(kinds)
         i1 = jacobi.index_nullity(pt.data, 1)
         i2 = jacobi.index_nullity(pt.data, 2)
-        rows.append((branch_id, pt.s, pt.t, pt.length,
+        rows.append((branch_id, pt.s, pt.t, pt.result.length,
                      i1.iota, i2.iota, i1.nu, i2.nu,
                      (-1) ** i1.iota, (-1) ** i2.iota, marker))
         prev = pt

@@ -96,7 +96,6 @@ class MetricPath:
 class BranchPoint:
     t: float
     s: float                  # accumulated pseudo-arclength
-    length: float
     trace: float              # tr of the primitive monodromy
     result: solver.GeodesicResult
     data: jacobi.JacobiOperatorData   # Jacobi operator of ``result``
@@ -140,6 +139,23 @@ def _trace(result: solver.GeodesicResult) -> tuple:
     return float(np.trace(mono.matrix).real), data, mono
 
 
+def _point(t: float, s: float, result: solver.GeodesicResult) -> BranchPoint:
+    trace, data, _ = _trace(result)
+    return BranchPoint(t=t, s=s, trace=trace, result=result, data=data)
+
+
+def _refine_primitive(path, t, nodes, tol):
+    """Fixed-t solve from ``nodes``; None when the solve fails or lands on an
+    iterate (a kicked seed can fall back onto a cover)."""
+    try:
+        cand = _solve_fixed_t(path, t, nodes, tol)
+    except (solver.RefineError, solver.StallError, GeometryError):
+        return None
+    if loops.primitive_decompose(cand.loop).degree != 1:
+        return None
+    return cand
+
+
 def _param_derivative(path, t, nodes):
     """Central difference dR/dt of the residual at fixed nodes, flattened."""
     rp = solver.residual_field(path.at(t + _PARAM_H), nodes)[0]
@@ -168,17 +184,21 @@ def _branch_tangent(path, t, nodes, prev=None):
     return tau
 
 
-def _corrector(path, nodes, t, tau, s_target_point, ds, tol=1e-10):
-    """One pseudo-arclength corrector solve; returns (nodes, t) or None.
+def _corrector(path, base_nodes, base_t, tau, ds, tol):
+    """One pseudo-arclength predictor-corrector step; returns (nodes, t) or None.
 
-    Unknowns are (nodes, t, mu) where mu multiplies the rotation direction;
-    equations are the geodesic residual, the node-0 gauge, and the arclength
-    plane through the predicted point.
+    The Euler predictor walks ``ds`` along the unit tangent ``tau`` from the
+    branch point (``base_nodes``, ``base_t``).  Unknowns are (nodes, t, mu)
+    where mu multiplies the rotation direction; equations are the geodesic
+    residual at ``tol``, the node-0 gauge, and the arclength plane through
+    the predicted point.
     """
-    n, m = nodes.shape
+    n, m = base_nodes.shape
     sqn = math.sqrt(n)
+    nodes = base_nodes + ds * tau[:-1].reshape(base_nodes.shape) * sqn
+    t = base_t + ds * tau[-1]
+    spec = path.at(t)
     for _ in range(_CORRECTOR_MAX_ITER):
-        spec = path.at(t)
         try:
             geometry.check_band(spec, nodes)
         except geometry.BandExitError:
@@ -186,8 +206,8 @@ def _corrector(path, nodes, t, tau, s_target_point, ds, tol=1e-10):
         fields = solver.residual_field(spec, nodes)
         full = fields[0]
         res, fdef, _ = solver._scaled_residual(spec, nodes, fields)
-        arc = float(np.dot((nodes - s_target_point[0]).reshape(-1) / sqn, tau[:-1])
-                    + (t - s_target_point[1]) * tau[-1] - ds)
+        arc = float(np.dot((nodes - base_nodes).reshape(-1) / sqn, tau[:-1])
+                    + (t - base_t) * tau[-1] - ds)
         if res <= tol and fdef <= solver._CONSTRAINT_TOL and abs(arc) <= 1e-10:
             return nodes, t
         jac = solver._fd_jacobian(spec, nodes)
@@ -205,7 +225,8 @@ def _corrector(path, nodes, t, tau, s_target_point, ds, tol=1e-10):
         nodes = nodes + delta_nodes
         t = t + delta_t
         try:
-            nodes = geometry.surface_project(path.at(t), nodes)
+            spec = path.at(t)
+            nodes = geometry.surface_project(spec, nodes)
         except GeometryError:
             return None
     return None
@@ -230,21 +251,16 @@ def continue_branch(
     closer than ``cluster_tol`` in t raise UnresolvedClusterError.
     """
     seed = start.loop if isinstance(start, solver.GeodesicResult) else start
-    res0 = _solve_fixed_t(path, 0.0, np.asarray(seed.nodes), tol)
-    tr0, data0, _ = _trace(res0)
-    points = [BranchPoint(t=0.0, s=0.0, length=res0.length, trace=tr0, result=res0,
-                          data=data0)]
-    tau = _branch_tangent(path, 0.0, np.asarray(res0.loop.nodes))
-    nodes = np.asarray(res0.loop.nodes)
+    points = [_point(0.0, 0.0, _solve_fixed_t(path, 0.0, np.asarray(seed.nodes), tol))]
+    nodes = np.asarray(points[0].result.loop.nodes)
+    tau = _branch_tangent(path, 0.0, nodes)
     t = 0.0
     s_acc = 0.0
     events = []
     stop_reason = "max_steps"
     step = ds
     for _ in range(max_steps):
-        pred_nodes = nodes + step * tau[:-1].reshape(nodes.shape) * math.sqrt(nodes.shape[0])
-        pred_t = t + step * tau[-1]
-        out = _corrector(path, pred_nodes, pred_t, tau, (nodes, t), step, tol=tol)
+        out = _corrector(path, nodes, t, tau, step, tol)
         if out is None:
             step *= 0.5
             if step < _DS_MIN:
@@ -258,30 +274,21 @@ def continue_branch(
         if new_t < -1e-12 or new_t > 1.0 + 1e-12:
             # the step left [0, 1]: clamp the last point to the end it crossed
             t_end = 0.0 if new_t < 0.0 else 1.0
-            res_end = _solve_fixed_t(path, t_end, nodes, tol)
-            tr_end, data_end, _ = _trace(res_end)
-            _maybe_pd_event(path, points[-1], (t_end, tr_end, res_end), events,
-                            event_t_tol, tol)
-            points.append(BranchPoint(t=t_end, s=s_acc + step, length=res_end.length,
-                                      trace=tr_end, result=res_end, data=data_end))
+            end = _point(t_end, s_acc + step, _solve_fixed_t(path, t_end, nodes, tol))
+            _maybe_pd_event(path, points[-1], end, events, event_t_tol, tol)
+            points.append(end)
             stop_reason = "reached_end" if t_end == 1.0 else "returned_to_start"
             break
-        spec_new = path.at(new_t)
-        res_new = solver.refine_to_geodesic(
-            DiscreteLoop(spec_new, new_nodes), tol=tol)
-        tr_new, data_new, _ = _trace(res_new)
-        prev_pt = points[-1]
-        new_tau = _branch_tangent(path, new_t, np.asarray(res_new.loop.nodes), prev=tau)
+        new = _point(new_t, s_acc + step, solver.refine_to_geodesic(
+            DiscreteLoop(path.at(new_t), new_nodes), tol=tol))
+        new_tau = _branch_tangent(path, new_t, np.asarray(new.result.loop.nodes), prev=tau)
         # fold: tangent t-component changed sign
         if tau[-1] * new_tau[-1] < 0.0:
-            ev = _locate_fold(path, (nodes, t, tau, s_acc), step, tol)
-            events.append(ev)
-        _maybe_pd_event(path, prev_pt, (new_t, tr_new, res_new), events, event_t_tol,
-                        tol)
-        s_acc += step
-        points.append(BranchPoint(t=new_t, s=s_acc, length=res_new.length,
-                                  trace=tr_new, result=res_new, data=data_new))
-        nodes = np.asarray(res_new.loop.nodes)
+            events.append(_locate_fold(path, (nodes, t, tau, s_acc), step, tol))
+        _maybe_pd_event(path, points[-1], new, events, event_t_tol, tol)
+        points.append(new)
+        s_acc = new.s
+        nodes = np.asarray(new.result.loop.nodes)
         t = new_t
         tau = new_tau
         step = min(step * 1.3, ds_max)
@@ -295,15 +302,14 @@ def continue_branch(
                         stop_reason=stop_reason)
 
 
-def _maybe_pd_event(path, prev_pt: BranchPoint, new_state, events, t_tol, tol):
+def _maybe_pd_event(path, prev_pt: BranchPoint, new_pt: BranchPoint, events, t_tol, tol):
     """Bisect a tr(M) = -2 crossing between consecutive branch points."""
-    new_t, tr_new, res_new = new_state
     f_prev = prev_pt.trace + 2.0
-    f_new = tr_new + 2.0
+    f_new = new_pt.trace + 2.0
     if f_prev == 0.0 or f_prev * f_new > 0.0:
         return
     lo_t, lo_nodes = prev_pt.t, np.asarray(prev_pt.result.loop.nodes)
-    hi_t, hi_nodes = new_t, np.asarray(res_new.loop.nodes)
+    hi_t, hi_nodes = new_pt.t, np.asarray(new_pt.result.loop.nodes)
     f_lo = f_prev
     while hi_t - lo_t > t_tol:
         mid_t = 0.5 * (lo_t + hi_t)
@@ -329,13 +335,9 @@ def _locate_fold(path, lo_state, gap, tol):
     tangent, arclength) of the last branch point before the turn.
     """
     lo_nodes, lo_t, lo_tau, lo_s = lo_state
-    sqn = math.sqrt(lo_nodes.shape[0])
     for _ in range(60):
         half = 0.5 * gap
-        pred_nodes = lo_nodes + half * lo_tau[:-1].reshape(lo_nodes.shape) * sqn
-        pred_t = lo_t + half * lo_tau[-1]
-        out = _corrector(path, pred_nodes, pred_t, lo_tau, (lo_nodes, lo_t), half,
-                         tol=tol)
+        out = _corrector(path, lo_nodes, lo_t, lo_tau, half, tol)
         if out is None:
             break
         mid_nodes, mid_t = out
@@ -457,22 +459,13 @@ def spawn_doubled_branch(
 
     kicks = _doubling_kicks(event) if event_kicks is None else event_kicks
 
-    def try_doubled(t_val, seed_nodes):
-        try:
-            cand = _solve_fixed_t(path, t_val, seed_nodes, tol)
-        except (solver.RefineError, solver.StallError, GeometryError):
-            return None
-        if loops.primitive_decompose(cand.loop).degree != 1:
-            return None
-        return cand
-
     # bootstrap just inside the tongue
     t_boot = event.t + side * min(_BOOTSTRAP_OFFSET, abs(offsets[0 if side > 0 else -1]))
     t_boot = min(max(t_boot, 0.0), 1.0)
     prim_b = _solve_fixed_t(path, t_boot, np.asarray(event.loop.nodes), tol)
     cover_b = np.tile(np.asarray(prim_b.loop.nodes), (2, 1))
     for eps, kd in itertools.product(_KICK_SIZES, kicks):
-        boot = try_doubled(t_boot, cover_b + eps * kd)
+        boot = _refine_primitive(path, t_boot, cover_b + eps * kd, tol)
         if boot is not None:
             break
     else:
@@ -490,7 +483,7 @@ def spawn_doubled_branch(
                           / max(abs(cur_t - event.t), 1e-15))
         seed_nodes = _spectral.fractional_shift(
             np.tile(prim_n_nodes, (2, 1)), shift) + scale * dev
-        return try_doubled(next_t, seed_nodes), prim_n_nodes
+        return _refine_primitive(path, next_t, seed_nodes, tol), prim_n_nodes
 
     samples = []
     cur_t, cur = t_boot, boot
@@ -544,16 +537,12 @@ def verify_invariance(
     """
     t_b = max(0.0, event.t - delta)
     t_a = min(1.0, event.t + delta)
-    if event.kind == "period_doubling":
-        kicks = _doubling_kicks(event)
-        detail_b, rec_b = _pd_side_detail(path, event, t_b, kicks, tol)
-        detail_a, rec_a = _pd_side_detail(path, event, t_a, kicks, tol)
-    elif event.kind == "fold":
-        kick_dir = _fold_kick_direction(event)
-        detail_b, rec_b = _fold_side_detail(path, event, t_b, kick_dir, tol)
-        detail_a, rec_a = _fold_side_detail(path, event, t_a, kick_dir, tol)
-    else:
+    if event.kind not in _SIDE_DETAIL:
         raise ValueError(f"unknown event kind {event.kind!r}")
+    kicks_of, side_detail = _SIDE_DETAIL[event.kind]
+    kicks = kicks_of(event)
+    detail_b, rec_b = side_detail(path, event, t_b, kicks, tol)
+    detail_a, rec_a = side_detail(path, event, t_a, kicks, tol)
     total_b = sum(detail_b.values())
     total_a = sum(detail_a.values())
     return InvarianceReport(
@@ -570,16 +559,13 @@ def _pd_side_detail(path, event, t_val, kicks, tol):
     ``kicks`` is the event's ``_doubling_kicks``, shared by both sides of
     the event."""
     res = _solve_fixed_t(path, t_val, np.asarray(event.loop.nodes), tol)
-    rep = jacobi.jacobi_report(res, d_max=2)
-    rec = weights.weight(rep, ident="primitive", length=res.length)
+    rec = weights.weigh_result(res, "primitive")
     detail = {"primitive_double_cover": 2 * rec.n2}
     records = {"primitive_double_cover": rec}
     got = spawn_doubled_branch(path, event, offsets=(t_val - event.t,), tol=tol,
                                event_kicks=kicks)
     if got:
-        doubled = got[0].result
-        rep_d = jacobi.jacobi_report(doubled, d_max=2)
-        rec_d = weights.weight(rep_d, ident="doubled", length=doubled.length)
+        rec_d = weights.weigh_result(got[0].result, "doubled")
         detail["emergent_doubled"] = 2 * rec_d.n1
         records["emergent_doubled"] = rec_d
     return detail, records
@@ -603,23 +589,24 @@ def _fold_side_detail(path, event, t_val, kick_dir, tol):
     detail = {}
     found = []
     for eps in (2e-2, 5e-2, 1e-1, -2e-2, -5e-2, -1e-1):
-        try:
-            cand = _solve_fixed_t(path, t_val, base + eps * kick_dir, tol)
-        except (solver.RefineError, solver.StallError, GeometryError):
-            continue
-        if abs(cand.length - base_len) > 0.5 * max(1.0, base_len):
-            continue
-        if loops.primitive_decompose(cand.loop).degree != 1:
+        cand = _refine_primitive(path, t_val, base + eps * kick_dir, tol)
+        if cand is None or abs(cand.length - base_len) > 0.5 * max(1.0, base_len):
             continue
         if all(loops.loop_distance(cand.loop, f.loop) > 1e-6 * max(1.0, cand.length)
                for f in found):
             found.append(cand)
     records = {}
     for i, cand in enumerate(sorted(found, key=lambda c: c.length)):
-        rep = jacobi.jacobi_report(cand, d_max=2)
-        rec = weights.weight(rep, ident=f"branch{i}", length=cand.length)
+        rec = weights.weigh_result(cand, f"branch{i}")
         detail[f"branch{i}"] = 2 * rec.n1
         records[f"branch{i}"] = rec
     if not found:
         detail["no_branches"] = 0
     return detail, records
+
+
+# event kind -> (kicks of the event, contributions on one side of it)
+_SIDE_DETAIL = {
+    "period_doubling": (_doubling_kicks, _pd_side_detail),
+    "fold": (_fold_kick_direction, _fold_side_detail),
+}

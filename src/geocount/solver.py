@@ -558,13 +558,6 @@ def iterates(census: Census):
             d += 1
 
 
-def iterate_table(census: Census):
-    """All (entry, degree, length) with degree >= 1 and length <= max_length."""
-    rows = [(e, d, d * e.result.length) for e, d in iterates(census)]
-    rows.sort(key=lambda r: (r[2], r[0].ident, r[1]))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Clairaut shooting oracle for revolution surfaces
 # ---------------------------------------------------------------------------

@@ -98,6 +98,11 @@ def weight(report: jacobi.JacobiReport, ident: str = "", length: float | None = 
         eps=(eps1, eps2), n1=eps1, n2=n2, routes_agree=report.routes_agree)
 
 
+def weigh_result(result: solver.GeodesicResult, ident: str) -> WeightRecord:
+    """Weights of a refined primitive geodesic, from its degree-2 report."""
+    return weight(jacobi.jacobi_report(result, d_max=2), ident=ident, length=result.length)
+
+
 @dataclass(frozen=True)
 class CountRow:
     length: float             # length of the iterate (d * primitive length)
@@ -122,25 +127,22 @@ class CountTable:
 _LENGTH_RESOLUTION = 1e-9
 
 
-def build_count_table(census: solver.Census, reports: dict | None = None) -> CountTable:
+def build_count_table(census: solver.Census) -> CountTable:
     """Weighted count table of all iterates below the census length bound.
 
-    ``reports`` may supply precomputed JacobiReports keyed by class ident;
-    missing ones are computed here.  Raises NotSuperRigid if any class in
-    range is degenerate (use the perturbation protocol instead).
+    Takes only the census: each class is weighed once here
+    (``weigh_result``), and its iterates from ``solver.iterates`` are sorted
+    by length, ties broken by ident and degree.  Raises NotSuperRigid if any
+    class in range is degenerate (use the perturbation protocol instead).
     """
-    reports = dict(reports or {})
-    records = []
-    for entry in census.entries:
-        rep = reports.get(entry.ident)
-        if rep is None:
-            rep = jacobi.jacobi_report(entry.result, d_max=2)
-        records.append(weight(rep, ident=entry.ident, length=entry.result.length))
+    records = [weigh_result(e.result, e.ident) for e in census.entries]
     by_ident = {r.ident: r for r in records}
+    iterates = sorted(((e, d, d * e.result.length) for e, d in solver.iterates(census)),
+                      key=lambda r: (r[2], r[0].ident, r[1]))
 
     rows = []
     cum = 0
-    for entry, d, ell in solver.iterate_table(census):
+    for entry, d, ell in iterates:
         rec = by_ident[entry.ident]
         contrib = 2 * (rec.n1 if d == 1 else rec.n2 if d == 2 else 0)
         cum += contrib

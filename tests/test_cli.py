@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from geocount import cli, continuation, jacobi, solver, weights
+from geocount import cli, continuation, jacobi, loops, solver, weights
 from geocount.geometry import MetricSpec
 
 ELLIPSOID_CFG = """\
@@ -185,6 +185,72 @@ def test_config_errors(tmp_path):
         cli.load_config(
             _write(tmp_path, "f.cfg", ELLIPSOID_CFG.replace("ellipsoid", "torus")),
             "census")
+
+
+_CONFORMAL = "[metric]\nfamily = conformal_sphere\n"
+_REVOLUTION = "[metric]\nfamily = revolution\nprofile = poly\ncoefficients = 1.0\n"
+_BOUND = "[run]\nlength_bound = 7.0\n"
+_AXES = "axes = 1.05, 1.0, 0.95\n"
+
+
+@pytest.mark.parametrize("command, text, fragment", [
+    ("census", ELLIPSOID_CFG.replace(_AXES, "axes = 1.05, x, 0.95\n"),
+     "axes: expected a list of numbers, got '1.05, x, 0.95'"),
+    ("census", _CONFORMAL + "terms = 2,0\n" + _BOUND,
+     "terms: expected 'l,m,coeff' triples, got '2,0'"),
+    ("census", _CONFORMAL + "terms = 2,x,0.1\n" + _BOUND, "terms: bad triple '2,x,0.1'"),
+    ("census", _CONFORMAL + "terms =\n" + _BOUND,
+     "terms: at least one harmonic term is required"),
+    ("census", ELLIPSOID_CFG.replace(_AXES, _AXES + "band = -1, 1\n"),
+     "[metric] unknown keys for family ellipsoid: ['band']"),
+    ("census", ELLIPSOID_CFG.replace(_AXES, ""), "[metric] ellipsoid needs 'axes'"),
+    ("census", _REVOLUTION + _BOUND, "[metric] revolution needs 'band'"),
+    ("census", _REVOLUTION + "band = -1, 0, 1\n" + _BOUND,
+     "[metric] band must be two numbers"),
+    ("census", _CONFORMAL + _BOUND, "[metric] conformal_sphere needs 'terms'"),
+    ("census", ELLIPSOID_CFG.replace(_AXES, "axes = 1.0, -1.0, 1.0\n"),
+     "[metric] ellipsoid coefficients must be finite and positive"),
+    ("census", ELLIPSOID_CFG.replace("mesh = 128", "mesh = abc"),
+     "mesh: expected an integer, got 'abc'"),
+    ("census", ELLIPSOID_CFG + "trials = 0\n", "trials: 0 outside [1, None]"),
+    ("census", ELLIPSOID_CFG.replace("length_bound = 7.0", "length_bound = long"),
+     "length_bound: expected a number, got 'long'"),
+    ("census", ELLIPSOID_CFG + "amplitude = 0\n", "amplitude: must be positive, got 0.0"),
+    ("census", _AXES + ELLIPSOID_CFG, "config syntax: File contains no section headers"),
+    ("census", ELLIPSOID_CFG + "[extra]\nkey = 1\n", "unknown config sections: ['extra']"),
+    ("continue", FOLD_CFG.replace(
+        "[metric.end]\nfamily = revolution\nprofile = poly\n"
+        "coefficients = 1.0, 0.02, 0.0, 0.033333333333333333\nband = -1.0, 1.0\n",
+        "[metric.end]\nfamily = ellipsoid\n" + _AXES),
+     "path endpoints must share a metric family"),
+    ("census", _BOUND, "census needs a [metric] section"),
+    ("count", COUNT_CFG.replace("window = 0.0, 7.0", "window = 7.0, 0.0"),
+     "window: need an increasing pair, got (7.0, 0.0)"),
+    ("count", COUNT_CFG + "protocol = bumpy\n", "protocol: unknown value 'bumpy'"),
+    ("count", COUNT_CFG + "strategy = bumpy\n", "strategy: unknown value 'bumpy'"),
+    ("census", ELLIPSOID_CFG + "[tolerances]\nresidual = 1e-9\nslack = 1\n",
+     "[tolerances] unknown keys: ['slack']"),
+    ("continue", FOLD_CFG + "speed = 1\n", "[continue] unknown keys: ['speed']"),
+    ("continue", FOLD_CFG.replace("start = parallel", "start = meridian"),
+     "start: unknown value 'meridian'"),
+    ("continue", FOLD_CFG + "plane = 0, 3\n",
+     "plane: need two distinct axis indices 0..2, got (0.0, 3.0)"),
+])
+def test_each_config_error_names_its_cause(tmp_path, command, text, fragment):
+    with pytest.raises(cli.ConfigError) as err:
+        cli.load_config(_write(tmp_path, "bad.cfg", text), command)
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text, fragment", [
+    (FOLD_CFG.replace("start = parallel", "start = census"),
+     "continue with start=census needs length_bound"),
+    (FOLD_CFG.replace("z = 0.55\n", ""), "continue with start=parallel needs z"),
+])
+def test_continue_start_without_its_key_exits_2(tmp_path, capsys, text, fragment):
+    code, _ = _run(tmp_path, "continue", text)
+    assert code == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_cli_reports_config_error_exit_code(tmp_path, capsys):
@@ -409,9 +475,140 @@ def test_census_warnings_count_the_seeds_that_left_the_band():
     assert out.warnings == ["band-exit: 2 seeds left the chart band"]
 
 
+def test_census_warnings_name_the_revolution_seeding():
+    census = solver.Census(
+        metric=MetricSpec.revolution("poly", (1.0, 0.0, -0.2), (-0.8, 0.8)),
+        max_length=1.0, entries=(), degenerate_family=False,
+        certificate={"band_exits": 0, "complete": False})
+    out = cli.Out("unused")
+    cli._census_warnings(census, out)
+    assert out.warnings == [
+        "coverage: revolution census seeds only critical parallels; "
+        "non-parallel classes below the bound are not searched"]
+
+
+def test_count_outputs_refuse_a_probe_on_colliding_jumps(monkeypatch):
+    # two classes whose lengths differ by less than the resolution: the table
+    # flags the pair, and a probe on their jump is refused, not evaluated
+    lengths = {"g000": 5.0, "g001": 5.0 + 1e-12, "g002": 6.0}
+    census = solver.Census(
+        metric=MetricSpec.ellipsoid((1.0, 1.0, 1.0)), max_length=7.0,
+        entries=tuple(solver.CensusEntry(ident=k, result=SimpleNamespace(length=v), hits=2)
+                      for k, v in lengths.items()),
+        degenerate_family=False, certificate={})
+    monkeypatch.setattr(weights, "weigh_result", lambda result, ident: weights.WeightRecord(
+        ident=ident, length=result.length, iota=(1, 1), nu=(0, 0), eps=(-1, -1),
+        n1=-1, n2=0, routes_agree=True))
+    table = weights.build_count_table(census)
+    assert table.collisions == ((0, 1),)
+    out = cli.Out("unused")
+    cli._count_outputs(table, (0.0, 7.0), (5.0, 5.5), out)
+    assert out.warnings == [
+        "length-collision: rows 0 and 1 (g000 d=1, g001 d=1) within resolution",
+        "spectrum-collision: count query at 5.0 lands on the jump of g000 (d=1)"]
+    assert out.summary == ["pi(5) = REFUSED (on a jump)", "pi(5.5) = -4",
+                           "count over (0, 7): -6"]
+
+
+def test_count_grid_skips_a_degenerate_point(monkeypatch):
+    path = continuation.MetricPath(MetricSpec.ellipsoid((1.05, 1.0, 0.95)),
+                                   MetricSpec.ellipsoid((1.0, 1.0, 1.0)))
+    cfg = cli.RunConfig(command="continue", metric=path.start, path=path,
+                        window=(0.0, 7.0), grid=3)
+    table = weights.CountTable(
+        metric=path.start, max_length=7.0, records=(), collisions=(),
+        rows=(weights.CountRow(length=6.0, ident="g000", d=1, contribution=-2,
+                               cumulative=-2),))
+
+    def build(census):
+        if census == path.at(0.5):
+            raise weights.NotSuperRigid("primitive nullity is 2", "g000")
+        return table
+
+    monkeypatch.setattr(cli, "_run_census", lambda cfg, spec, bound: spec)
+    monkeypatch.setattr(weights, "build_count_table", build)
+    out = cli.Out("unused")
+    rows, counts = cli._count_grid(cfg, out)
+    assert rows == [(0.0, -2), (1.0, -2)]
+    assert counts == [-2, -2]
+    assert out.warnings == ["count-grid: s=0.5 is degenerate; point skipped"]
+
+
+def test_continue_starts_from_the_refined_principal_ellipse(tmp_path, monkeypatch):
+    cfg_text = """\
+[metric.start]
+family = ellipsoid
+axes = 1.05, 1.0, 0.95
+
+[metric.end]
+family = ellipsoid
+axes = 1.06, 1.0, 0.94
+
+[run]
+mesh = 128
+
+[continue]
+start = principal
+plane = 0, 2
+"""
+    refined = SimpleNamespace(loop=None)
+    seeds, starts = [], []
+
+    def refine(seed, tol):
+        seeds.append((seed, tol))
+        return refined
+
+    def follow(path, start, **kwargs):
+        starts.append(start)
+        return continuation.BranchResult(path=path, points=(), events=(),
+                                         stop_reason="reached_end")
+
+    monkeypatch.setattr(solver, "refine_to_geodesic", refine)
+    monkeypatch.setattr(continuation, "continue_branch", follow)
+    code, out = _run(tmp_path, "continue", cfg_text)
+    assert code == 0
+    assert starts == [refined]
+    (seed, tol), = seeds
+    want = loops.principal_ellipse(MetricSpec.ellipsoid((1.05, 1.0, 0.95)), 0, 2, 128)
+    assert np.array_equal(seed.nodes, want.nodes)
+    assert tol == 1e-10
+    assert "branch g000: reached_end, samples 0, events 0" in (out / "summary.txt").read_text()
+
+
+def test_a_stall_without_partial_results_keeps_the_earlier_branches(
+        tmp_path, monkeypatch, capsys):
+    point = continuation.BranchPoint(
+        t=0.0, s=0.0, trace=1.5, result=SimpleNamespace(length=6.25), data=None)
+    followed = []
+
+    def follow(path, start, **kwargs):
+        followed.append(start)
+        if start == "second":
+            raise solver.StallError("continuation step size underflow")
+        return continuation.BranchResult(path=path, points=(point,), events=(),
+                                         stop_reason="reached_end")
+
+    monkeypatch.setattr(cli, "_start_results", lambda cfg: [
+        ("g000", "first"), ("g001", "second"), ("g002", "third")])
+    monkeypatch.setattr(continuation, "continue_branch", follow)
+    monkeypatch.setattr(jacobi, "index_nullity",
+                        lambda data, d: SimpleNamespace(iota=d, nu=0))
+    code, out = _run(tmp_path, "continue", FOLD_CFG)
+    assert code == 3
+    assert followed == ["first", "second"]  # no branch after the stall
+    assert (out / "traces.csv").read_text().splitlines() == [
+        "branch_id,s,t,length,iota_1,iota_2,nu_1,nu_2,eps_1,eps_2,event",
+        "g000,0,0,6.25,1,2,0,0,-1,1,"]
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[-2:] == ["overall: FAIL (continuation stalled)",
+                            "error: continuation step size underflow"]
+    assert not any(line.startswith(("branch g001", "branch g002")) for line in summary)
+    assert "underflow" in capsys.readouterr().err
+
+
 def test_count_reuses_the_first_trials_census(tmp_path, monkeypatch):
-    # one census of the metric itself and one per trial; the step data come
-    # from trial 0's count table, cut to the count's bound, with no third
+    # protocol = degenerate runs no census of the metric itself, only one per
+    # trial; the step data come from trial 0's count table, with no second
     # census and no second Jacobi report of any class
     bounds = []
     reports = []
@@ -430,9 +627,9 @@ def test_count_reuses_the_first_trials_census(tmp_path, monkeypatch):
     monkeypatch.setattr(jacobi, "jacobi_report", reporting)
     code, out = _run(tmp_path, "count", SPHERE_COUNT_CFG)
     assert code == 0
-    assert len(bounds) == 2
+    assert len(bounds) == 1
     assert len(reports) == 3  # the trial's three classes, once each
-    assert bounds[1] >= 7.0 + 3.0 * 1e-2
+    assert bounds[0] >= 7.0 + 3.0 * 1e-2
     degenerate = (out / "degenerate.csv").read_text().strip().splitlines()
     assert degenerate[1].split(",")[-1] == "-2"
     lines = (out / "count.csv").read_text().strip().splitlines()
@@ -442,7 +639,8 @@ def test_count_reuses_the_first_trials_census(tmp_path, monkeypatch):
 
 
 def test_count_trials_use_the_configured_tolerances(tmp_path, monkeypatch):
-    # [tolerances] reaches the census of the metric and the trial census
+    # [tolerances] reaches the census of the metric and the trial census that
+    # auto falls back to
     tols = []
     original = solver.find_all
 
@@ -451,7 +649,8 @@ def test_count_trials_use_the_configured_tolerances(tmp_path, monkeypatch):
         return original(spec, max_length, *args, **kwargs)
 
     monkeypatch.setattr(solver, "find_all", recording)
-    cfg = SPHERE_COUNT_CFG + "\n[tolerances]\nresidual = 1e-9\ndedup = 1e-5\n"
+    cfg = SPHERE_COUNT_CFG.replace("protocol = degenerate\n", "") \
+        + "\n[tolerances]\nresidual = 1e-9\ndedup = 1e-5\n"
     code, _ = _run(tmp_path, "count", cfg)
     assert code == 0
     assert tols == [(1e-9, 1e-5)] * 2

@@ -192,7 +192,7 @@ def _rebuilt_trace_rows(branch_id, result):
         data = jacobi.build_operator(pt.result)
         i1 = jacobi.index_nullity(data, 1)
         i2 = jacobi.index_nullity(data, 2)
-        rows.append((branch_id, pt.s, pt.t, pt.length,
+        rows.append((branch_id, pt.s, pt.t, pt.result.length,
                      i1.iota, i2.iota, i1.nu, i2.nu,
                      (-1) ** i1.iota, (-1) ** i2.iota, marker))
         prev = pt

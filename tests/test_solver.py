@@ -278,12 +278,12 @@ def test_refined_double_cover_doubles_the_orbit(ellipsoid_census):
 
 
 def test_iterate_table_lists_degrees_up_to_the_bound(ellipsoid_census):
-    rows = list(solver.iterate_table(ellipsoid_census))
-    assert all(d * entry.result.length <= 7.0 + 1e-9 for entry, d, _ in rows)
-    assert {d for _, d, _ in rows} == {1}
+    rows = list(solver.iterates(ellipsoid_census))
+    assert all(d * entry.result.length <= 7.0 + 1e-9 for entry, d in rows)
+    assert {d for _, d in rows} == {1}
     longer = solver.find_all(
         ellipsoid_census.metric, 13.0, mesh=128, planes=24, seed=7)
-    degrees = {d for _, d, _ in solver.iterate_table(longer)}
+    degrees = {d for _, d in solver.iterates(longer)}
     assert degrees == {1, 2}
 
 

@@ -18,8 +18,8 @@ def ellipsoid_records(ellipsoid_census, ellipsoid_reports):
 
 
 @pytest.fixture(scope="module")
-def ellipsoid_table(ellipsoid_census, ellipsoid_reports):
-    return weights.build_count_table(ellipsoid_census, ellipsoid_reports)
+def ellipsoid_table(ellipsoid_census):
+    return weights.build_count_table(ellipsoid_census)
 
 
 def test_ellipsoid_weight_records(ellipsoid_records):
