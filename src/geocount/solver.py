@@ -88,6 +88,14 @@ _MAX_NEWTON_ITER = 50
 _STEP_CAP = 0.5           # largest Newton node move, relative to the loop's scale
 _DEGENERATE_RUN = 50      # more classes of one length make a degenerate family
 _MAX_OSC = 8              # most oscillations a Clairaut orbit may take to close
+# Node count of the census's coarse stage.  Against the single-mesh census of
+# the perturbed round spheres that the acceptance criteria count (mesh 256,
+# 80 planes, 720 seeds in all), 32 nodes moved 26 seeds from converged to
+# stalled and 9 the other way, lost a class in two censuses and made the
+# count ambiguous; 64 nodes kept every class and count and moved 5 seeds, 4
+# of them from stalled to converged.  At mesh 128, and on the ellipsoid at
+# mesh 256, no seed moved.
+_COARSE_MESH = 64
 
 
 def residual_field(spec: MetricSpec, nodes: np.ndarray):
@@ -471,18 +479,37 @@ def find_all(
     order.  Classes are unoriented: a converged loop matching the reversal of
     an existing class counts as a hit on that class, so every class stands
     for two oriented geodesics (a closed geodesic is never a rotation of its
-    own reversal).  A seed whose
-    refinement, or the refinement of its primitive base, fails is counted in
-    the certificate by the failure's class: ``stalled``, ``diverged``,
-    ``collapsed`` or ``band_exits``.  Each seed's outcome is logged at DEBUG:
-    its index, then its Newton iterations (the primitive base's included)
-    or its failure class and message.
+    own reversal).
+
+    Each seed is refined in two stages when ``mesh`` exceeds the coarse
+    mesh of ``_COARSE_MESH`` nodes (nested iteration; Deuflhard, *Newton
+    Methods for Nonlinear Problems*, 2004).  The coarse stage builds the
+    seed on the coarse mesh and refines it there, where a Newton step costs
+    far less.  The fine stage lifts the converged coarse loop to ``mesh``
+    nodes by band-limited resampling and refines it, writes the result as
+    a cover of its primitive base and refines that base.  So the primitive
+    degree and each representative's node count are decided on ``mesh``,
+    and the coarse stage only supplies a better seed.  At ``mesh`` up to
+    the coarse mesh the fine stage runs alone on the seed itself.
+
+    A seed whose refinement at either stage, or the refinement of its
+    primitive base, fails is counted in the certificate by the failure's
+    class: ``stalled``, ``diverged``, ``collapsed`` or ``band_exits``; a
+    coarse failure never reaches the fine mesh.  Each seed's outcome is
+    logged at DEBUG: its index, then its Newton iterations (the primitive
+    base's included; ``C + F`` with the coarse count first when the seed
+    ran both stages) or its failure class and message, the message prefixed
+    by ``fine mesh:`` when the fine stage failed.
     """
-    seeds = _census_seeds(spec, mesh, planes, seed)
+    seeds = _census_seeds(spec, min(mesh, _COARSE_MESH), planes, seed)
     converged = []
     failed = {"stalled": 0, "diverged": 0, "collapsed": 0, "band_exits": 0}
     for k, s in enumerate(seeds):
+        coarse = None
         try:
+            if mesh > _COARSE_MESH:
+                coarse = refine_to_geodesic(s, tol=tol)
+                s = loops.resample(coarse.loop, mesh)
             res = refine_to_geodesic(s, tol=tol)
             iterations = res.iterations
             dec = loops.primitive_decompose(res.loop)
@@ -492,9 +519,16 @@ def find_all(
         except (BandExitError, StallError, RefineError) as exc:
             kind = _failure_class(exc)
             failed[kind] += 1
-            _log.debug("seed %d: %s: %s", k, kind, exc)
+            if coarse is None:
+                _log.debug("seed %d: %s: %s", k, kind, exc)
+            else:
+                _log.debug("seed %d: %s: fine mesh: %s", k, kind, exc)
             continue
-        _log.debug("seed %d: converged in %d iterations", k, iterations)
+        if coarse is None:
+            _log.debug("seed %d: converged in %d iterations", k, iterations)
+        else:
+            _log.debug("seed %d: converged in %d + %d iterations",
+                       k, coarse.iterations, iterations)
         if res.length <= max_length:
             converged.append(res)
     if seeds and not converged \

@@ -136,6 +136,6 @@ def test_snapshot_writes_the_seed_log_of_each_run(tmp_path, monkeypatch):
     lines = (run / "seeds.log").read_text().splitlines()
     assert len(lines) == 24
     for k, line in enumerate(lines):
-        assert re.fullmatch(
-            rf"geocount\.solver DEBUG seed {k}: (converged in \d+ iterations|\w+: .+)", line)
+        assert re.fullmatch(rf"geocount\.solver DEBUG seed {k}: "
+                            r"(converged in \d+( \+ \d+)? iterations|\w+: .+)", line)
     assert logging.getLogger("geocount").level == logging.NOTSET

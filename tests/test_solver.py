@@ -24,7 +24,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geocount import geometry, loops, solver
+from geocount import geometry, jacobi, loops, solver
 from geocount.geometry import MetricSpec
 
 # barrel with a (p, q) = (1, 1) oscillating geodesic; bracket established by
@@ -250,6 +250,75 @@ def test_census_logs_the_iterations_of_each_seed(ellipsoid_spec, monkeypatch, ca
         f"seed 0: converged in {iterations[0] + iterations[1]} iterations",
         f"seed 1: converged in {iterations[2]} iterations"]
     assert caplog.records[0].args == (0, iterations[0] + iterations[1])
+
+
+def _seed_outcomes(records):
+    """Each logged seed's outcome class: ``converged`` or the failure class."""
+    return [re.fullmatch(r"seed \d+: (converged|\w+)\b.*", r.getMessage()).group(1)
+            for r in records]
+
+
+def test_nested_census_matches_the_single_mesh_census(ellipsoid_spec, monkeypatch, caplog):
+    # a coarse mesh equal to the target mesh is the single-mesh census
+    caplog.set_level(logging.DEBUG, logger="geocount")
+    nested = solver.find_all(ellipsoid_spec, 7.0, mesh=128, planes=24, seed=7)
+    nested_outcomes = _seed_outcomes(caplog.records)
+    assert all(re.fullmatch(r"seed \d+: converged in \d+ \+ \d+ iterations", r.getMessage())
+               for r in caplog.records)
+    caplog.clear()
+    monkeypatch.setattr(solver, "_COARSE_MESH", 128)
+    single = solver.find_all(ellipsoid_spec, 7.0, mesh=128, planes=24, seed=7)
+    assert all(re.fullmatch(r"seed \d+: converged in \d+ iterations", r.getMessage())
+               for r in caplog.records)
+    assert _seed_outcomes(caplog.records) == nested_outcomes
+    assert len(nested_outcomes) == 24
+
+    assert len(nested.entries) == len(single.entries) == 3
+    for got, want in zip(nested.entries, single.entries):
+        assert got.hits == want.hits
+        assert abs(got.result.length - want.result.length) <= 1e-9
+        assert got.result.loop.n == want.result.loop.n == 128
+        assert min(loops.loop_distance(got.result.loop, want.result.loop),
+                   loops.loop_distance(got.result.loop, loops.reverse(want.result.loop))) <= 1e-7
+        got_rep = jacobi.jacobi_report(got.result, d_max=2)
+        want_rep = jacobi.jacobi_report(want.result, d_max=2)
+        assert [(r.iota, r.nu) for r in got_rep.indices] \
+            == [(r.iota, r.nu) for r in want_rep.indices]
+
+
+def test_census_counts_a_fine_mesh_failure_by_its_class(ellipsoid_spec, monkeypatch, caplog):
+    # seed 0 converges on the coarse mesh and stalls on the fine one; seed 1
+    # diverges on the coarse mesh and must never reach the fine one
+    real_seeds = solver._census_seeds
+    real_refine = solver.refine_to_geodesic
+    seeds = []
+    calls = []
+
+    def census_seeds(*args):
+        seeds.extend(real_seeds(*args))
+        return seeds
+
+    def refine(seed, tol=1e-10):
+        calls.append(seed.n)
+        if seed is seeds[1]:
+            raise solver.DivergenceError("seed 1")
+        if seed.n == 128 and calls.count(128) == 1:
+            raise solver.StallError("no convergence on 128 nodes")
+        return real_refine(seed, tol=tol)
+
+    monkeypatch.setattr(solver, "_census_seeds", census_seeds)
+    monkeypatch.setattr(solver, "refine_to_geodesic", refine)
+    caplog.set_level(logging.DEBUG, logger="geocount")
+    census = solver.find_all(ellipsoid_spec, 7.0, mesh=128, planes=3, seed=7)
+    assert [s.n for s in seeds] == [64, 64, 64]
+    assert calls == [64, 128, 64, 64, 128]
+    cert = census.certificate
+    assert (cert["converged"], cert["stalled"], cert["diverged"]) == (1, 1, 1)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[:2] == ["seed 0: stalled: fine mesh: no convergence on 128 nodes",
+                            "seed 1: diverged: seed 1"]
+    assert re.fullmatch(r"seed 2: converged in \d+ \+ \d+ iterations", messages[2])
+    assert len(messages) == 3
 
 
 @settings(max_examples=4)
