@@ -325,7 +325,8 @@ def _census_warnings(census, out: Out) -> None:
     cert = census.certificate
     if census.degenerate_family:
         out.warnings.append(
-            "degenerate-family: many classes share one length within 1e-06; "
+            "degenerate-family: many classes share one length within "
+            f"{solver.FAMILY_LENGTH_TOL:g}; "
             "weights need the perturbation protocol (degenerate-weight)")
     if census.entries and not cert["complete"]:
         out.warnings.append(

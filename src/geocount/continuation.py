@@ -560,13 +560,13 @@ def _pd_side_detail(path, event, t_val, kicks, tol):
     the event."""
     res = _solve_fixed_t(path, t_val, np.asarray(event.loop.nodes), tol)
     rec = weights.weigh_result(res, "primitive")
-    detail = {"primitive_double_cover": 2 * rec.n2}
+    detail = {"primitive_double_cover": rec.contribution(2)}
     records = {"primitive_double_cover": rec}
     got = spawn_doubled_branch(path, event, offsets=(t_val - event.t,), tol=tol,
                                event_kicks=kicks)
     if got:
         rec_d = weights.weigh_result(got[0].result, "doubled")
-        detail["emergent_doubled"] = 2 * rec_d.n1
+        detail["emergent_doubled"] = rec_d.contribution(1)
         records["emergent_doubled"] = rec_d
     return detail, records
 
@@ -598,7 +598,7 @@ def _fold_side_detail(path, event, t_val, kick_dir, tol):
     records = {}
     for i, cand in enumerate(sorted(found, key=lambda c: c.length)):
         rec = weights.weigh_result(cand, f"branch{i}")
-        detail[f"branch{i}"] = 2 * rec.n1
+        detail[f"branch{i}"] = rec.contribution(1)
         records[f"branch{i}"] = rec
     if not found:
         detail["no_branches"] = 0

@@ -145,18 +145,6 @@ def primitive_decompose(loop: DiscreteLoop, tol: float = 1e-7) -> DecomposeResul
     return DecomposeResult(loop, best_d, best_mis)
 
 
-def canonical_offset(loop: DiscreteLoop) -> int:
-    """Node index of the lexicographically smallest node (rounded at 1e-12)."""
-    nodes = np.round(loop.nodes, 12)
-    keys = tuple(nodes[:, j] for j in range(nodes.shape[1] - 1, -1, -1))
-    return int(np.lexsort(keys)[0])
-
-
-def canonicalize(loop: DiscreteLoop) -> DiscreteLoop:
-    """Rotate the node labels so the canonical offset sits at index 0."""
-    return rotate(loop, canonical_offset(loop))
-
-
 def align_rotation(ref: DiscreteLoop, other: DiscreteLoop):
     """Best continuous rotation of ``other`` matching ``ref``.
 

@@ -87,6 +87,7 @@ _CONSTRAINT_TOL = 1e-11
 _MAX_NEWTON_ITER = 50
 _STEP_CAP = 0.5           # largest Newton node move, relative to the loop's scale
 _DEGENERATE_RUN = 50      # more classes of one length make a degenerate family
+FAMILY_LENGTH_TOL = 1e-6  # relative length gap within which classes share one length
 _MAX_OSC = 8              # most oscillations a Clairaut orbit may take to close
 # Node count of the census's coarse stage.  Against the single-mesh census of
 # the perturbed round spheres that the acceptance criteria count (mesh 256,
@@ -324,16 +325,19 @@ def refine_to_geodesic(
     n, m = nodes.shape
     scale0 = max(1.0, float(np.max(np.abs(nodes))))
     fields = residual_field(spec, nodes)
-    res0, f0, ell0 = _scaled_residual(spec, nodes, fields)
+    res, fdef, _ = _scaled_residual(spec, nodes, fields)
+    res0 = res
     history = [res0]
-    if res0 <= tol and f0 <= _CONSTRAINT_TOL:
-        return GeodesicResult(
-            loop=DiscreteLoop(spec, nodes), length=loops.length(DiscreteLoop(spec, nodes)),
-            residual=res0, constraint_defect=f0, iterations=0,
-            history=tuple(history), convergence_order=None)
-
     failed_searches = 0
-    for it in range(1, _MAX_NEWTON_ITER + 1):
+    for it in range(_MAX_NEWTON_ITER + 1):
+        if res <= tol and fdef <= _CONSTRAINT_TOL:
+            loop = DiscreteLoop(spec, nodes)
+            return GeodesicResult(
+                loop=loop, length=loops.length(loop), residual=res,
+                constraint_defect=fdef, iterations=it, history=tuple(history),
+                convergence_order=_convergence_order(history))
+        if it == _MAX_NEWTON_ITER:
+            break
         geometry.check_band(spec, nodes)
         if fields is None:
             fields = residual_field(spec, nodes)
@@ -386,12 +390,6 @@ def refine_to_geodesic(
         history.append(res)
         if ell < 1e-3:
             raise CollapseError("loop length collapsed toward zero")
-        if res <= tol and fdef <= _CONSTRAINT_TOL:
-            loop = DiscreteLoop(spec, nodes)
-            return GeodesicResult(
-                loop=loop, length=loops.length(loop), residual=res,
-                constraint_defect=fdef, iterations=it, history=tuple(history),
-                convergence_order=_convergence_order(history))
         if res > 1e6 * max(res0, 1.0):
             raise DivergenceError("residual grew beyond recovery")
     raise StallError(f"no convergence in {_MAX_NEWTON_ITER} Newton iterations")
@@ -474,12 +472,13 @@ def find_all(
 ) -> Census:
     """Multistart census of primitive closed geodesics up to max_length.
 
-    Seeds are refined independently and in a fixed order; results are reduced
-    under a canonical sort, so the outcome does not depend on evaluation
-    order.  Classes are unoriented: a converged loop matching the reversal of
-    an existing class counts as a hit on that class, so every class stands
-    for two oriented geodesics (a closed geodesic is never a rotation of its
-    own reversal).
+    Seeds are refined independently and in a fixed order.  Classes are
+    formed in order of length, ties broken by the nodes of the seed loop
+    each result came from, so neither the order of the seeds nor round-off
+    in the solve decides a class's representative.  Classes are unoriented:
+    a converged loop matching the reversal of an existing class counts as a
+    hit on that class, so every class stands for two oriented geodesics (a
+    closed geodesic is never a rotation of its own reversal).
 
     Each seed is refined in two stages when ``mesh`` exceeds the coarse
     mesh of ``_COARSE_MESH`` nodes (nested iteration; Deuflhard, *Newton
@@ -530,19 +529,13 @@ def find_all(
             _log.debug("seed %d: converged in %d + %d iterations",
                        k, coarse.iterations, iterations)
         if res.length <= max_length:
-            converged.append(res)
+            converged.append((res, seeds[k].nodes.tobytes()))
     if seeds and not converged \
             and failed["stalled"] + failed["diverged"] + failed["collapsed"] == len(seeds):
         raise StallError("census found no convergent seed")
 
-    order = sorted(
-        range(len(converged)),
-        key=lambda i: (round(converged[i].length, 9),
-                       loops.canonicalize(converged[i].loop).nodes.tobytes()),
-    )
     classes: list[list] = []   # [representative GeodesicResult, hits]
-    for idx in order:
-        cand = converged[idx]
+    for cand, _ in sorted(converged, key=lambda c: (round(c[0].length, 9), c[1])):
         for cls in classes:
             rep = cls[0]
             tol_len = dedup_tol * max(1.0, rep.length)
@@ -560,7 +553,7 @@ def find_all(
     lengths = sorted(e.result.length for e in entries)
     run = 1
     for i in range(1, len(lengths)):
-        if lengths[i] - lengths[i - 1] <= 1e-6 * max(1.0, lengths[i]):
+        if lengths[i] - lengths[i - 1] <= FAMILY_LENGTH_TOL * max(1.0, lengths[i]):
             run += 1
             if run > _DEGENERATE_RUN:
                 degenerate = True

@@ -69,6 +69,10 @@ class WeightRecord:
     n2: int
     routes_agree: bool
 
+    def contribution(self, d: int) -> int:
+        """Count contribution of the d-th iterate: n_d once per orientation."""
+        return 2 * (self.n1 if d == 1 else self.n2 if d == 2 else 0)
+
 
 def weight(report: jacobi.JacobiReport, ident: str = "", length: float | None = None) -> WeightRecord:
     """Weights of a primitive geodesic from its stability report.
@@ -143,8 +147,7 @@ def build_count_table(census: solver.Census) -> CountTable:
     rows = []
     cum = 0
     for entry, d, ell in iterates:
-        rec = by_ident[entry.ident]
-        contrib = 2 * (rec.n1 if d == 1 else rec.n2 if d == 2 else 0)
+        contrib = by_ident[entry.ident].contribution(d)
         cum += contrib
         rows.append(CountRow(length=ell, ident=entry.ident, d=d,
                              contribution=contrib, cumulative=cum))

@@ -157,13 +157,6 @@ def test_loop_distance_ignores_rotation_and_joint_reversal(sphere, n4, seed, til
         assert abs(other - base) <= tol
 
 
-def test_canonicalize_is_idempotent(sphere):
-    loop = loops.rotate(_equator(sphere, n=64), 9)
-    canon = loops.canonicalize(loop)
-    again = loops.canonicalize(canon)
-    assert np.max(np.abs(np.asarray(again.nodes) - np.asarray(canon.nodes))) < 1e-12
-
-
 def test_seed_constructors_land_on_surface():
     ell = geometry.MetricSpec.ellipsoid((1.05, 1.0, 0.95))
     pe = loops.principal_ellipse(ell, 0, 2, 64)

@@ -86,6 +86,15 @@ def test_newton_refinement_is_quadratic(ellipsoid_spec):
     assert abs(res.length - 6.1344978839181) < 1e-9
 
 
+def test_refining_a_converged_loop_takes_no_step(ellipsoid_census):
+    for entry in ellipsoid_census.entries:
+        again = solver.refine_to_geodesic(entry.result.loop)
+        assert again.iterations == 0
+        assert len(again.history) == 1
+        assert again.convergence_order is None
+        assert np.array_equal(again.loop.nodes, entry.result.loop.nodes)
+
+
 def test_refined_geodesic_stays_on_surface(ellipsoid_census):
     for entry in ellipsoid_census.entries:
         nodes = np.asarray(entry.result.loop.nodes)
@@ -335,6 +344,19 @@ def test_census_does_not_depend_on_seed_order(ellipsoid_spec, ellipsoid_census, 
         assert got.result.length == ref.result.length
         assert np.array_equal(got.result.loop.nodes, ref.result.loop.nodes)
         assert got.hits == ref.hits
+
+
+def test_census_representatives_survive_a_change_in_the_last_bits(
+        ellipsoid_spec, ellipsoid_census, monkeypatch):
+    # another difference step moves the last bits of every refinement; each
+    # class must keep its representative's seed, so node 0 and the
+    # orientation stay put and no rotation alignment is needed
+    monkeypatch.setattr(solver, "_FD_STEP", 6.1e-6)
+    census = solver.find_all(ellipsoid_spec, 7.0, mesh=128, planes=24, seed=7)
+    assert len(census.entries) == len(ellipsoid_census.entries)
+    for got, ref in zip(census.entries, ellipsoid_census.entries):
+        assert got.hits == ref.hits
+        assert np.max(np.abs(got.result.loop.nodes - ref.result.loop.nodes)) <= 1e-8
 
 
 def test_refined_double_cover_doubles_the_orbit(ellipsoid_census):
