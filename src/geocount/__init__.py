@@ -20,6 +20,7 @@ from .solver import (
     RefineError,
     StallError,
     find_all,
+    refine_many,
     refine_to_geodesic,
 )
 from .jacobi import (
@@ -83,6 +84,7 @@ __all__ = [
     "index_nullity",
     "jacobi_report",
     "monodromy",
+    "refine_many",
     "refine_to_geodesic",
     "sector_decomposition",
     "set_weight",

@@ -20,7 +20,6 @@ once where it is located; its kicks read the kernel field from them
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -144,16 +143,26 @@ def _point(t: float, s: float, result: solver.GeodesicResult) -> BranchPoint:
     return BranchPoint(t=t, s=s, trace=trace, result=result, data=data)
 
 
-def _refine_primitive(path, t, nodes, tol):
-    """Fixed-t solve from ``nodes``; None when the solve fails or lands on an
-    iterate (a kicked seed can fall back onto a cover)."""
-    try:
-        cand = _solve_fixed_t(path, t, nodes, tol)
-    except (solver.RefineError, solver.StallError, GeometryError):
-        return None
-    if loops.primitive_decompose(cand.loop).degree != 1:
-        return None
-    return cand
+def _refine_primitive(path, t, guesses, tol):
+    """Fixed-t solves from each of ``guesses``, refined as one batch.
+
+    Each result is None when its solve fails or lands on an iterate (a
+    kicked seed can fall back onto a cover)."""
+    spec = path.at(t)
+    seeds = []
+    for guess in guesses:
+        try:
+            seeds.append(DiscreteLoop(spec, geometry.surface_project(spec, guess)))
+        except GeometryError:
+            seeds.append(None)
+    refined = iter(solver.refine_many([s for s in seeds if s is not None], tol=tol))
+    out = []
+    for s in seeds:
+        cand = None if s is None else next(refined)
+        primitive = isinstance(cand, solver.GeodesicResult) \
+            and loops.primitive_decompose(cand.loop).degree == 1
+        out.append(cand if primitive else None)
+    return out
 
 
 def _param_derivative(path, t, nodes):
@@ -464,8 +473,9 @@ def spawn_doubled_branch(
     t_boot = min(max(t_boot, 0.0), 1.0)
     prim_b = _solve_fixed_t(path, t_boot, np.asarray(event.loop.nodes), tol)
     cover_b = np.tile(np.asarray(prim_b.loop.nodes), (2, 1))
-    for eps, kd in itertools.product(_KICK_SIZES, kicks):
-        boot = _refine_primitive(path, t_boot, cover_b + eps * kd, tol)
+    for eps in _KICK_SIZES:
+        found = _refine_primitive(path, t_boot, [cover_b + eps * kd for kd in kicks], tol)
+        boot = next((c for c in found if c is not None), None)
         if boot is not None:
             break
     else:
@@ -483,7 +493,7 @@ def spawn_doubled_branch(
                           / max(abs(cur_t - event.t), 1e-15))
         seed_nodes = _spectral.fractional_shift(
             np.tile(prim_n_nodes, (2, 1)), shift) + scale * dev
-        return _refine_primitive(path, next_t, seed_nodes, tol), prim_n_nodes
+        return _refine_primitive(path, next_t, [seed_nodes], tol)[0], prim_n_nodes
 
     samples = []
     cur_t, cur = t_boot, boot
@@ -588,8 +598,8 @@ def _fold_side_detail(path, event, t_val, kick_dir, tol):
     base_len = loops.length(event.loop)
     detail = {}
     found = []
-    for eps in (2e-2, 5e-2, 1e-1, -2e-2, -5e-2, -1e-1):
-        cand = _refine_primitive(path, t_val, base + eps * kick_dir, tol)
+    kicked = [base + eps * kick_dir for eps in (2e-2, 5e-2, 1e-1, -2e-2, -5e-2, -1e-1)]
+    for cand in _refine_primitive(path, t_val, kicked, tol):
         if cand is None or abs(cand.length - base_len) > 0.5 * max(1.0, base_len):
             continue
         if all(loops.loop_distance(cand.loop, f.loop) > 1e-6 * max(1.0, cand.length)

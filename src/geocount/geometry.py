@@ -362,8 +362,19 @@ class _ConformalSphere:
         return mono, r, y
 
     def u_value(self, x):
-        """Conformal exponent at points x, extended as degree-0 homogeneous."""
-        return np.tensordot(self.coef[0], self._monomials(x)[0], axes=1)
+        """Conformal exponent at points x, extended as degree-0 homogeneous.
+
+        A stack of loops (..., N, m) is evaluated one loop at a time: BLAS
+        sums the tail of a long matrix-vector product, and each thread's
+        share of it, in another order, so a loop's bits would depend on
+        where it sits in the stack.
+        """
+        mono = self._monomials(x)[0]
+        if mono.ndim <= 2:
+            return np.tensordot(self.coef[0], mono, axes=1)
+        rows = mono.reshape(len(mono), -1, mono.shape[-1])
+        return np.stack([np.tensordot(self.coef[0], np.ascontiguousarray(rows[:, i]), axes=1)
+                         for i in range(rows.shape[1])]).reshape(mono.shape[1:])
 
     def u_grad(self, x):
         """Ambient gradient of the degree-0 extension; tangent on |x| = 1."""

@@ -46,6 +46,14 @@ through their 1 x 1 or 2 x 2 Schur complement.  J itself is nearly singular
 along the rotation direction, and at a fold, where that elimination alone
 loses digits, so every solve ends with one step of residual correction on
 the full bordered system (Govaerts & Pryce, IMA J. Numer. Anal. 1993).
+
+Refinement runs many seeds in lock-step (``refine_many``).  Each seed
+keeps its own Jacobian and bordered solve, but the line-search trials and
+scaled residuals of all seeds still iterating are evaluated as one stack,
+which costs far less per loop than one call per loop.  Every stacked
+evaluation gives each loop the same bits as an evaluation on its own, so
+each seed's arithmetic, iterates and outcome are unchanged by the batch it
+runs in; ``refine_to_geodesic`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -134,8 +142,8 @@ def _neighbors(nodes: np.ndarray):
 
 
 def _velocity(nodes: np.ndarray) -> np.ndarray:
-    """Central-difference velocity (N, m) on the unit parameter interval."""
-    n = nodes.shape[0]
+    """Central-difference velocity (..., N, m) on the unit parameter interval."""
+    n = nodes.shape[-2]
     xp, xm = _neighbors(nodes)
     return (xp - xm) * (0.5 * n)
 
@@ -273,16 +281,26 @@ class GeodesicResult:
     convergence_order: float | None
 
 
+def _scaled_residuals(spec, nodes, tan, f):
+    """Scaled tangential residual, worst constraint defect and mean speed of
+    one loop, or of each loop in a stack, as a list of triples.
+
+    ``nodes`` and ``tan`` are (N, m) or (B, N, m), ``f`` is (N,) or (B, N).
+    """
+    ell = np.mean(geometry.speed(spec, nodes, _velocity(nodes)), axis=-1)
+    tan_max = np.max(np.sqrt(_dot(tan, tan)), axis=-1)
+    f_max = np.max(np.abs(f), axis=-1)
+    return [(t / max(1.0, e * e), d, e) for t, d, e in zip(
+        np.ravel(tan_max).tolist(), np.ravel(f_max).tolist(), np.ravel(ell).tolist())]
+
+
 def _scaled_residual(spec, nodes, fields=None):
     """Scaled tangential residual, worst constraint defect and mean speed.
 
     ``fields`` is ``residual_field(spec, nodes)`` when the caller holds it.
     """
     _, tan, f = residual_field(spec, nodes) if fields is None else fields
-    v = _velocity(nodes)
-    ell = float(np.mean(geometry.speed(spec, nodes, v)))
-    scale = max(1.0, ell * ell)
-    return float(np.max(np.sqrt(_dot(tan, tan)))) / scale, float(np.max(np.abs(f))), ell
+    return _scaled_residuals(spec, nodes, tan, f)[0]
 
 
 def _convergence_order(history):
@@ -298,51 +316,71 @@ def _convergence_order(history):
     return best
 
 
-def refine_to_geodesic(
-    seed: DiscreteLoop,
-    tol: float = 1e-10,
-) -> GeodesicResult:
-    """Newton-refine a seed loop to a closed geodesic of its metric.
+# the failures a refinement reports as its seed's outcome
+_FAILURES = (GeometryError, RefineError, StallError)
 
-    Each step solves the gauge-bordered system of the module docstring.  Far
-    from a solution the Newton step is globalized by a backtracking line
-    search on the squared residual; near a solution full steps are taken and
-    convergence is quadratic.
 
-    A line search that finds no acceptable step still moves to its last
-    trial.  The solve stalls after three failed line searches in total,
-    consecutive or not: a seed kicked where no geodesic exists alternates
-    failed searches with tiny accepted steps and would otherwise run the
-    whole iteration budget.
+def _stack(arrays):
+    """One loop as it is, several as a stack."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
-    Raises DivergenceError or CollapseError when the iteration leaves the
-    basin, StallError when the line search has failed three times or the
-    iteration budget runs out, and BandExitError if an iterate leaves a
-    revolution band.
+
+def _each(fn, spec, arrays):
+    """``fn(spec, x)`` for every loop x of ``arrays``, evaluated as one stack.
+
+    Returns one result per loop, or the GeometryError that loop raised: when
+    the stacked call raises, the loops are evaluated one at a time, so each
+    sees its own failure.  A single loop is evaluated unstacked.  Results
+    taken from a stack are copies, so none keeps the stack alive.
     """
-    spec = seed.metric
-    nodes = np.array(seed.nodes, dtype=float)
-    n, m = nodes.shape
-    scale0 = max(1.0, float(np.max(np.abs(nodes))))
-    fields = residual_field(spec, nodes)
-    res, fdef, _ = _scaled_residual(spec, nodes, fields)
-    res0 = res
-    history = [res0]
-    failed_searches = 0
-    for it in range(_MAX_NEWTON_ITER + 1):
-        if res <= tol and fdef <= _CONSTRAINT_TOL:
+    if len(arrays) > 1:
+        try:
+            out = fn(spec, np.stack(arrays))
+        except GeometryError:
+            pass
+        else:
+            if isinstance(out, tuple):
+                return [tuple(a[i].copy() for a in out) for i in range(len(arrays))]
+            return [a.copy() for a in out]
+    results = []
+    for x in arrays:
+        try:
+            results.append(fn(spec, x))
+        except GeometryError as exc:
+            results.append(exc)
+    return results
+
+
+class _Newton:
+    """One seed's iterate and bookkeeping inside ``refine_many``."""
+
+    __slots__ = ("index", "nodes", "scale0", "fields", "res", "res0", "fdef",
+                 "history", "failed_searches", "merit", "delta", "step",
+                 "trial", "accepted")
+
+    def __init__(self, index, nodes):
+        self.index = index
+        self.nodes = nodes
+        self.scale0 = max(1.0, float(np.max(np.abs(nodes))))
+        self.history = []
+        self.failed_searches = 0
+
+    def newton_direction(self, spec, it, tol):
+        """The converged result, or None after setting ``delta``, the capped
+        Newton correction of this iteration; raises the seed's failure."""
+        nodes = self.nodes
+        if self.res <= tol and self.fdef <= _CONSTRAINT_TOL:
             loop = DiscreteLoop(spec, nodes)
+            history = self.history
             return GeodesicResult(
-                loop=loop, length=loops.length(loop), residual=res,
-                constraint_defect=fdef, iterations=it, history=tuple(history),
+                loop=loop, length=loops.length(loop), residual=self.res,
+                constraint_defect=self.fdef, iterations=it, history=tuple(history),
                 convergence_order=_convergence_order(history))
         if it == _MAX_NEWTON_ITER:
-            break
+            raise StallError(f"no convergence in {_MAX_NEWTON_ITER} Newton iterations")
         geometry.check_band(spec, nodes)
-        if fields is None:
-            fields = residual_field(spec, nodes)
-        full = fields[0]
-        merit = float(np.sum(full * full))
+        full = self.fields[0]
+        self.merit = float(np.sum(full * full))
         jac = _fd_jacobian(spec, nodes)
         rhs = np.concatenate([-full.reshape(-1), [0.0]])
         try:
@@ -351,48 +389,184 @@ def refine_to_geodesic(
             raise
         except RuntimeError as exc:
             raise StallError(f"singular corrector system: {exc}") from exc
-        delta = sol[:-1].reshape(n, m)
+        delta = sol[:-1].reshape(nodes.shape)
         if not np.all(np.isfinite(delta)):
             raise DivergenceError("non-finite Newton correction")
         dmax = float(np.max(np.abs(delta)))
-        if dmax > _STEP_CAP * scale0:
-            delta = delta * (_STEP_CAP * scale0 / dmax)
-        # Armijo backtracking on |R|^2 with retraction: each trial point is
-        # pulled back onto the surface so the N^2-scaled constraint rows do
-        # not poison the merit with the step's quadratic normal drift.  The
-        # fields of the last trial are kept for the next iteration: they are
-        # None when that trial was not finite or could not be projected
-        step = 1.0
-        accepted = False
-        for _ in range(12):
-            trial = nodes + step * delta
-            fields = None
-            if np.all(np.isfinite(trial)):
-                try:
-                    trial = geometry.surface_project(spec, trial)
-                except GeometryError:
-                    step *= 0.5
-                    continue
-                fields = residual_field(spec, trial)
-                trial_merit = float(np.sum(fields[0] ** 2))
-                if trial_merit <= (1.0 - 1e-4 * step) * merit:
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            failed_searches += 1
-            if failed_searches >= 3:
+        if dmax > _STEP_CAP * self.scale0:
+            delta = delta * (_STEP_CAP * self.scale0 / dmax)
+        self.delta = delta
+        return None
+
+    def take_step(self):
+        """Move to the line search's last trial; raises the seed's failure."""
+        if not self.accepted:
+            self.failed_searches += 1
+            if self.failed_searches >= 3:
                 raise StallError("line search cannot reduce the residual")
-        nodes = trial
-        if np.max(np.abs(nodes)) > 100.0 * scale0:
+        self.nodes = self.trial
+        if np.max(np.abs(self.nodes)) > 100.0 * self.scale0:
             raise DivergenceError("iterates left the working region")
-        res, fdef, ell = _scaled_residual(spec, nodes, fields)
-        history.append(res)
+
+    def record(self, res, fdef, ell):
+        """Take the scaled residual of the new iterate; raises the seed's failure."""
+        self.res, self.fdef = res, fdef
+        self.history.append(res)
         if ell < 1e-3:
             raise CollapseError("loop length collapsed toward zero")
-        if res > 1e6 * max(res0, 1.0):
+        if res > 1e6 * max(self.res0, 1.0):
             raise DivergenceError("residual grew beyond recovery")
-    raise StallError(f"no convergence in {_MAX_NEWTON_ITER} Newton iterations")
+
+
+def _evaluate(spec, batch, points, out):
+    """Residual fields of each seed's loop in ``points``, as one stack.
+
+    A seed whose evaluation raises gets that failure as its outcome in
+    ``out`` and is left out of the returned list.
+    """
+    kept = []
+    for st, fields in zip(batch, _each(residual_field, spec, points)):
+        if isinstance(fields, GeometryError):
+            out[st.index] = fields
+        else:
+            st.fields = fields
+            kept.append(st)
+    return kept
+
+
+def _batch_residuals(spec, batch):
+    """``_scaled_residual`` of every seed's current nodes and fields."""
+    if not batch:
+        return []
+    return _scaled_residuals(spec, _stack([st.nodes for st in batch]),
+                             _stack([st.fields[1] for st in batch]),
+                             _stack([st.fields[2] for st in batch]))
+
+
+def _line_search(spec, batch, out):
+    """Armijo backtracking on |R|^2 with retraction for every seed at once.
+
+    Each trial point is pulled back onto the surface so the N^2-scaled
+    constraint rows do not poison the merit with the step's quadratic normal
+    drift.  Each round projects and evaluates the trials of the seeds still
+    searching as one stack.  A seed keeps the fields of its last trial for
+    its next iteration; they are None when that trial was not finite or
+    could not be projected.
+    """
+    for st in batch:
+        st.step = 1.0
+        st.accepted = False
+    searching = batch
+    for _ in range(12):
+        finite = []
+        for st in searching:
+            st.trial = st.nodes + st.step * st.delta
+            st.fields = None
+            if np.all(np.isfinite(st.trial)):
+                finite.append(st)
+        projected = []
+        for st, trial in zip(finite, _each(geometry.surface_project, spec,
+                                           [st.trial for st in finite])):
+            if not isinstance(trial, GeometryError):
+                st.trial = trial
+                projected.append(st)
+        for st in _evaluate(spec, projected, [st.trial for st in projected], out):
+            trial_merit = float(np.sum(st.fields[0] ** 2))
+            st.accepted = trial_merit <= (1.0 - 1e-4 * st.step) * st.merit
+        searching = [st for st in searching
+                     if not st.accepted and out[st.index] is None]
+        if not searching:
+            break
+        for st in searching:
+            st.step *= 0.5
+
+
+def refine_many(seeds, tol: float = 1e-10) -> list:
+    """Newton-refine seed loops of one metric and one node count to closed
+    geodesics, in lock-step.
+
+    Returns, in seed order, each seed's GeodesicResult or the exception its
+    refinement failed with: DivergenceError or CollapseError when the
+    iteration leaves the basin, StallError when the line search has failed
+    three times or the iteration budget runs out, BandExitError if an
+    iterate leaves a revolution band.  Seeds of different metrics or node
+    counts raise ValueError.
+
+    Each Newton step solves the gauge-bordered system of the module
+    docstring with the seed's own Jacobian.  Far from a solution the step
+    is globalized by a backtracking line search on the squared residual;
+    near a solution full steps are taken and convergence is quadratic.  A
+    line search that finds no acceptable step still moves to its last
+    trial.  The solve stalls after three failed line searches in total,
+    consecutive or not: a seed kicked where no geodesic exists alternates
+    failed searches with tiny accepted steps and would otherwise run the
+    whole iteration budget.
+
+    The seeds take their Newton steps together, and the line-search trials
+    and scaled residuals of all seeds still iterating are evaluated as one
+    stack.  Every stacked evaluation gives each loop the bits it gets on
+    its own, so each seed's iterates, history and outcome are those of a
+    batch of one, whatever else is in the batch.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        return []
+    spec = seeds[0].metric
+    shape = seeds[0].nodes.shape
+    if any(s.metric != spec or s.nodes.shape != shape for s in seeds):
+        raise ValueError("refine_many takes loops of one metric and one node count")
+    out = [None] * len(seeds)
+    batch = [_Newton(k, np.array(s.nodes, dtype=float)) for k, s in enumerate(seeds)]
+    batch = _evaluate(spec, batch, [st.nodes for st in batch], out)
+    for st, (res, fdef, _) in zip(batch, _batch_residuals(spec, batch)):
+        st.res = st.res0 = res
+        st.fdef = fdef
+        st.history.append(res)
+    for it in range(_MAX_NEWTON_ITER + 1):
+        searching = []
+        for st in batch:
+            try:
+                out[st.index] = st.newton_direction(spec, it, tol)
+            except _FAILURES as exc:
+                out[st.index] = exc
+            if out[st.index] is None:
+                searching.append(st)
+        if not searching:
+            break
+        _line_search(spec, searching, out)
+        moved = []
+        for st in searching:
+            if out[st.index] is not None:
+                continue
+            try:
+                st.take_step()
+            except _FAILURES as exc:
+                out[st.index] = exc
+                continue
+            moved.append(st)
+        # a seed whose last trial kept no fields is evaluated afresh
+        fresh = [st for st in moved if st.fields is None]
+        _evaluate(spec, fresh, [st.nodes for st in fresh], out)
+        batch = [st for st in moved if out[st.index] is None]
+        for st, vals in zip(batch, _batch_residuals(spec, batch)):
+            try:
+                st.record(*vals)
+            except _FAILURES as exc:
+                out[st.index] = exc
+        batch = [st for st in batch if out[st.index] is None]
+    return out
+
+
+def refine_to_geodesic(
+    seed: DiscreteLoop,
+    tol: float = 1e-10,
+) -> GeodesicResult:
+    """Newton-refine one seed loop: ``refine_many([seed], tol)``, with the
+    seed's failure raised."""
+    out = refine_many([seed], tol)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +646,10 @@ def find_all(
 ) -> Census:
     """Multistart census of primitive closed geodesics up to max_length.
 
-    Seeds are refined independently and in a fixed order.  Classes are
+    Each stage refines its seeds in lock-step through one ``refine_many``
+    call: all coarse seeds, then all lifted loops, then the primitive bases
+    grouped by node count.  Each seed's arithmetic is that of refining it
+    alone, so no outcome depends on the other seeds.  Classes are
     formed in order of length, ties broken by the nodes of the seed loop
     each result came from, so neither the order of the seeds nor round-off
     in the solve decides a class's representative.  Classes are unoriented:
@@ -498,36 +675,55 @@ def find_all(
     logged at DEBUG: its index, then its Newton iterations (the primitive
     base's included; ``C + F`` with the coarse count first when the seed
     ran both stages) or its failure class and message, the message prefixed
-    by ``fine mesh:`` when the fine stage failed.
+    by ``fine mesh:`` when the fine stage failed.  The lines come in seed
+    order.
     """
     seeds = _census_seeds(spec, min(mesh, _COARSE_MESH), planes, seed)
+    outcome = {}    # seed index -> (result, iterations) or the failure
+    coarse = {}     # seed index -> coarse-stage iterations
+    stage = list(enumerate(seeds))
+    if mesh > _COARSE_MESH:
+        lifted = []
+        for k, res in enumerate(refine_many(seeds, tol=tol)):
+            if isinstance(res, Exception):
+                outcome[k] = res
+            else:
+                coarse[k] = res.iterations
+                lifted.append((k, loops.resample(res.loop, mesh)))
+        stage = lifted
+    bases = {}      # node count -> [(seed index, primitive base, iterations)]
+    for (k, _), res in zip(stage, refine_many([s for _, s in stage], tol=tol)):
+        if isinstance(res, Exception):
+            outcome[k] = res
+            continue
+        dec = loops.primitive_decompose(res.loop)
+        if dec.degree > 1:
+            bases.setdefault(dec.base.n, []).append((k, dec.base, res.iterations))
+        else:
+            outcome[k] = (res, res.iterations)
+    for group in bases.values():
+        for (k, _, iterations), res in zip(group, refine_many([b for _, b, _ in group], tol=tol)):
+            outcome[k] = res if isinstance(res, Exception) else (res, iterations + res.iterations)
+
     converged = []
     failed = {"stalled": 0, "diverged": 0, "collapsed": 0, "band_exits": 0}
-    for k, s in enumerate(seeds):
-        coarse = None
-        try:
-            if mesh > _COARSE_MESH:
-                coarse = refine_to_geodesic(s, tol=tol)
-                s = loops.resample(coarse.loop, mesh)
-            res = refine_to_geodesic(s, tol=tol)
-            iterations = res.iterations
-            dec = loops.primitive_decompose(res.loop)
-            if dec.degree > 1:
-                res = refine_to_geodesic(dec.base, tol=tol)
-                iterations += res.iterations
-        except (BandExitError, StallError, RefineError) as exc:
-            kind = _failure_class(exc)
+    for k in range(len(seeds)):
+        out = outcome[k]
+        if isinstance(out, Exception):
+            if not isinstance(out, (BandExitError, StallError, RefineError)):
+                raise out
+            kind = _failure_class(out)
             failed[kind] += 1
-            if coarse is None:
-                _log.debug("seed %d: %s: %s", k, kind, exc)
+            if k in coarse:
+                _log.debug("seed %d: %s: fine mesh: %s", k, kind, out)
             else:
-                _log.debug("seed %d: %s: fine mesh: %s", k, kind, exc)
+                _log.debug("seed %d: %s: %s", k, kind, out)
             continue
-        if coarse is None:
-            _log.debug("seed %d: converged in %d iterations", k, iterations)
+        res, iterations = out
+        if k in coarse:
+            _log.debug("seed %d: converged in %d + %d iterations", k, coarse[k], iterations)
         else:
-            _log.debug("seed %d: converged in %d + %d iterations",
-                       k, coarse.iterations, iterations)
+            _log.debug("seed %d: converged in %d iterations", k, iterations)
         if res.length <= max_length:
             converged.append((res, seeds[k].nodes.tobytes()))
     if seeds and not converged \

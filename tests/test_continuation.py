@@ -143,33 +143,36 @@ def test_fold_branch_labels_do_not_depend_on_the_kernel_sign(fold_path, fold_bra
 
 def test_fold_kicks_past_the_turn_stall_early(fold_path, fold_branch, monkeypatch):
     # no branch exists past the fold: every kick fails its line search
-    # repeatedly and gives up long before the 50-iteration budget
+    # repeatedly and gives up long before the 50-iteration budget.  The six
+    # kicks come as one batch; the stub refines them one at a time (each
+    # seed's result is the same either way) to count each one's Jacobians
     event = fold_branch.events[0]
     kick_dir = continuation._fold_kick_direction(event)
+    batches = []
     jacobians = []
     outcomes = []
     real_jacobian = solver._fd_jacobian
-    real_refine = solver.refine_to_geodesic
+    real_refine = solver.refine_many
 
     def jacobian(spec, nodes):
         jacobians[-1] += 1
         return real_jacobian(spec, nodes)
 
-    def refine(seed, tol=1e-10):
-        jacobians.append(0)
-        try:
-            res = real_refine(seed, tol=tol)
-        except Exception as exc:
-            outcomes.append(exc)
-            raise
-        outcomes.append(res)
-        return res
+    def refine(seeds, tol=1e-10):
+        batches.append(len(seeds))
+        out = []
+        for seed in seeds:
+            jacobians.append(0)
+            out.extend(real_refine([seed], tol=tol))
+        outcomes.extend(out)
+        return out
 
     monkeypatch.setattr(solver, "_fd_jacobian", jacobian)
-    monkeypatch.setattr(solver, "refine_to_geodesic", refine)
+    monkeypatch.setattr(solver, "refine_many", refine)
     detail, _ = continuation._fold_side_detail(
         fold_path, event, event.t + 0.02, kick_dir, 1e-10)
     assert detail == {"no_branches": 0}
+    assert batches == [6]
     assert len(outcomes) == 6
     assert all(isinstance(o, solver.StallError) for o in outcomes)
     assert all("line search" in str(o) for o in outcomes)
@@ -312,29 +315,38 @@ def test_event_kicks_reuse_the_event_operator(fold_branch, pd_branch, monkeypatc
 
 
 def test_doubled_branch_samples_are_the_walks_solves(pd_path, pd_branch, monkeypatch):
-    # the bootstrap refines the primitive and then one kick after another at
-    # t_boot; each walk step refines the primitive and the doubled orbit at
-    # its new t; a sample is the orbit the walk holds, with no further solve
+    # the bootstrap refines the primitive and then one batch of kicks per
+    # kick size at t_boot, keeping the first primitive result; each walk
+    # step refines the primitive and the doubled orbit at its new t; a
+    # sample is the orbit the walk holds, with no further solve
     event = pd_branch.events[0]
-    specs, results = [], []
-    real_refine = solver.refine_to_geodesic
+    batches = []
+    real_refine = solver.refine_many
 
-    def refine(seed, tol=1e-10):
-        specs.append(seed.metric)
-        results.append(None)          # stays None when the solve fails
-        results[-1] = real_refine(seed, tol=tol)
-        return results[-1]
+    def refine(seeds, tol=1e-10):
+        out = real_refine(seeds, tol=tol)
+        batches.append(([s.metric for s in seeds], out))
+        return out
 
-    monkeypatch.setattr(solver, "refine_to_geodesic", refine)
+    monkeypatch.setattr(solver, "refine_many", refine)
     samples = continuation.spawn_doubled_branch(pd_path, event, (0.005, 0.01, 0.015, 0.02))
     assert len(samples) == 4
     boot_spec = pd_path.at(event.t + 0.005)
-    n_boot = specs.count(boot_spec)
+    n_kicks = len(continuation._doubling_kicks(event))
+    n_boot = sum(specs[0] == boot_spec for specs, _ in batches)
     assert n_boot >= 2
-    assert specs[:n_boot] == [boot_spec] * n_boot
-    assert specs[n_boot:] == [pd_path.at(s.t) for s in samples[1:] for _ in range(2)]
-    assert samples[0].result is results[n_boot - 1]
-    assert all(s.result is r for s, r in zip(samples[1:], results[n_boot + 1::2]))
+    assert [specs for specs, _ in batches[:n_boot]] \
+        == [[boot_spec]] + [[boot_spec] * n_kicks] * (n_boot - 1)
+    assert [specs for specs, _ in batches[n_boot:]] \
+        == [[pd_path.at(s.t)] for s in samples[1:] for _ in range(2)]
+
+    def primitive(res):
+        return isinstance(res, solver.GeodesicResult) \
+            and loops.primitive_decompose(res.loop).degree == 1
+
+    assert not any(primitive(r) for _, out in batches[1:n_boot - 1] for r in out)
+    assert samples[0].result is next(r for r in batches[n_boot - 1][1] if primitive(r))
+    assert all(s.result is out[0] for s, (_, out) in zip(samples[1:], batches[n_boot + 1::2]))
 
 
 def test_period_doubling_trace_crosses_minus_two(pd_branch):

@@ -14,6 +14,7 @@ band LU with the borders eliminated around it, must agree with
 ``np.linalg.solve`` of the bordered matrix assembled densely.
 """
 
+import functools
 import logging
 import re
 
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geocount import geometry, jacobi, loops, solver
-from geocount.geometry import MetricSpec
+from geocount.geometry import GeometryError, MetricSpec
 
 # barrel with a (p, q) = (1, 1) oscillating geodesic; bracket established by
 # scanning delta_phi(c) across the admissible Clairaut constants
@@ -191,7 +192,7 @@ def test_refinement_keeps_collapse_apart_from_a_singular_solve(ellipsoid_spec, m
 
 def test_census_counts_failed_seeds_by_class(ellipsoid_spec, monkeypatch, caplog):
     real_seeds = solver._census_seeds
-    real_refine = solver.refine_to_geodesic
+    real_refine = solver.refine_many
     raised = {0: solver.StallError, 1: solver.DivergenceError, 2: solver.DivergenceError,
               3: solver.CollapseError, 4: solver.CollapseError, 5: solver.CollapseError,
               6: geometry.BandExitError}
@@ -201,14 +202,18 @@ def test_census_counts_failed_seeds_by_class(ellipsoid_spec, monkeypatch, caplog
         seeds.extend(real_seeds(*args))
         return seeds
 
-    def refine(seed, tol=1e-10):
+    def failure(seed):
         for k, exc in raised.items():
             if seed is seeds[k]:
-                raise exc(f"seed {k}")
-        return real_refine(seed, tol=tol)
+                return exc(f"seed {k}")
+        return None
+
+    def refine(batch, tol=1e-10):
+        refined = iter(real_refine([s for s in batch if failure(s) is None], tol=tol))
+        return [failure(s) or next(refined) for s in batch]
 
     monkeypatch.setattr(solver, "_census_seeds", census_seeds)
-    monkeypatch.setattr(solver, "refine_to_geodesic", refine)
+    monkeypatch.setattr(solver, "refine_many", refine)
     caplog.set_level(logging.DEBUG, logger="geocount")
     census = solver.find_all(ellipsoid_spec, 7.0, mesh=64, planes=12, seed=7)
     cert = census.certificate
@@ -235,7 +240,8 @@ def test_census_counts_failed_seeds_by_class(ellipsoid_spec, monkeypatch, caplog
 def test_census_logs_the_iterations_of_each_seed(ellipsoid_spec, monkeypatch, caplog):
     # the first seed converges to a double cover of an 18-node loop, whose
     # base is resampled to 32 nodes and refined again: its logged count
-    # covers both refinements
+    # covers both refinements.  The census refines both seeds in one batch,
+    # then the base
     ellipse = np.asarray(loops.principal_ellipse(ellipsoid_spec, 0, 1, 72).nodes)
     rng = np.random.default_rng(3)
     kicked = geometry.surface_project(
@@ -243,22 +249,22 @@ def test_census_logs_the_iterations_of_each_seed(ellipsoid_spec, monkeypatch, ca
     seeds = [loops.DiscreteLoop(ellipsoid_spec, np.tile(ellipse[::4], (2, 1))),
              loops.DiscreteLoop(ellipsoid_spec, kicked)]
     iterations = []
-    real_refine = solver.refine_to_geodesic
+    real_refine = solver.refine_many
 
-    def refine(seed, tol=1e-10):
-        res = real_refine(seed, tol=tol)
-        iterations.append(res.iterations)
-        return res
+    def refine(batch, tol=1e-10):
+        out = real_refine(batch, tol=tol)
+        iterations.extend(res.iterations for res in out)
+        return out
 
     monkeypatch.setattr(solver, "_census_seeds", lambda *args: seeds)
-    monkeypatch.setattr(solver, "refine_to_geodesic", refine)
+    monkeypatch.setattr(solver, "refine_many", refine)
     caplog.set_level(logging.DEBUG, logger="geocount")
     solver.find_all(ellipsoid_spec, 7.0, mesh=64, planes=2)
     assert len(iterations) == 3 and min(iterations) > 0
     assert [r.getMessage() for r in caplog.records] == [
-        f"seed 0: converged in {iterations[0] + iterations[1]} iterations",
-        f"seed 1: converged in {iterations[2]} iterations"]
-    assert caplog.records[0].args == (0, iterations[0] + iterations[1])
+        f"seed 0: converged in {iterations[0] + iterations[2]} iterations",
+        f"seed 1: converged in {iterations[1]} iterations"]
+    assert caplog.records[0].args == (0, iterations[0] + iterations[2])
 
 
 def _seed_outcomes(records):
@@ -299,7 +305,7 @@ def test_census_counts_a_fine_mesh_failure_by_its_class(ellipsoid_spec, monkeypa
     # seed 0 converges on the coarse mesh and stalls on the fine one; seed 1
     # diverges on the coarse mesh and must never reach the fine one
     real_seeds = solver._census_seeds
-    real_refine = solver.refine_to_geodesic
+    real_refine = solver.refine_many
     seeds = []
     calls = []
 
@@ -307,20 +313,21 @@ def test_census_counts_a_fine_mesh_failure_by_its_class(ellipsoid_spec, monkeypa
         seeds.extend(real_seeds(*args))
         return seeds
 
-    def refine(seed, tol=1e-10):
+    def refine_one(seed, tol):
         calls.append(seed.n)
         if seed is seeds[1]:
-            raise solver.DivergenceError("seed 1")
+            return solver.DivergenceError("seed 1")
         if seed.n == 128 and calls.count(128) == 1:
-            raise solver.StallError("no convergence on 128 nodes")
-        return real_refine(seed, tol=tol)
+            return solver.StallError("no convergence on 128 nodes")
+        return real_refine([seed], tol=tol)[0]
 
     monkeypatch.setattr(solver, "_census_seeds", census_seeds)
-    monkeypatch.setattr(solver, "refine_to_geodesic", refine)
+    monkeypatch.setattr(solver, "refine_many",
+                        lambda batch, tol=1e-10: [refine_one(s, tol) for s in batch])
     caplog.set_level(logging.DEBUG, logger="geocount")
     census = solver.find_all(ellipsoid_spec, 7.0, mesh=128, planes=3, seed=7)
     assert [s.n for s in seeds] == [64, 64, 64]
-    assert calls == [64, 128, 64, 64, 128]
+    assert calls == [64, 64, 64, 128, 128]
     cert = census.certificate
     assert (cert["converged"], cert["stalled"], cert["diverged"]) == (1, 1, 1)
     messages = [r.getMessage() for r in caplog.records]
@@ -650,3 +657,118 @@ def test_refinement_evaluates_each_residual_once(ellipsoid_spec, monkeypatch):
     assert len(stacked) == 2 * res.iterations
     assert len(single) == 1 + len(trials)
     assert len(set(single)) == len(single)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+@pytest.mark.parametrize("n", [42, 64])
+def test_stacked_scaled_residuals_equal_single_calls(name, n):
+    # 48 loops make BLAS products long enough to be summed in blocks (and
+    # split between threads), and 42 points leave a tail in each loop
+    stack = np.stack([_kernel_nodes(name, 64, k)[1][:n] for k in range(48)])
+    spec = KERNEL_SPECS[name]
+    _, tan, f = solver.residual_field(spec, stack)
+    got = solver._scaled_residuals(spec, stack, tan, f)
+    assert got == [solver._scaled_residual(spec, x) for x in stack]
+    u = geometry.conformal_exponent(spec, stack)
+    assert all(np.array_equal(u[k], geometry.conformal_exponent(spec, x))
+               for k, x in enumerate(stack))
+    projected = geometry.surface_project(spec, 1.01 * stack)
+    assert all(np.array_equal(p, geometry.surface_project(spec, 1.01 * x))
+               for p, x in zip(projected, stack))
+
+
+def test_a_failed_stacked_evaluation_runs_loop_by_loop(ellipsoid_spec):
+    # one loop through the origin fails its own projection, not the others'
+    loops_ = [_kernel_nodes("ellipsoid", 32, k)[1] for k in range(3)]
+    loops_[1] = np.zeros((32, 3))
+    got = solver._each(geometry.surface_project, KERNEL_SPECS["ellipsoid"], loops_)
+    assert isinstance(got[1], GeometryError) and "origin" in str(got[1])
+    for k in (0, 2):
+        assert np.array_equal(got[k], geometry.surface_project(KERNEL_SPECS["ellipsoid"], loops_[k]))
+
+
+def _outcome(res):
+    """What a seed's refinement produced: the nodes, history and iteration
+    count of its result, or the type and message of its failure."""
+    if isinstance(res, Exception):
+        return type(res), str(res)
+    return res.loop.nodes.tobytes(), res.history, res.iterations
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_case(name):
+    """Seed loops on 64 nodes whose refinements end in different ways."""
+    if name == "sphere":
+        # a perturbed round sphere's census seeds: converge or stall
+        return tuple(solver._census_seeds(MetricSpec.ellipsoid((1.004, 0.998, 1.0)), 64, 8, 1))
+    if name == "conformal":
+        # kicked great circles: converge or fail their line searches
+        spec = MetricSpec.conformal_sphere(PD_TERMS_START)
+        rng = np.random.default_rng(1)
+        return tuple(
+            loops.DiscreteLoop(spec, geometry.surface_project(
+                spec, np.asarray(s.nodes) + 0.3 * rng.normal(size=s.nodes.shape)))
+            for s in solver._census_seeds(spec, 64, 6, 3))
+    # level and tilted parallels below a geodesic parallel near the band's
+    # top edge: converge or leave the band
+    spec = MetricSpec.revolution("poly", (0.8, 0.2, -0.4), (-0.3, 0.3))
+    seeds = []
+    for z in np.linspace(-0.3, 0.3, 7)[1:-1]:
+        for tilt in (0.0, 0.05):
+            nodes = np.array(loops.parallel_circle(spec, z, 64).nodes)
+            nodes[:, 2] += tilt * nodes[:, 0] / np.hypot(nodes[:, 0], nodes[:, 1])
+            seeds.append(loops.DiscreteLoop(spec, geometry.surface_project(spec, nodes)))
+    return tuple(seeds)
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_outcomes(name):
+    return tuple(_outcome(res) for res in solver.refine_many(_batch_case(name)))
+
+
+BATCH_KINDS = {
+    "sphere": {solver.GeodesicResult, solver.StallError},
+    "conformal": {solver.GeodesicResult, solver.StallError},
+    "parallels": {solver.GeodesicResult, geometry.BandExitError},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_KINDS))
+def test_batched_refinement_matches_single_refinement(name):
+    seeds = _batch_case(name)
+    batched = solver.refine_many(seeds)
+    assert {type(res) for res in batched} == BATCH_KINDS[name]
+    for seed, res, want in zip(seeds, batched, _batch_outcomes(name)):
+        alone = solver.refine_many([seed])[0]
+        assert _outcome(res) == _outcome(alone) == want
+        if isinstance(alone, Exception):
+            with pytest.raises(type(alone)) as excinfo:
+                solver.refine_to_geodesic(seed)
+            assert str(excinfo.value) == str(alone)
+        else:
+            assert _outcome(solver.refine_to_geodesic(seed)) == want
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_KINDS))
+@settings(max_examples=4)
+@given(data=st.data())
+def test_refinement_outcomes_do_not_depend_on_the_batch(name, data):
+    # permuting the seeds and splitting them into two batches moves no
+    # seed's result
+    seeds = _batch_case(name)
+    order = data.draw(st.permutations(range(len(seeds))))
+    cut = data.draw(st.integers(1, len(seeds) - 1))
+    got = {}
+    for part in (order[:cut], order[cut:]):
+        for k, res in zip(part, solver.refine_many([seeds[k] for k in part])):
+            got[k] = _outcome(res)
+    assert tuple(got[k] for k in range(len(seeds))) == _batch_outcomes(name)
+
+
+def test_refine_many_takes_one_metric_and_one_node_count(ellipsoid_spec):
+    a = loops.principal_ellipse(ellipsoid_spec, 0, 1, 32)
+    assert solver.refine_many([]) == []
+    for other in (loops.principal_ellipse(ellipsoid_spec, 0, 1, 64),
+                  loops.principal_ellipse(MetricSpec.ellipsoid((1.0, 1.0, 0.9)), 0, 1, 32)):
+        with pytest.raises(ValueError, match="one metric and one node count"):
+            solver.refine_many([a, other])
