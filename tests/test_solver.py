@@ -660,13 +660,17 @@ def test_refinement_evaluates_each_residual_once(ellipsoid_spec, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
-@pytest.mark.parametrize("n", [42, 64])
+@pytest.mark.parametrize("n", [42, 64, 128, 256])
 def test_stacked_scaled_residuals_equal_single_calls(name, n):
     # 48 loops make BLAS products long enough to be summed in blocks (and
     # split between threads), and 42 points leave a tail in each loop
-    stack = np.stack([_kernel_nodes(name, 64, k)[1][:n] for k in range(48)])
+    stack = np.stack([_kernel_nodes(name, max(n, 64), k)[1][:n] for k in range(48)])
     spec = KERNEL_SPECS[name]
-    _, tan, f = solver.residual_field(spec, stack)
+    fields = solver.residual_field(spec, stack)
+    for k, x in enumerate(stack):
+        for got, want in zip(fields, solver.residual_field(spec, x)):
+            assert np.array_equal(got[k], want)
+    _, tan, f = fields
     got = solver._scaled_residuals(spec, stack, tan, f)
     assert got == [solver._scaled_residual(spec, x) for x in stack]
     u = geometry.conformal_exponent(spec, stack)
