@@ -5,14 +5,14 @@ value at theta = 1 identified with theta = 0.  These helpers centralize the
 FFT conventions (signed wavenumbers, Nyquist handling for real data) so the
 rest of the package never touches raw mode indexing.  Band-limited
 resampling lives here too: it is ``scipy.signal.resample``'s real-input
-route written on ``scipy.fft``, so the package never imports
-``scipy.signal`` (and with it ``scipy.stats``) at start-up.
+route written on ``numpy.fft``, so the package imports neither
+``scipy.signal`` (and with it ``scipy.stats``) nor ``scipy.fft`` at
+start-up.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 
 def modes(n: int) -> np.ndarray:
@@ -81,6 +81,12 @@ def resample(values: np.ndarray, m: int) -> np.ndarray:
     agree: keep the k//2 + 1 lowest bins of the real FFT, k = min(n, m); for
     even k the unpaired bin k/2 is doubled when downsampling and halved when
     upsampling; then invert at length m, scaled by m / n.
+
+    The inverse transform writes into a C-ordered buffer with the resampled
+    axis last, as ``scipy.fft`` returns it, so the result has the memory
+    layout of ``scipy.signal.resample``'s too; ``numpy.fft`` left to itself
+    lays out a multi-axis result differently, and later reductions over it
+    would add in another order.  (``out=`` needs numpy 2.0.)
     """
     values = np.asarray(values)
     n = values.shape[0]
@@ -88,8 +94,8 @@ def resample(values: np.ndarray, m: int) -> np.ndarray:
         return values.copy()
     x = np.moveaxis(values, 0, -1) if values.ndim > 1 else values
     k = min(n, m)
-    coef = scipy.fft.rfft(x)[..., :k // 2 + 1]
+    coef = np.fft.rfft(x)[..., :k // 2 + 1]
     if k % 2 == 0:
         coef[..., k // 2] *= 2 if m < n else 0.5
-    out = scipy.fft.irfft(coef / (n / m), n=m, overwrite_x=True)
+    out = np.fft.irfft(coef / (n / m), n=m, out=np.empty(x.shape[:-1] + (m,)))
     return np.moveaxis(out, -1, 0) if out.ndim > 1 else out

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
-from . import _spectral, geometry
+from . import _scalar, _spectral, geometry
 from .geometry import GeometryError, MetricSpec
 
 MIN_NODES = 16
@@ -151,7 +150,9 @@ def align_rotation(ref: DiscreteLoop, other: DiscreteLoop):
     Converged copies of one geodesic differ by an arbitrary fractional
     rotation of the parameter, so alignment cannot stop at integer node
     shifts: the integer offset comes from an FFT cross-correlation and is
-    refined by minimizing the node mismatch over a real-valued shift.
+    refined by minimizing the node mismatch over a real-valued shift with
+    Brent's bounded minimiser (``_scalar.minimize_bounded``, a port of
+    SciPy's), which also returns the mismatch at the shift it picks.
 
     Returns (shift, distance): ``other`` rotated by ``shift`` matches
     ``ref`` with worst remaining node distance ``distance``.  The shift
@@ -173,14 +174,8 @@ def align_rotation(ref: DiscreteLoop, other: DiscreteLoop):
         shifted = _spectral.fractional_shift(b, s)
         return float(np.max(np.linalg.norm(shifted - a, axis=1)))
 
-    res = scipy.optimize.minimize_scalar(
-        mismatch,
-        bounds=((k0 - 1.0) / n, (k0 + 1.0) / n),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    s_best = float(res.x)
-    d_best = mismatch(s_best)
+    s_best, d_best = _scalar.minimize_bounded(
+        mismatch, (k0 - 1.0) / n, (k0 + 1.0) / n, xatol=1e-13)
     d_int = mismatch(k0 / n)
     if d_int < d_best:
         s_best, d_best = k0 / n, d_int

@@ -65,9 +65,8 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
-from . import geometry, loops
+from . import _scalar, geometry, loops
 from .geometry import BandExitError, GeometryError, MetricSpec, _dot
 from .loops import DiscreteLoop
 
@@ -810,8 +809,9 @@ def clairaut_shoot(
     heights where r = |c| that bracket the profile's widest point.  The
     turning-point square-root singularities are removed by the substitution
     z = mid + half * sin(u), so plain Gauss-Legendre quadrature converges
-    geometrically.  This route never touches the discrete solver and serves
-    as its independent check.
+    geometrically.  The turning heights are roots of r(z) - |c|, found by
+    Brent's method (``_scalar.brentq``, a port of SciPy's).  This route
+    never touches the discrete solver and serves as its independent check.
     """
     if spec.family != "revolution":
         raise GeometryError("Clairaut shooting requires a revolution surface")
@@ -838,11 +838,11 @@ def clairaut_shoot(
     if iL == 0:
         z_minus, leaves = lo, True
     else:
-        z_minus = scipy.optimize.brentq(fr, zs[iL - 1], zs[iL], xtol=1e-14)
+        z_minus = _scalar.brentq(fr, zs[iL - 1], zs[iL], xtol=1e-14)
     if iR == len(zs) - 1:
         z_plus, leaves = hi, True
     else:
-        z_plus = scipy.optimize.brentq(fr, zs[iR], zs[iR + 1], xtol=1e-14)
+        z_plus = _scalar.brentq(fr, zs[iR], zs[iR + 1], xtol=1e-14)
     if leaves:
         return ShootResult(
             clairaut=c, turning=(z_minus, z_plus), delta_phi=float("nan"),
@@ -887,7 +887,12 @@ def clairaut_find_closed(
     q: int,
     c_bracket: tuple,
 ) -> ShootResult:
-    """Solve delta_phi(c) = 2 pi p / q for the Clairaut constant by bisection."""
+    """Solve delta_phi(c) = 2 pi p / q for the Clairaut constant.
+
+    The root is bracketed by ``c_bracket`` and found by Brent's method
+    (``_scalar.brentq``).  ``BandExitError`` if an orbit in the bracket
+    leaves the band.
+    """
     target = 2.0 * np.pi * p / q
 
     def fun(c):
@@ -896,12 +901,14 @@ def clairaut_find_closed(
             raise BandExitError("bracket reaches orbits that leave the band")
         return res.delta_phi - target
 
-    c_star = scipy.optimize.brentq(fun, c_bracket[0], c_bracket[1], xtol=1e-14)
+    c_star = _scalar.brentq(fun, c_bracket[0], c_bracket[1], xtol=1e-14)
     return clairaut_shoot(spec, c_star, closure_tol=1e-6)
 
 
 def parallel_heights(spec: MetricSpec) -> tuple:
-    """Heights of geodesic parallels (critical radii) inside the band."""
+    """Heights of geodesic parallels (critical radii) inside the band: the
+    zeros of r' on a 2049-point grid, and each sign change of r' between
+    grid points refined by ``_scalar.brentq``."""
     impl = spec.impl
     lo, hi = spec.data[2]
     zs = np.linspace(lo, hi, 2049)
@@ -911,6 +918,6 @@ def parallel_heights(spec: MetricSpec) -> tuple:
         if rp[i] == 0.0:
             out.append(float(zs[i]))
         elif rp[i] * rp[i + 1] < 0.0:
-            out.append(float(scipy.optimize.brentq(
-                lambda z: impl.profile(z, 1)[1], zs[i], zs[i + 1], xtol=1e-14)))
+            out.append(_scalar.brentq(
+                lambda z: impl.profile(z, 1)[1], zs[i], zs[i + 1], xtol=1e-14))
     return tuple(out)

@@ -52,10 +52,12 @@ def test_resample_matches_scipy_signal(n, m, shape, seed):
         assert got.strides == want.strides
 
 
-def test_cli_import_leaves_out_scipy_signal():
+def test_cli_import_leaves_out_unused_scipy_subpackages():
+    # start-up loads numpy and scipy.linalg (banded LAPACK) only
+    unused = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.optimize",
+              "scipy.fft", "scipy.sparse", "scipy.special", "scipy.spatial")
     code = ("import sys, geocount.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.integrate')"
-            " if m in sys.modules))")
+            f"print(sorted(m for m in {unused!r} if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
