@@ -47,13 +47,16 @@ along the rotation direction, and at a fold, where that elimination alone
 loses digits, so every solve ends with one step of residual correction on
 the full bordered system (Govaerts & Pryce, IMA J. Numer. Anal. 1993).
 
-Refinement runs many seeds in lock-step (``refine_many``).  Each seed
-keeps its own Jacobian and bordered solve, but the line-search trials and
-scaled residuals of all seeds still iterating are evaluated as one stack,
-which costs far less per loop than one call per loop.  Every stacked
-evaluation gives each loop the same bits as an evaluation on its own, so
-each seed's arithmetic, iterates and outcome are unchanged by the batch it
-runs in; ``refine_to_geodesic`` is a batch of one.
+One seed's refinement is one routine, ``_newton``, written as for a seed
+on its own.  It is a generator: it yields the evaluations worth stacking
+with other seeds' (a line-search trial, a new iterate) and returns the
+result.  ``refine_many`` steps the routines of many seeds in lock-step and
+evaluates each round's requests as one stack, which costs far less per
+loop than one call per loop; each seed's Jacobian and bordered solve stay
+its own.  Every stacked evaluation gives each loop the same bits as an
+evaluation on its own, so each seed's arithmetic, iterates and outcome are
+unchanged by the batch it runs in; ``refine_to_geodesic`` is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -319,11 +322,6 @@ def _convergence_order(history):
 _FAILURES = (GeometryError, RefineError, StallError)
 
 
-def _stack(arrays):
-    """One loop as it is, several as a stack."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _each(fn, spec, arrays):
     """``fn(spec, x)`` for every loop x of ``arrays``, evaluated as one stack.
 
@@ -350,134 +348,82 @@ def _each(fn, spec, arrays):
     return results
 
 
-class _Newton:
-    """One seed's iterate and bookkeeping inside ``refine_many``."""
+def _newton_step(spec, nodes, full, scale):
+    """The Newton correction of ``nodes`` from its residual ``full``, capped
+    at a move of ``_STEP_CAP * scale``; raises the seed's failure.
 
-    __slots__ = ("index", "nodes", "scale0", "fields", "res", "res0", "fdef",
-                 "history", "failed_searches", "merit", "delta", "step",
-                 "trial", "accepted")
+    The band Jacobian and the bordered solve's arrays live only in this call.
+    """
+    jac = _fd_jacobian(spec, nodes)
+    rhs = np.concatenate([-full.reshape(-1), [0.0]])
+    try:
+        sol = _bordered_solve(jac, nodes, rhs)
+    except CollapseError:   # a RuntimeError, but not a singular system
+        raise
+    except RuntimeError as exc:
+        raise StallError(f"singular corrector system: {exc}") from exc
+    delta = sol[:-1].reshape(nodes.shape)
+    if not np.all(np.isfinite(delta)):
+        raise DivergenceError("non-finite Newton correction")
+    dmax = float(np.max(np.abs(delta)))
+    if dmax > _STEP_CAP * scale:
+        delta = delta * (_STEP_CAP * scale / dmax)
+    return delta
 
-    def __init__(self, index, nodes):
-        self.index = index
-        self.nodes = nodes
-        self.scale0 = max(1.0, float(np.max(np.abs(nodes))))
-        self.history = []
-        self.failed_searches = 0
 
-    def newton_direction(self, spec, it, tol):
-        """The converged result, or None after setting ``delta``, the capped
-        Newton correction of this iteration; raises the seed's failure."""
-        nodes = self.nodes
-        if self.res <= tol and self.fdef <= _CONSTRAINT_TOL:
+def _newton(spec, nodes, tol):
+    """One seed's Newton refinement, a generator that ``refine_many`` steps.
+
+    Returns the GeodesicResult and raises the seed's failure.  It yields the
+    evaluations worth stacking with other seeds': a line-search trial as an
+    array, answered with (the trial projected onto the surface, its
+    ``residual_field``) or None when it cannot be projected; and a new
+    iterate as (nodes, fields), fields None when it has none, answered with
+    (its fields, its ``_scaled_residual``).  A GeometryError from a residual
+    evaluation is thrown in at the yield.
+    """
+    scale0 = max(1.0, float(np.max(np.abs(nodes))))
+    fields, (res, fdef, _) = yield nodes, None
+    res0 = res
+    history = [res]
+    failed_searches = 0
+    for it in range(_MAX_NEWTON_ITER + 1):
+        if res <= tol and fdef <= _CONSTRAINT_TOL:
             loop = DiscreteLoop(spec, nodes)
-            history = self.history
             return GeodesicResult(
-                loop=loop, length=loops.length(loop), residual=self.res,
-                constraint_defect=self.fdef, iterations=it, history=tuple(history),
+                loop=loop, length=loops.length(loop), residual=res,
+                constraint_defect=fdef, iterations=it, history=tuple(history),
                 convergence_order=_convergence_order(history))
         if it == _MAX_NEWTON_ITER:
             raise StallError(f"no convergence in {_MAX_NEWTON_ITER} Newton iterations")
         geometry.check_band(spec, nodes)
-        full = self.fields[0]
-        self.merit = float(np.sum(full * full))
-        jac = _fd_jacobian(spec, nodes)
-        rhs = np.concatenate([-full.reshape(-1), [0.0]])
-        try:
-            sol = _bordered_solve(jac, nodes, rhs)
-        except CollapseError:   # a RuntimeError, but not a singular system
-            raise
-        except RuntimeError as exc:
-            raise StallError(f"singular corrector system: {exc}") from exc
-        delta = sol[:-1].reshape(nodes.shape)
-        if not np.all(np.isfinite(delta)):
-            raise DivergenceError("non-finite Newton correction")
-        dmax = float(np.max(np.abs(delta)))
-        if dmax > _STEP_CAP * self.scale0:
-            delta = delta * (_STEP_CAP * self.scale0 / dmax)
-        self.delta = delta
-        return None
-
-    def take_step(self):
-        """Move to the line search's last trial; raises the seed's failure."""
-        if not self.accepted:
-            self.failed_searches += 1
-            if self.failed_searches >= 3:
+        merit = float(np.sum(fields[0] * fields[0]))
+        delta = _newton_step(spec, nodes, fields[0], scale0)
+        # Armijo backtracking on |R|^2.  Each trial is pulled back onto the
+        # surface so the N^2-scaled constraint rows do not poison the merit
+        # with the step's quadratic normal drift.
+        step = 1.0
+        for _ in range(12):
+            trial, fields = nodes + step * delta, None
+            if np.all(np.isfinite(trial)):
+                trial, fields = (yield trial) or (trial, None)
+            if fields is not None \
+                    and float(np.sum(fields[0] ** 2)) <= (1.0 - 1e-4 * step) * merit:
+                break
+            step *= 0.5
+        else:   # no acceptable step: move to the last trial all the same
+            failed_searches += 1
+            if failed_searches >= 3:
                 raise StallError("line search cannot reduce the residual")
-        self.nodes = self.trial
-        if np.max(np.abs(self.nodes)) > 100.0 * self.scale0:
+        nodes = trial
+        if np.max(np.abs(nodes)) > 100.0 * scale0:
             raise DivergenceError("iterates left the working region")
-
-    def record(self, res, fdef, ell):
-        """Take the scaled residual of the new iterate; raises the seed's failure."""
-        self.res, self.fdef = res, fdef
-        self.history.append(res)
+        fields, (res, fdef, ell) = yield nodes, fields
+        history.append(res)
         if ell < 1e-3:
             raise CollapseError("loop length collapsed toward zero")
-        if res > 1e6 * max(self.res0, 1.0):
+        if res > 1e6 * max(res0, 1.0):
             raise DivergenceError("residual grew beyond recovery")
-
-
-def _evaluate(spec, batch, points, out):
-    """Residual fields of each seed's loop in ``points``, as one stack.
-
-    A seed whose evaluation raises gets that failure as its outcome in
-    ``out`` and is left out of the returned list.
-    """
-    kept = []
-    for st, fields in zip(batch, _each(residual_field, spec, points)):
-        if isinstance(fields, GeometryError):
-            out[st.index] = fields
-        else:
-            st.fields = fields
-            kept.append(st)
-    return kept
-
-
-def _batch_residuals(spec, batch):
-    """``_scaled_residual`` of every seed's current nodes and fields."""
-    if not batch:
-        return []
-    return _scaled_residuals(spec, _stack([st.nodes for st in batch]),
-                             _stack([st.fields[1] for st in batch]),
-                             _stack([st.fields[2] for st in batch]))
-
-
-def _line_search(spec, batch, out):
-    """Armijo backtracking on |R|^2 with retraction for every seed at once.
-
-    Each trial point is pulled back onto the surface so the N^2-scaled
-    constraint rows do not poison the merit with the step's quadratic normal
-    drift.  Each round projects and evaluates the trials of the seeds still
-    searching as one stack.  A seed keeps the fields of its last trial for
-    its next iteration; they are None when that trial was not finite or
-    could not be projected.
-    """
-    for st in batch:
-        st.step = 1.0
-        st.accepted = False
-    searching = batch
-    for _ in range(12):
-        finite = []
-        for st in searching:
-            st.trial = st.nodes + st.step * st.delta
-            st.fields = None
-            if np.all(np.isfinite(st.trial)):
-                finite.append(st)
-        projected = []
-        for st, trial in zip(finite, _each(geometry.surface_project, spec,
-                                           [st.trial for st in finite])):
-            if not isinstance(trial, GeometryError):
-                st.trial = trial
-                projected.append(st)
-        for st in _evaluate(spec, projected, [st.trial for st in projected], out):
-            trial_merit = float(np.sum(st.fields[0] ** 2))
-            st.accepted = trial_merit <= (1.0 - 1e-4 * st.step) * st.merit
-        searching = [st for st in searching
-                     if not st.accepted and out[st.index] is None]
-        if not searching:
-            break
-        for st in searching:
-            st.step *= 0.5
 
 
 def refine_many(seeds, tol: float = 1e-10) -> list:
@@ -491,21 +437,23 @@ def refine_many(seeds, tol: float = 1e-10) -> list:
     iterate leaves a revolution band.  Seeds of different metrics or node
     counts raise ValueError.
 
-    Each Newton step solves the gauge-bordered system of the module
-    docstring with the seed's own Jacobian.  Far from a solution the step
-    is globalized by a backtracking line search on the squared residual;
-    near a solution full steps are taken and convergence is quadratic.  A
-    line search that finds no acceptable step still moves to its last
-    trial.  The solve stalls after three failed line searches in total,
-    consecutive or not: a seed kicked where no geodesic exists alternates
-    failed searches with tiny accepted steps and would otherwise run the
-    whole iteration budget.
+    Each seed runs ``_newton``.  Each Newton step solves the gauge-bordered
+    system of the module docstring with the seed's own Jacobian.  Far from
+    a solution the step is globalized by a backtracking line search on the
+    squared residual; near a solution full steps are taken and convergence
+    is quadratic.  A line search that finds no acceptable step still moves
+    to its last trial.  The solve stalls after three failed line searches
+    in total, consecutive or not: a seed kicked where no geodesic exists
+    alternates failed searches with tiny accepted steps and would otherwise
+    run the whole iteration budget.
 
-    The seeds take their Newton steps together, and the line-search trials
-    and scaled residuals of all seeds still iterating are evaluated as one
-    stack.  Every stacked evaluation gives each loop the bits it gets on
-    its own, so each seed's iterates, history and outcome are those of a
-    batch of one, whatever else is in the batch.
+    This driver answers the evaluations the seeds ask for, one kind per
+    round and each round as one stack: every pending line-search trial
+    first, and the new iterates only once no seed is still searching, so
+    the seeds take their Newton steps together.  Every stacked evaluation
+    gives each loop the bits it gets on its own, so each seed's iterates,
+    history and outcome are those of a batch of one, whatever else is in
+    the batch.
     """
     seeds = list(seeds)
     if not seeds:
@@ -515,44 +463,40 @@ def refine_many(seeds, tol: float = 1e-10) -> list:
     if any(s.metric != spec or s.nodes.shape != shape for s in seeds):
         raise ValueError("refine_many takes loops of one metric and one node count")
     out = [None] * len(seeds)
-    batch = [_Newton(k, np.array(s.nodes, dtype=float)) for k, s in enumerate(seeds)]
-    batch = _evaluate(spec, batch, [st.nodes for st in batch], out)
-    for st, (res, fdef, _) in zip(batch, _batch_residuals(spec, batch)):
-        st.res = st.res0 = res
-        st.fdef = fdef
-        st.history.append(res)
-    for it in range(_MAX_NEWTON_ITER + 1):
-        searching = []
-        for st in batch:
+    gens = {k: _newton(spec, np.array(s.nodes, dtype=float), tol) for k, s in enumerate(seeds)}
+    pending = {k: next(gen) for k, gen in gens.items()}    # seed index -> its request
+    while pending:
+        trials = {k: x for k, x in pending.items() if isinstance(x, np.ndarray)}
+        if trials:
+            answers = dict.fromkeys(trials)
+            projected = {k: x for k, x in zip(trials, _each(
+                geometry.surface_project, spec, list(trials.values())))
+                if not isinstance(x, GeometryError)}
+            for (k, x), fields in zip(projected.items(), _each(
+                    residual_field, spec, list(projected.values()))):
+                answers[k] = fields if isinstance(fields, GeometryError) else (x, fields)
+        else:
+            answers = {k: fields for k, (_, fields) in pending.items()}
+            fresh = [k for k, fields in answers.items() if fields is None]
+            answers.update(zip(fresh, _each(residual_field, spec, [pending[k][0] for k in fresh])))
+            ok = [k for k, fields in answers.items() if not isinstance(fields, GeometryError)]
+            if ok:
+                for k, vals in zip(ok, _scaled_residuals(
+                        spec, np.stack([pending[k][0] for k in ok]),
+                        np.stack([answers[k][1] for k in ok]),
+                        np.stack([answers[k][2] for k in ok]))):
+                    answers[k] = answers[k], vals
+        for k, answer in answers.items():
+            gen = gens[k]
             try:
-                out[st.index] = st.newton_direction(spec, it, tol)
+                pending[k] = (gen.throw(answer) if isinstance(answer, GeometryError)
+                              else gen.send(answer))
+            except StopIteration as stop:
+                out[k] = stop.value
+                del pending[k]
             except _FAILURES as exc:
-                out[st.index] = exc
-            if out[st.index] is None:
-                searching.append(st)
-        if not searching:
-            break
-        _line_search(spec, searching, out)
-        moved = []
-        for st in searching:
-            if out[st.index] is not None:
-                continue
-            try:
-                st.take_step()
-            except _FAILURES as exc:
-                out[st.index] = exc
-                continue
-            moved.append(st)
-        # a seed whose last trial kept no fields is evaluated afresh
-        fresh = [st for st in moved if st.fields is None]
-        _evaluate(spec, fresh, [st.nodes for st in fresh], out)
-        batch = [st for st in moved if out[st.index] is None]
-        for st, vals in zip(batch, _batch_residuals(spec, batch)):
-            try:
-                st.record(*vals)
-            except _FAILURES as exc:
-                out[st.index] = exc
-        batch = [st for st in batch if out[st.index] is None]
+                out[k] = exc
+                del pending[k]
     return out
 
 

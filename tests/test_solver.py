@@ -730,10 +730,14 @@ def _batch_outcomes(name):
     return tuple(_outcome(res) for res in solver.refine_many(_batch_case(name)))
 
 
+# what the seeds of each batch case end in: a result, or a failure's type and message
 BATCH_KINDS = {
-    "sphere": {solver.GeodesicResult, solver.StallError},
-    "conformal": {solver.GeodesicResult, solver.StallError},
-    "parallels": {solver.GeodesicResult, geometry.BandExitError},
+    "sphere": {solver.GeodesicResult,
+               (solver.StallError, "no convergence in 50 Newton iterations")},
+    "conformal": {solver.GeodesicResult,
+                  (solver.StallError, "line search cannot reduce the residual")},
+    "parallels": {solver.GeodesicResult,
+                  (geometry.BandExitError, "point left the configured z band")},
 }
 
 
@@ -741,7 +745,8 @@ BATCH_KINDS = {
 def test_batched_refinement_matches_single_refinement(name):
     seeds = _batch_case(name)
     batched = solver.refine_many(seeds)
-    assert {type(res) for res in batched} == BATCH_KINDS[name]
+    assert {_outcome(res) if isinstance(res, Exception) else type(res)
+            for res in batched} == BATCH_KINDS[name]
     for seed, res, want in zip(seeds, batched, _batch_outcomes(name)):
         alone = solver.refine_many([seed])[0]
         assert _outcome(res) == _outcome(alone) == want
@@ -776,3 +781,140 @@ def test_refine_many_takes_one_metric_and_one_node_count(ellipsoid_spec):
                   loops.principal_ellipse(MetricSpec.ellipsoid((1.0, 1.0, 0.9)), 0, 1, 32)):
         with pytest.raises(ValueError, match="one metric and one node count"):
             solver.refine_many([a, other])
+
+
+def _kicked_ellipses(spec):
+    """Three kicked principal ellipses on 64 nodes.  Any two differ by at
+    least 1 at some node and each converges within 0.08 of its seed, so
+    ``_near`` tells one seed's iterates from the others'."""
+    rng = np.random.default_rng(5)
+    return [loops.DiscreteLoop(spec, geometry.surface_project(
+        spec, np.asarray(loops.principal_ellipse(spec, i, j, 64).nodes)
+        + 0.02 * rng.normal(size=(64, 3)))) for i, j in ((0, 1), (0, 2), (1, 2))]
+
+
+def _near(x, target):
+    return np.max(np.abs(x - target)) < 0.2
+
+
+def _each_loop(x):
+    """The loops of one loop (N, m) or of a stack (B, N, m)."""
+    return np.reshape(x, (-1,) + np.shape(x)[-2:])
+
+
+def _nan_correction(monkeypatch, target):
+    real = solver._bordered_solve
+
+    def solve(jac, nodes, rhs):
+        sol = real(jac, nodes, rhs)
+        return np.full_like(sol, np.nan) if _near(nodes, target) else sol
+    monkeypatch.setattr(solver, "_bordered_solve", solve)
+
+
+def _stepped_scaled_residuals(change):
+    """Replace the scaled residual of every iterate of the target seed after
+    its first step by ``change(res, fdef, ell)``."""
+    def install(monkeypatch, target):
+        real = solver._scaled_residuals
+
+        def scaled(spec, nodes, tan, f):
+            return [change(*vals) if _near(x, target) and not np.array_equal(x, target) else vals
+                    for x, vals in zip(_each_loop(nodes), real(spec, nodes, tan, f))]
+        monkeypatch.setattr(solver, "_scaled_residuals", scaled)
+    return install
+
+
+def _far_projection(monkeypatch, target):
+    real = geometry.surface_project
+
+    def project(spec, x):
+        out = real(spec, x)
+        for y in _each_loop(out):
+            if _near(y, target):
+                y *= 1e3
+        return out
+    monkeypatch.setattr(geometry, "surface_project", project)
+
+
+# failure message -> (failure type, the patch that makes the target seed fail)
+KERNEL_EXITS = {
+    "non-finite Newton correction": (solver.DivergenceError, _nan_correction),
+    "residual grew beyond recovery": (
+        solver.DivergenceError, _stepped_scaled_residuals(lambda r, d, e: (1e300, d, e))),
+    "loop length collapsed toward zero": (
+        solver.CollapseError, _stepped_scaled_residuals(lambda r, d, e: (r, d, 0.0))),
+    "iterates left the working region": (solver.DivergenceError, _far_projection),
+}
+
+
+@pytest.mark.parametrize("message", sorted(KERNEL_EXITS))
+def test_each_failure_exit_fails_its_seed_alone_and_in_a_batch(ellipsoid_spec, monkeypatch,
+                                                                 message):
+    seeds = _kicked_ellipses(ellipsoid_spec)
+    others = [_outcome(solver.refine_to_geodesic(seeds[k])) for k in (0, 2)]
+    kind, install = KERNEL_EXITS[message]
+    install(monkeypatch, np.asarray(seeds[1].nodes))
+    with pytest.raises(kind) as excinfo:
+        solver.refine_to_geodesic(seeds[1])
+    assert type(excinfo.value) is kind and str(excinfo.value) == message
+    out = solver.refine_many(seeds)
+    assert _outcome(out[1]) == (kind, message)
+    assert [_outcome(out[0]), _outcome(out[2])] == others
+
+
+def test_a_search_without_a_projected_trial_moves_to_its_last_raw_trial(
+        ellipsoid_spec, monkeypatch):
+    # no trial of the first line search can be projected: each seed moves to
+    # nodes + 2^-11 delta unprojected, evaluates it afresh and goes on from
+    # there as a refinement of that point would
+    spec = ellipsoid_spec
+    seeds = _kicked_ellipses(spec)
+    want = []
+    for seed in seeds:
+        nodes = np.asarray(seed.nodes)
+        delta = solver._newton_step(spec, nodes, solver.residual_field(spec, nodes)[0],
+                                    max(1.0, float(np.max(np.abs(nodes)))))
+        raw = nodes + 2.0 ** -11 * delta
+        assert np.max(np.abs(geometry.constraint(spec, raw))) > 1e-9
+        alone = solver.refine_to_geodesic(loops.DiscreteLoop(spec, raw))
+        want.append((alone.loop.nodes.tobytes(),
+                     (solver._scaled_residual(spec, nodes)[0],) + alone.history,
+                     1 + alone.iterations))
+    rounds = []
+    real_scaled = solver._scaled_residuals
+    real_project = geometry.surface_project
+
+    def project(spec, x):
+        if len(rounds) == 1:
+            raise GeometryError("no projection in the first Newton round")
+        return real_project(spec, x)
+
+    monkeypatch.setattr(solver, "_scaled_residuals",
+                        lambda *args: rounds.append(1) or real_scaled(*args))
+    monkeypatch.setattr(geometry, "surface_project", project)
+    for seed, outcome in zip(seeds, want):
+        rounds.clear()
+        assert _outcome(solver.refine_to_geodesic(seed)) == outcome
+    rounds.clear()
+    assert [_outcome(res) for res in solver.refine_many(seeds)] == want
+
+
+def _lock_step_case(name):
+    if name == "ellipsoid":
+        return solver._census_seeds(KERNEL_SPECS["ellipsoid"], 64, 12, 7)
+    return [seed for seed, outcome in zip(_batch_case("sphere"), _batch_outcomes("sphere"))
+            if isinstance(outcome[0], bytes)]
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "sphere"])
+def test_the_seeds_of_a_batch_take_their_newton_steps_together(name, monkeypatch):
+    # one stack of scaled residuals per Newton round, so seeds that converge
+    # after different numbers of steps never drift out of phase
+    seeds = _lock_step_case(name)
+    calls = []
+    real = solver._scaled_residuals
+    monkeypatch.setattr(solver, "_scaled_residuals",
+                        lambda *args: calls.append(1) or real(*args))
+    iterations = [res.iterations for res in solver.refine_many(seeds)]
+    assert len(set(iterations)) > 1
+    assert len(calls) == 1 + max(iterations)
