@@ -411,7 +411,9 @@ class DoubledOrbitSample:
 
 def _cover_deviation(spec, nodes, prim_nodes):
     """Rotation shift aligning the primitive's double cover with a doubled
-    orbit, and the orbit's node deviation from the shifted cover."""
+    orbit, and the orbit's node deviation from the shifted cover.  The
+    shift is the L2-best one, so the RMS of the deviation is its minimum
+    over rotations of the cover."""
     cover = np.tile(prim_nodes, (2, 1))
     shift, _ = loops.align_rotation(DiscreteLoop(spec, nodes), DiscreteLoop(spec, cover))
     return shift, nodes - _spectral.fractional_shift(cover, shift)

@@ -418,13 +418,6 @@ def unit_normal(spec: MetricSpec, x) -> np.ndarray:
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
-def project_tangent(spec: MetricSpec, x, w) -> np.ndarray:
-    """Remove the constraint-normal component of w at x."""
-    nu = unit_normal(spec, x)
-    w = np.asarray(w, dtype=float)
-    return w - np.sum(w * nu, axis=-1, keepdims=True) * nu
-
-
 def surface_project(spec: MetricSpec, x) -> np.ndarray:
     """Cheap retraction of nearby ambient points onto the surface."""
     return spec.impl.surface_project(np.asarray(x, dtype=float))

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _scalar, _spectral, geometry
+from . import _spectral, geometry
 from .geometry import GeometryError, MetricSpec
 
 MIN_NODES = 16
+_SCAN_PAD = 4            # align_rotation's scan grid, per node
+_ALIGN_NEWTON_ITER = 8   # its Newton polish of the scan's best point
 
 
 class LoopError(ValueError):
@@ -149,44 +151,50 @@ def align_rotation(ref: DiscreteLoop, other: DiscreteLoop):
 
     Converged copies of one geodesic differ by an arbitrary fractional
     rotation of the parameter, so alignment cannot stop at integer node
-    shifts: the integer offset comes from an FFT cross-correlation and is
-    refined by minimizing the node mismatch over a real-valued shift with
-    Brent's bounded minimiser (``_scalar.minimize_bounded``, a port of
-    SciPy's), which also returns the mismatch at the shift it picks.
+    shifts.  The cross-correlation c(s) = sum_i ref_i . other(theta_i + s)
+    is a trigonometric polynomial in s whose coefficients are the
+    cross-spectrum w_k = sum_j conj(a_kj) b_kj of the nodes' FFTs a and b
+    (the real part of the sum takes the even-N Nyquist term as the cosine
+    that ``fractional_shift`` uses).  Its maximum, the L2-best rotation, is
+    found by scanning c on a grid ``_SCAN_PAD`` times finer than the nodes
+    and polishing the best grid point by Newton on c'(s) = 0.  Newton stops
+    at round-off, or keeps its current point where c'' >= 0 (a flat
+    correlation, as for a circle against its own reversal).
 
-    Returns (shift, distance): ``other`` rotated by ``shift`` matches
-    ``ref`` with worst remaining node distance ``distance``.  The shift
-    search looks only within one node of the correlation peak, so
-    ``distance`` is an upper bound on the rotation-quotient distance.  For
-    nearby loops it is the minimum to within the search tolerance (the
-    rotation property test checks this); for loops far apart the best shift
-    can lie outside the window.
+    Returns (shift, distance), 0 <= shift < 1: ``other`` rotated by
+    ``shift`` matches ``ref`` with worst remaining node distance
+    ``distance``.  That is the max-norm distance at the L2-best rotation,
+    so it is rotation invariant and an upper bound on the max-norm
+    distance up to rotation; for nearby loops the two agree to far below
+    any census tolerance.
     """
     a = ref.nodes
     b = other.nodes if other.n == ref.n else _spectral.resample(other.nodes, ref.n)
     n = a.shape[0]
-    fa = np.fft.fft(a, axis=0)
-    fb = np.fft.fft(b, axis=0)
-    corr = np.fft.ifft(np.sum(np.conj(fa) * fb, axis=1)).real
-    k0 = int(np.argmax(corr))
-
-    def mismatch(s):
-        shifted = _spectral.fractional_shift(b, s)
-        return float(np.max(np.linalg.norm(shifted - a, axis=1)))
-
-    s_best, d_best = _scalar.minimize_bounded(
-        mismatch, (k0 - 1.0) / n, (k0 + 1.0) / n, xatol=1e-13)
-    d_int = mismatch(k0 / n)
-    if d_int < d_best:
-        s_best, d_best = k0 / n, d_int
-    return s_best, d_best
+    w = np.sum(np.conj(np.fft.fft(a, axis=0)) * np.fft.fft(b, axis=0), axis=1)
+    scan = _spectral.shifted_grids(np.fft.ifft(w).real, _SCAN_PAD * n, (0.0,))[0]
+    s = int(np.argmax(scan)) / (_SCAN_PAD * n)
+    iq = 2j * np.pi * _spectral.modes(n)
+    for _ in range(_ALIGN_NEWTON_ITER):
+        terms = w * np.exp(iq * s)
+        d1 = float(np.sum(iq * terms).real)
+        d2 = float(np.sum(iq * iq * terms).real)
+        if not d2 < 0.0:
+            break
+        step = d1 / d2
+        s -= step
+        if abs(step) <= 1e-15:
+            break
+    s %= 1.0
+    s = 0.0 if s == 1.0 else s
+    shifted = _spectral.fractional_shift(b, s)
+    return s, float(np.max(np.linalg.norm(shifted - a, axis=1)))
 
 
 def loop_distance(a: DiscreteLoop, b: DiscreteLoop) -> float:
-    """Distance of two loops up to rotating the parametrization (same orientation).
-
-    An upper bound on the rotation-quotient distance, which it meets for
-    nearby loops; see ``align_rotation``.
+    """Distance of two loops up to rotating the parametrization (same
+    orientation): the worst node distance at the L2-best rotation, an upper
+    bound on the max-norm distance up to rotation; see ``align_rotation``.
     """
     return align_rotation(a, b)[1]
 

@@ -404,9 +404,8 @@ def _newton(spec, nodes, tol):
         # with the step's quadratic normal drift.
         step = 1.0
         for _ in range(12):
-            trial, fields = nodes + step * delta, None
-            if np.all(np.isfinite(trial)):
-                trial, fields = (yield trial) or (trial, None)
+            trial = nodes + step * delta
+            trial, fields = (yield trial) or (trial, None)
             if fields is not None \
                     and float(np.sum(fields[0] ** 2)) <= (1.0 - 1e-4 * step) * merit:
                 break

@@ -1,14 +1,13 @@
-"""The Brent root finder and bounded minimiser against ``scipy.optimize``.
+"""The Brent root finder against ``scipy.optimize``.
 
-``geocount._scalar`` ports SciPy's ``brentq`` and bounded scalar
-minimiser so that the package never imports ``scipy.optimize``.  SciPy
-stays here as the oracle: every result must carry the same bits, and every
-failure must raise the same exception type.
+``geocount._scalar`` ports SciPy's ``brentq`` so that the package never
+imports ``scipy.optimize``.  SciPy stays here as the oracle: every result
+must carry the same bits, and every failure must raise the same exception
+type.
 """
 
 import math
 
-import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings
@@ -45,25 +44,6 @@ def test_brentq_matches_scipy_bit_for_bit(kind, root, log_scale, power, wiggle, 
     f = _root_function(kind, root, 10.0 ** log_scale, power, wiggle)
     want = _outcome(lambda: scipy.optimize.brentq(f, left, right, xtol=1e-14))
     assert _outcome(lambda: _scalar.brentq(f, left, right, xtol=1e-14)) == want
-
-
-@settings(max_examples=300)
-@given(kind=st.integers(0, 2), centre=st.floats(-1.0, 1.0), log_width=st.floats(-3.0, 3.0),
-       lo=st.floats(-2.0, 0.0), log_span=st.floats(-6.0, 1.0))
-def test_minimize_bounded_matches_scipy_bit_for_bit(kind, centre, log_width, lo, log_span):
-    w = 10.0 ** log_width
-    f = [lambda x: w * (x - centre) ** 2,
-         lambda x: abs(x - centre) ** 1.5 + 0.1 * math.sin(w * x),
-         lambda x: float(np.max(np.abs(np.cos(w * x + np.arange(3)))))][kind]
-    hi = lo + 10.0 ** log_span
-    res = scipy.optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                         options={"xatol": 1e-13})
-    calls = []
-    x, fx = _scalar.minimize_bounded(lambda s: calls.append(s) or f(s), lo, hi, xatol=1e-13)
-    assert repr(x) == repr(float(res.x))
-    assert repr(fx) == repr(float(res.fun))
-    assert len(calls) == res.nfev
-    assert fx == f(x)  # the value returned is the one held at x
 
 
 def test_brentq_returns_a_root_at_an_endpoint():
