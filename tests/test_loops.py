@@ -125,6 +125,49 @@ def test_align_rotation_recovers_shift(sphere):
     assert np.max(np.abs(np.asarray(recovered.nodes) - np.asarray(loop.nodes))) <= 1e-12
 
 
+def test_align_rotation_resamples_other_to_ref_nodes(sphere):
+    loop = _equator(sphere, n=64)
+    other = loops.resample(loops.fractional_rotate(loop, 0.3), 96)
+    shift, distance = loops.align_rotation(loop, other)
+    assert abs(shift - 0.7) <= 1e-12
+    assert distance <= 1e-12
+
+
+def _wobbly_loop(spec, n, rng):
+    """Generic loop of the unit sphere: a great circle plus random
+    harmonics of degree 2 and 3, projected back onto the sphere."""
+    t = 2 * np.pi * np.arange(n) / n
+    nodes = np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=1)
+    for k in (2, 3):
+        nodes += 0.2 * (np.outer(np.cos(k * t), rng.normal(size=3))
+                        + np.outer(np.sin(k * t), rng.normal(size=3)))
+    return DiscreteLoop(spec, geometry.surface_project(spec, nodes))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_align_rotation_maximises_the_correlation(sphere, seed):
+    rng = np.random.default_rng(seed)
+    n = 48
+    a = _wobbly_loop(sphere, n, rng)
+    b = loops.fractional_rotate(a, rng.uniform())
+    b = DiscreteLoop(sphere, geometry.surface_project(
+        sphere, b.nodes + 0.05 * _wobbly_loop(sphere, n, rng).nodes))
+    shift, distance = loops.align_rotation(a, b)
+    assert 0.0 <= shift < 1.0
+
+    def corr(s):
+        return float(np.sum(a.nodes * _spectral.fractional_shift(b.nodes, s)))
+
+    best = corr(shift)
+    # a maximum of the trigonometric correlation: above every point of a
+    # grid twice as fine as the scan, and above its own neighbours
+    grid = max(corr(k / (8 * n)) for k in range(8 * n))
+    assert best >= grid - 1e-12 * abs(grid)
+    assert best >= max(corr(shift - 1e-5), corr(shift + 1e-5))
+    shifted = _spectral.fractional_shift(b.nodes, shift)
+    assert distance == float(np.max(np.linalg.norm(shifted - a.nodes, axis=1)))
+
+
 def test_loop_distance_quotients_rotation(sphere):
     loop = _equator(sphere, n=64)
     assert loops.loop_distance(loop, loops.rotate(loop, 17)) < 1e-10
