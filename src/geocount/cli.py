@@ -151,12 +151,15 @@ def _get_float(sec, key, default, positive=False):
     return val
 
 
-def load_config(path: str, command: str) -> RunConfig:
-    """Parse and validate a run configuration for the given subcommand."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+def load_config(path: str, command: str, overrides=None) -> RunConfig:
+    """Parse and validate a run configuration for the given subcommand;
+    ``overrides`` maps [run] keys to value text that replaces the file's."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
+        if overrides:
+            cp.read_dict({"run": overrides})
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
@@ -243,10 +246,6 @@ def load_config(path: str, command: str) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     if cfg.mesh not in MESH_CHOICES:
         raise ConfigError(f"mesh: must be one of {MESH_CHOICES}, got {cfg.mesh}")
-    if not 0 <= cfg.seed < 2 ** 64:
-        raise ConfigError(f"seed: must fit in u64, got {cfg.seed}")
-    if cfg.trials < 1:
-        raise ConfigError("trials: must be at least 1")
     needs_bound = cfg.command in ("census", "jacobi", "weights")
     if needs_bound and cfg.length_bound is None:
         raise ConfigError(f"{cfg.command} needs length_bound in [run]")
@@ -483,7 +482,8 @@ def cmd_count(cfg: RunConfig, out: Out) -> None:
             out.summary.append("super-rigid census: PASS")
             return
 
-    strategy = cfg.strategy if cfg.strategy != "both" else "axis_jitter"
+    strategy = cfg.strategy if cfg.strategy != "both" \
+        else weights.applicable_strategies(cfg.metric)[0]
     result, rows = _perturbation_trials(cfg, window, strategy)
     out.add("degenerate.csv", _csv(_DEGENERATE_HEADER, rows))
     # an accepted trial has no iterate within pad of hi and counted only up
@@ -498,7 +498,7 @@ def cmd_count(cfg: RunConfig, out: Out) -> None:
 
 def cmd_degenerate_weight(cfg: RunConfig, out: Out) -> None:
     window = cfg.window or (0.0, cfg.length_bound)
-    strategies = weights.PERTURBATION_STRATEGIES if cfg.strategy == "both" \
+    strategies = weights.applicable_strategies(cfg.metric) if cfg.strategy == "both" \
         else (cfg.strategy,)
     out.summary.append("command: degenerate-weight")
     out.summary.append(f"window: ({_fmt(window[0])}, {_fmt(window[1])})")
@@ -730,24 +730,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="run config file")
         sp.add_argument("--out", default="geocount_out",
                         help="output directory (default: geocount_out)")
-        sp.add_argument("--mesh", type=int, help="override mesh node count")
-        sp.add_argument("--seed", type=int, help="override master seed")
-        sp.add_argument("--trials", type=int,
-                        help="override perturbation trial count")
+        sp.add_argument("--mesh", help="override [run] mesh")
+        sp.add_argument("--seed", help="override [run] seed")
+        sp.add_argument("--trials", help="override [run] trials")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {key: getattr(args, key) for key in ("mesh", "seed", "trials")
+                 if getattr(args, key) is not None}
     try:
-        cfg = load_config(args.config, args.command)
-        if args.mesh is not None:
-            cfg.mesh = args.mesh
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.trials is not None:
-            cfg.trials = args.trials
-        _validate(cfg)
+        cfg = load_config(args.config, args.command, overrides)
     except ConfigError as exc:
         print(f"geocount: config error: {exc}", file=sys.stderr)
         return 2

@@ -260,8 +260,8 @@ def continue_branch(
     closer than ``cluster_tol`` in t raise UnresolvedClusterError.
     """
     seed = start.loop if isinstance(start, solver.GeodesicResult) else start
-    points = [_point(0.0, 0.0, _solve_fixed_t(path, 0.0, np.asarray(seed.nodes), tol))]
-    nodes = np.asarray(points[0].result.loop.nodes)
+    points = [_point(0.0, 0.0, _solve_fixed_t(path, 0.0, seed.nodes, tol))]
+    nodes = points[0].result.loop.nodes
     tau = _branch_tangent(path, 0.0, nodes)
     t = 0.0
     s_acc = 0.0
@@ -290,14 +290,14 @@ def continue_branch(
             break
         new = _point(new_t, s_acc + step, solver.refine_to_geodesic(
             DiscreteLoop(path.at(new_t), new_nodes), tol=tol))
-        new_tau = _branch_tangent(path, new_t, np.asarray(new.result.loop.nodes), prev=tau)
+        new_tau = _branch_tangent(path, new_t, new.result.loop.nodes, prev=tau)
         # fold: tangent t-component changed sign
         if tau[-1] * new_tau[-1] < 0.0:
             events.append(_locate_fold(path, (nodes, t, tau, s_acc), step, tol))
         _maybe_pd_event(path, points[-1], new, events, event_t_tol, tol)
         points.append(new)
         s_acc = new.s
-        nodes = np.asarray(new.result.loop.nodes)
+        nodes = new.result.loop.nodes
         t = new_t
         tau = new_tau
         step = min(step * 1.3, ds_max)
@@ -317,8 +317,8 @@ def _maybe_pd_event(path, prev_pt: BranchPoint, new_pt: BranchPoint, events, t_t
     f_new = new_pt.trace + 2.0
     if f_prev == 0.0 or f_prev * f_new > 0.0:
         return
-    lo_t, lo_nodes = prev_pt.t, np.asarray(prev_pt.result.loop.nodes)
-    hi_t, hi_nodes = new_pt.t, np.asarray(new_pt.result.loop.nodes)
+    lo_t, lo_nodes = prev_pt.t, prev_pt.result.loop.nodes
+    hi_t, hi_nodes = new_pt.t, new_pt.result.loop.nodes
     f_lo = f_prev
     while hi_t - lo_t > t_tol:
         mid_t = 0.5 * (lo_t + hi_t)
@@ -326,9 +326,9 @@ def _maybe_pd_event(path, prev_pt: BranchPoint, new_pt: BranchPoint, events, t_t
         res_mid = _solve_fixed_t(path, mid_t, guess, tol)
         tr_mid, _, _ = _trace(res_mid)
         if (tr_mid + 2.0) * f_lo <= 0.0:
-            hi_t, hi_nodes = mid_t, np.asarray(res_mid.loop.nodes)
+            hi_t, hi_nodes = mid_t, res_mid.loop.nodes
         else:
-            lo_t, lo_nodes, f_lo = mid_t, np.asarray(res_mid.loop.nodes), tr_mid + 2.0
+            lo_t, lo_nodes, f_lo = mid_t, res_mid.loop.nodes, tr_mid + 2.0
     events.append(_event("period_doubling", path, 0.5 * (lo_t + hi_t),
                          0.5 * (lo_nodes + hi_nodes), tol, hi_t - lo_t))
 
@@ -409,14 +409,13 @@ class DoubledOrbitSample:
     amplitude: float          # L2 deviation from the tiled primitive
 
 
-def _cover_deviation(spec, nodes, prim_nodes):
+def _cover_deviation(nodes, prim_nodes):
     """Rotation shift aligning the primitive's double cover with a doubled
-    orbit, and the orbit's node deviation from the shifted cover.  The
-    shift is the L2-best one, so the RMS of the deviation is its minimum
+    orbit's nodes, and the orbit's node deviation from the shifted cover.
+    The shift is the L2-best one, so the RMS of the deviation is its minimum
     over rotations of the cover."""
-    cover = np.tile(prim_nodes, (2, 1))
-    shift, _ = loops.align_rotation(DiscreteLoop(spec, nodes), DiscreteLoop(spec, cover))
-    return shift, nodes - _spectral.fractional_shift(cover, shift)
+    shift, cover = loops.align_nodes(nodes, np.tile(prim_nodes, (2, 1)))
+    return shift, nodes - cover
 
 
 def _doubling_kicks(event):
@@ -456,10 +455,11 @@ def spawn_doubled_branch(
     kicked Newton solve can fall back onto the trivial cover.  The orbit is
     then walked in t to each requested offset, seeding every solve from its
     neighbor, which is far more reliable than cold kicks at a distance.
-    Each sample is the walk's orbit at its offset, measured against the
-    primitive the walk carries alongside.  Offsets on the wrong side of the
-    tongue produce no samples.  ``event_kicks`` is ``_doubling_kicks(event)``
-    when the caller already holds it.
+    The walk carries the primitive alongside; each orbit's deviation from
+    the primitive's double cover is computed once, and it both seeds the
+    next step and gives the orbit's sample amplitude.  Offsets on the wrong
+    side of the tongue produce no samples.  ``event_kicks`` is
+    ``_doubling_kicks(event)`` when the caller already holds it.
     """
     offsets = sorted(float(o) for o in offsets)
     if not offsets:
@@ -473,8 +473,8 @@ def spawn_doubled_branch(
     # bootstrap just inside the tongue
     t_boot = event.t + side * min(_BOOTSTRAP_OFFSET, abs(offsets[0 if side > 0 else -1]))
     t_boot = min(max(t_boot, 0.0), 1.0)
-    prim_b = _solve_fixed_t(path, t_boot, np.asarray(event.loop.nodes), tol)
-    cover_b = np.tile(np.asarray(prim_b.loop.nodes), (2, 1))
+    prim_b = _solve_fixed_t(path, t_boot, event.loop.nodes, tol)
+    cover_b = np.tile(prim_b.loop.nodes, (2, 1))
     for eps in _KICK_SIZES:
         found = _refine_primitive(path, t_boot, [cover_b + eps * kd for kd in kicks], tol)
         boot = next((c for c in found if c is not None), None)
@@ -483,35 +483,31 @@ def spawn_doubled_branch(
     else:
         return ()
 
-    # walk the doubled branch to each requested offset; the seed deviation
-    # from the tiled primitive is rescaled by the square-root amplitude law,
+    # walk the doubled branch to each requested offset: the next seed is the
+    # next primitive's double cover, shifted as the current orbit aligns, plus
+    # the current orbit's deviation rescaled by the square-root amplitude law;
     # otherwise a small near-event orbit falls back onto the cover basin of
     # the next step
-    def step_to(cur_t, cur_nodes, prim_nodes, next_t):
-        shift, dev = _cover_deviation(path.at(cur_t), cur_nodes, prim_nodes)
-        prim_n = _solve_fixed_t(path, next_t, prim_nodes, tol)
-        prim_n_nodes = np.asarray(prim_n.loop.nodes)
-        scale = math.sqrt(max(abs(next_t - event.t), 1e-15)
-                          / max(abs(cur_t - event.t), 1e-15))
-        seed_nodes = _spectral.fractional_shift(
-            np.tile(prim_n_nodes, (2, 1)), shift) + scale * dev
-        return _refine_primitive(path, next_t, [seed_nodes], tol)[0], prim_n_nodes
-
     samples = []
     cur_t, cur = t_boot, boot
-    prim_nodes = np.asarray(prim_b.loop.nodes)
+    prim_nodes = prim_b.loop.nodes
+    shift, dev = _cover_deviation(cur.loop.nodes, prim_nodes)
     for off in (offsets if side > 0 else reversed(offsets)):
         target = event.t + off
         if not 0.0 <= target <= 1.0:
             continue
         while abs(target - cur_t) > 1e-12:
-            step_t = float(np.clip(target - cur_t, -_WALK_STEP, _WALK_STEP))
-            nxt, prim_nodes = step_to(
-                cur_t, np.asarray(cur.loop.nodes), prim_nodes, cur_t + step_t)
-            if nxt is None:
+            next_t = cur_t + float(np.clip(target - cur_t, -_WALK_STEP, _WALK_STEP))
+            prim_nodes = _solve_fixed_t(path, next_t, prim_nodes, tol).loop.nodes
+            scale = math.sqrt(max(abs(next_t - event.t), 1e-15)
+                              / max(abs(cur_t - event.t), 1e-15))
+            seed_nodes = _spectral.fractional_shift(
+                np.tile(prim_nodes, (2, 1)), shift) + scale * dev
+            cur = _refine_primitive(path, next_t, [seed_nodes], tol)[0]
+            if cur is None:
                 return tuple(samples)
-            cur_t, cur = cur_t + step_t, nxt
-        _, dev = _cover_deviation(path.at(cur_t), np.asarray(cur.loop.nodes), prim_nodes)
+            cur_t = next_t
+            shift, dev = _cover_deviation(cur.loop.nodes, prim_nodes)
         amp = float(np.sqrt(np.mean(np.sum(dev * dev, axis=1))))
         samples.append(DoubledOrbitSample(t=cur_t, result=cur, amplitude=amp))
     return tuple(samples)
@@ -570,7 +566,7 @@ def _pd_side_detail(path, event, t_val, kicks, tol):
 
     ``kicks`` is the event's ``_doubling_kicks``, shared by both sides of
     the event."""
-    res = _solve_fixed_t(path, t_val, np.asarray(event.loop.nodes), tol)
+    res = _solve_fixed_t(path, t_val, event.loop.nodes, tol)
     rec = weights.weigh_result(res, "primitive")
     detail = {"primitive_double_cover": rec.contribution(2)}
     records = {"primitive_double_cover": rec}
@@ -596,7 +592,7 @@ def _fold_side_detail(path, event, t_val, kick_dir, tol):
     The branches are numbered by ascending length, not in the order the kicks
     find them: the sign of the kernel field is arbitrary, and negating it
     reverses that order."""
-    base = np.asarray(event.loop.nodes)
+    base = event.loop.nodes
     base_len = loops.length(event.loop)
     detail = {}
     found = []

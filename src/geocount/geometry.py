@@ -182,9 +182,6 @@ class _Ellipsoid:
             raise GeometryError("cannot project the origin onto the ellipsoid")
         return x / s
 
-    def from_reference(self, ref):
-        return np.asarray(ref, dtype=float) / self.a
-
 
 def _horner(c, z):
     """Polynomial with coefficients c (low to high) at z, in the order of
@@ -289,12 +286,6 @@ class _Revolution:
         out[..., :2] = x[..., :2] * scale
         return out
 
-    def from_reference(self, ref):
-        ref = np.asarray(ref, dtype=float)
-        z, phi = ref[..., 0], ref[..., 1]
-        r = self.profile(z, 0)[0]
-        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-
 
 class _ConformalSphere:
     """The round sphere with metric e^{2u} g_round, u(x) = p(x / |x|) for the
@@ -341,9 +332,6 @@ class _ConformalSphere:
     def grad(self, x):
         return 2.0 * x
 
-    def hess(self, x):
-        return np.broadcast_to(2.0 * np.eye(3), np.shape(x)[:-1] + (3, 3))
-
     def surface_project(self, x):
         nrm = np.sqrt(_dot(x, x))[..., None]
         if np.any(nrm == 0.0):
@@ -385,9 +373,6 @@ class _ConformalSphere:
     def sphere_laplacian_u(self, x):
         """Exact spherical Laplacian of u: each degree-l term scales by -l(l+1)."""
         return np.tensordot(self.coef[5], self._monomials(x)[0], axes=1)
-
-    def from_reference(self, ref):
-        return np.asarray(ref, dtype=float)
 
 
 _FAMILIES = {
@@ -453,10 +438,6 @@ def metric_dot(spec: MetricSpec, x, v, w) -> np.ndarray:
 
 def speed(spec: MetricSpec, x, v) -> np.ndarray:
     return np.sqrt(metric_dot(spec, x, v, v))
-
-
-def from_reference(spec: MetricSpec, ref) -> np.ndarray:
-    return spec.impl.from_reference(np.asarray(ref, dtype=float))
 
 
 def check_band(spec: MetricSpec, x) -> None:

@@ -62,15 +62,13 @@ class JacobiOperatorData:
         return self.b_unit.shape[1]
 
 
-def build_operator(source) -> JacobiOperatorData:
-    """Assemble the Jacobi data for a converged closed geodesic.
+def build_operator(result: solver.GeodesicResult) -> JacobiOperatorData:
+    """Assemble the Jacobi data along the loop of a refinement result.
 
-    ``source`` is a refinement result or a DiscreteLoop already satisfying
-    the geodesic equation; a loop with a visibly nonzero residual is
-    rejected, since the second variation is only meaningful at a critical
-    point.
+    A loop with a visibly nonzero residual is rejected, since the second
+    variation is only meaningful at a critical point.
     """
-    loop = source.loop if isinstance(source, solver.GeodesicResult) else source
+    loop = result.loop
     spec = loop.metric
     res, fdef, _ = solver._scaled_residual(spec, loop.nodes)
     if res > 1e-6 or fdef > 1e-8:
@@ -421,7 +419,8 @@ class JacobiReport:
 
 
 def jacobi_report(source, d_max: int = 2) -> JacobiReport:
-    """Full two-route stability report for one closed geodesic."""
+    """Full two-route stability report for one closed geodesic, from its
+    refinement result or that result's ``build_operator`` data."""
     data = source if isinstance(source, JacobiOperatorData) else build_operator(source)
     mono = monodromy(data)
     floq = {d: floquet_nullity(mono, d) for d in range(1, max(d_max, 4) + 1)}

@@ -18,6 +18,7 @@ from .geometry import GeometryError, MetricSpec
 MIN_NODES = 16
 _SCAN_PAD = 4            # align_rotation's scan grid, per node
 _ALIGN_NEWTON_ITER = 8   # its Newton polish of the scan's best point
+_DECOMPOSE_TOL = 1e-7    # primitive_decompose's tiling test, per coordinate scale
 
 
 class LoopError(ValueError):
@@ -54,10 +55,6 @@ class DiscreteLoop:
     @property
     def n(self) -> int:
         return self.nodes.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.nodes.shape[1]
 
 
 def velocity(loop: DiscreteLoop) -> np.ndarray:
@@ -120,12 +117,12 @@ class DecomposeResult:
     mismatch: float  # worst node deviation of the best tiling, absolute
 
 
-def primitive_decompose(loop: DiscreteLoop, tol: float = 1e-7) -> DecomposeResult:
+def primitive_decompose(loop: DiscreteLoop) -> DecomposeResult:
     """Write the loop as the d-fold cover of a primitive base.
 
     Checks every divisor d of N in decreasing order: the loop is a d-cover
-    exactly when shifting by N/d nodes reproduces it.  The tolerance is
-    relative to the coordinate scale.
+    when shifting by N/d nodes moves no coordinate by more than
+    ``_DECOMPOSE_TOL`` times the largest coordinate.
     """
     nodes = loop.nodes
     n = loop.n
@@ -136,7 +133,7 @@ def primitive_decompose(loop: DiscreteLoop, tol: float = 1e-7) -> DecomposeResul
             continue
         step = n // d
         mis = float(np.max(np.abs(np.roll(nodes, -step, axis=0) - nodes)))
-        if mis <= tol * scale:
+        if mis <= _DECOMPOSE_TOL * scale:
             base_nodes = nodes[:step]
             if step < MIN_NODES or step % 4 != 0:
                 target = max(MIN_NODES, int(2 ** np.ceil(np.log2(step))))
@@ -146,30 +143,25 @@ def primitive_decompose(loop: DiscreteLoop, tol: float = 1e-7) -> DecomposeResul
     return DecomposeResult(loop, best_d, best_mis)
 
 
-def align_rotation(ref: DiscreteLoop, other: DiscreteLoop):
-    """Best continuous rotation of ``other`` matching ``ref``.
+def align_nodes(a: np.ndarray, b: np.ndarray):
+    """Best continuous rotation of the node array ``b`` matching ``a``, of
+    the same shape.
 
     Converged copies of one geodesic differ by an arbitrary fractional
     rotation of the parameter, so alignment cannot stop at integer node
-    shifts.  The cross-correlation c(s) = sum_i ref_i . other(theta_i + s)
-    is a trigonometric polynomial in s whose coefficients are the
-    cross-spectrum w_k = sum_j conj(a_kj) b_kj of the nodes' FFTs a and b
-    (the real part of the sum takes the even-N Nyquist term as the cosine
-    that ``fractional_shift`` uses).  Its maximum, the L2-best rotation, is
+    shifts.  The cross-correlation c(s) = sum_i a_i . b(theta_i + s) is a
+    trigonometric polynomial in s whose coefficients are the cross-spectrum
+    w_k = sum_j conj(A_kj) B_kj of the FFTs A and B of the nodes (the real
+    part of the sum takes the even-N Nyquist term as the cosine that
+    ``fractional_shift`` uses).  Its maximum, the L2-best rotation, is
     found by scanning c on a grid ``_SCAN_PAD`` times finer than the nodes
     and polishing the best grid point by Newton on c'(s) = 0.  Newton stops
     at round-off, or keeps its current point where c'' >= 0 (a flat
     correlation, as for a circle against its own reversal).
 
-    Returns (shift, distance), 0 <= shift < 1: ``other`` rotated by
-    ``shift`` matches ``ref`` with worst remaining node distance
-    ``distance``.  That is the max-norm distance at the L2-best rotation,
-    so it is rotation invariant and an upper bound on the max-norm
-    distance up to rotation; for nearby loops the two agree to far below
-    any census tolerance.
+    Returns (shift, shifted), 0 <= shift < 1, with shifted =
+    ``_spectral.fractional_shift(b, shift)``, the only shift of ``b`` made.
     """
-    a = ref.nodes
-    b = other.nodes if other.n == ref.n else _spectral.resample(other.nodes, ref.n)
     n = a.shape[0]
     w = np.sum(np.conj(np.fft.fft(a, axis=0)) * np.fft.fft(b, axis=0), axis=1)
     scan = _spectral.shifted_grids(np.fft.ifft(w).real, _SCAN_PAD * n, (0.0,))[0]
@@ -187,8 +179,18 @@ def align_rotation(ref: DiscreteLoop, other: DiscreteLoop):
             break
     s %= 1.0
     s = 0.0 if s == 1.0 else s
-    shifted = _spectral.fractional_shift(b, s)
-    return s, float(np.max(np.linalg.norm(shifted - a, axis=1)))
+    return s, _spectral.fractional_shift(b, s)
+
+
+def align_rotation(ref: DiscreteLoop, other: DiscreteLoop):
+    """``align_nodes`` of ``ref`` and ``other`` resampled to its node count,
+    as (shift, distance): the worst node distance at the L2-best rotation,
+    which is rotation invariant and an upper bound on the max-norm distance
+    up to rotation (for nearby loops the two agree far below any census
+    tolerance)."""
+    b = other.nodes if other.n == ref.n else _spectral.resample(other.nodes, ref.n)
+    s, shifted = align_nodes(ref.nodes, b)
+    return s, float(np.max(np.linalg.norm(shifted - ref.nodes, axis=1)))
 
 
 def loop_distance(a: DiscreteLoop, b: DiscreteLoop) -> float:
@@ -225,20 +227,18 @@ def principal_ellipse(spec: MetricSpec, j: int, k: int, n: int = 256) -> Discret
 
 
 def great_circle_seed(spec: MetricSpec, e1, e2, n: int = 256) -> DiscreteLoop:
-    """Reference-sphere great circle pushed onto the surface.
-
-    For ellipsoids the circle lives on the unit sphere of reference
-    coordinates; for the conformal family the reference sphere is the surface
-    itself.
-    """
+    """Unit great circle in the plane span(e1, e2) on the surface: divided
+    by the a_j on an ellipsoid sum (a_j x_j)^2 = 1, as it is on a conformal
+    sphere.  Revolution seeds are parallels (``parallel_circle``)."""
+    if spec.family == "revolution":
+        raise GeometryError("revolution seeds come from parallels or shooting")
     e1 = np.asarray(e1, dtype=float)
     e2 = e2 - np.dot(np.asarray(e2, float), e1) / np.dot(e1, e1) * e1
     e1 = e1 / np.linalg.norm(e1)
     e2 = e2 / np.linalg.norm(e2)
-    ref = circle_nodes(n, e1, e2)
-    if spec.family == "revolution":
-        raise GeometryError("revolution seeds come from parallels or shooting")
-    nodes = geometry.from_reference(spec, ref)
+    nodes = circle_nodes(n, e1, e2)
+    if spec.family == "ellipsoid":
+        nodes = nodes / np.asarray(spec.data)
     return DiscreteLoop(spec, geometry.surface_project(spec, nodes))
 
 
@@ -247,5 +247,7 @@ def parallel_circle(spec: MetricSpec, z: float, n: int = 256) -> DiscreteLoop:
     if spec.family != "revolution":
         raise GeometryError("parallel circles require a revolution surface")
     geometry.check_band(spec, np.array([[0.0, 0.0, z]]))
-    ref = np.stack([np.full(n, float(z)), 2.0 * np.pi * np.arange(n) / n], axis=1)
-    return DiscreteLoop(spec, geometry.from_reference(spec, ref))
+    z = np.full(n, float(z))
+    phi = 2.0 * np.pi * np.arange(n) / n
+    r = spec.impl.profile(z, 0)[0]
+    return DiscreteLoop(spec, np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1))

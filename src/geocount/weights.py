@@ -74,11 +74,12 @@ class WeightRecord:
         return 2 * (self.n1 if d == 1 else self.n2 if d == 2 else 0)
 
 
-def weight(report: jacobi.JacobiReport, ident: str = "", length: float | None = None) -> WeightRecord:
+def weight(report: jacobi.JacobiReport, ident: str = "") -> WeightRecord:
     """Weights of a primitive geodesic from its stability report.
 
     Requires nu(1) = nu(2) = 0 (checked on both computational routes);
-    deeper resonances d = 3, 4 do not obstruct the weights.
+    deeper resonances d = 3, 4 do not obstruct the weights.  The record's
+    length is ``loops.length`` of the report's loop.
     """
     by_d = {r.d: r for r in report.indices}
     if 1 not in by_d or 2 not in by_d:
@@ -96,15 +97,15 @@ def weight(report: jacobi.JacobiReport, ident: str = "", length: float | None = 
     eps2 = -1 if i2.iota % 2 else 1
     n2, rem = divmod(eps2 - eps1, 2)
     assert rem == 0
-    ell = length if length is not None else loops.length(report.data.loop)
     return WeightRecord(
-        ident=ident, length=ell, iota=(i1.iota, i2.iota), nu=(i1.nu, i2.nu),
-        eps=(eps1, eps2), n1=eps1, n2=n2, routes_agree=report.routes_agree)
+        ident=ident, length=loops.length(report.data.loop), iota=(i1.iota, i2.iota),
+        nu=(i1.nu, i2.nu), eps=(eps1, eps2), n1=eps1, n2=n2,
+        routes_agree=report.routes_agree)
 
 
 def weigh_result(result: solver.GeodesicResult, ident: str) -> WeightRecord:
     """Weights of a refined primitive geodesic, from its degree-2 report."""
-    return weight(jacobi.jacobi_report(result, d_max=2), ident=ident, length=result.length)
+    return weight(jacobi.jacobi_report(result, d_max=2), ident=ident)
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,6 @@ class CountTable:
     rows: tuple
     records: tuple            # WeightRecord per census class
     collisions: tuple         # pairs of row indices closer than the resolution
-
-    def total(self) -> int:
-        return self.rows[-1].cumulative if self.rows else 0
 
 
 _LENGTH_RESOLUTION = 1e-9
@@ -200,29 +198,37 @@ _NOISE_TERMS = ((2, 0), (2, 1), (2, -1), (2, 2), (2, -2),
                 (3, 0), (3, 1), (3, -1), (3, 2), (3, -2), (3, 3), (3, -3))
 
 
+def applicable_strategies(spec: MetricSpec) -> tuple:
+    """The perturbation strategies that apply to ``spec``, in the order of
+    ``PERTURBATION_STRATEGIES``: ``axis_jitter`` on ellipsoids, ``conformal_noise``
+    on conformal spheres and the round 2-sphere.  None applies to a surface
+    of revolution, which raises GeometryError."""
+    round_sphere = spec.family == "ellipsoid" and len(spec.data) == 3 \
+        and len(set(spec.data)) == 1 and abs(spec.data[0] - 1.0) < 1e-12
+    applies = {"axis_jitter": spec.family == "ellipsoid",
+               "conformal_noise": spec.family == "conformal_sphere" or round_sphere}
+    out = tuple(s for s in PERTURBATION_STRATEGIES if applies[s])
+    if not out:
+        raise GeometryError(f"no perturbation strategy applies to a {spec.family} metric")
+    return out
+
+
 def perturb_metric(spec: MetricSpec, strategy: str, rng: np.random.Generator,
                    amplitude: float) -> MetricSpec:
     """One random bumpy perturbation of a (possibly symmetric) metric."""
+    if strategy not in PERTURBATION_STRATEGIES:
+        raise ValueError(f"unknown perturbation strategy {strategy!r}")
+    if strategy not in applicable_strategies(spec):
+        raise GeometryError(f"{strategy} does not apply to a {spec.family} metric")
     if strategy == "axis_jitter":
-        if spec.family != "ellipsoid":
-            raise GeometryError("axis_jitter requires an ellipsoid metric")
         axes = np.asarray(spec.data, dtype=float)
         jitter = 1.0 + amplitude * rng.uniform(-1.0, 1.0, size=axes.shape)
         return MetricSpec.ellipsoid(tuple(axes * jitter))
-    if strategy == "conformal_noise":
-        if spec.family == "conformal_sphere":
-            base = list(spec.data)
-        elif spec.family == "ellipsoid" and len(set(spec.data)) == 1 \
-                and abs(spec.data[0] - 1.0) < 1e-12:
-            base = []
-        else:
-            raise GeometryError(
-                "conformal_noise requires a conformal sphere or the round sphere")
-        draw = rng.uniform(-1.0, 1.0, size=len(_NOISE_TERMS))
-        draw = draw / np.sum(np.abs(draw)) * amplitude  # sum|c| = amplitude
-        terms = base + [(l, m, float(c)) for (l, m), c in zip(_NOISE_TERMS, draw)]
-        return MetricSpec.conformal_sphere(terms)
-    raise ValueError(f"unknown perturbation strategy {strategy!r}")
+    base = list(spec.data) if spec.family == "conformal_sphere" else []
+    draw = rng.uniform(-1.0, 1.0, size=len(_NOISE_TERMS))
+    draw = draw / np.sum(np.abs(draw)) * amplitude  # sum|c| = amplitude
+    terms = base + [(l, m, float(c)) for (l, m), c in zip(_NOISE_TERMS, draw)]
+    return MetricSpec.conformal_sphere(terms)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,22 @@ trials = 1
 
 NOISE_COUNT_CFG = SPHERE_COUNT_CFG + "strategy = conformal_noise\n"
 
+# a constant conformal factor: a round sphere of radius e^0.1, whose only
+# applicable perturbation is conformal noise
+CONFORMAL_COUNT_CFG = """\
+[metric]
+family = conformal_sphere
+terms = 0,0,0.1
+
+[run]
+mesh = 128
+planes = 24
+seed = 3
+window = 0.0, 7.5
+protocol = degenerate
+trials = 1
+"""
+
 FOLD_CFG = """\
 [metric.start]
 family = revolution
@@ -268,14 +284,23 @@ def test_command_line_overrides_reach_the_command(tmp_path, monkeypatch):
     assert [(c.mesh, c.seed, c.trials) for c in seen] == [(256, 3, 4)]
 
 
-@pytest.mark.parametrize("extra", [("--mesh", "100"), ("--trials", "0"), ("--seed", "-1")])
+@pytest.mark.parametrize("extra", [("--mesh", "100"), ("--trials", "0"), ("--seed", "-1"),
+                                   ("--mesh", "many")])
 def test_invalid_command_line_overrides_exit_2(tmp_path, monkeypatch, capsys, extra):
+    # a bad flag fails with the message of the same value as a [run] key
     seen = []
     monkeypatch.setitem(cli.COMMANDS, "census", lambda cfg, out: seen.append(cfg))
-    code, _ = _run(tmp_path, "census", ELLIPSOID_CFG, extra=extra)
-    assert code == 2
+    key, value = extra[0][2:], extra[1]
+    base = "".join(line for line in ELLIPSOID_CFG.splitlines(keepends=True)
+                   if not line.startswith(f"{key} ="))
+    errors = []
+    for cfg, flags in ((base, extra), (base + f"{key} = {value}\n", ())):
+        code, _ = _run(tmp_path, "census", cfg, extra=flags)
+        assert code == 2
+        errors.append(capsys.readouterr().err)
     assert not seen
-    assert "config error" in capsys.readouterr().err
+    assert "config error" in errors[0]
+    assert errors[0] == errors[1]
 
 
 def test_census_outputs(tmp_path):
@@ -427,6 +452,36 @@ def test_degenerate_weight_strategies_disagree(tmp_path, monkeypatch, capsys):
     assert (out / "degenerate.csv").read_text() == \
         "strategy,trial,seed,redraws,classes,value\n"
     assert "[trial values: -2, 0]" in capsys.readouterr().err
+
+
+def test_both_strategies_count_a_conformal_sphere_by_conformal_noise(tmp_path):
+    code, out = _run(tmp_path, "count", CONFORMAL_COUNT_CFG)
+    assert code == 0
+    rows = (out / "degenerate.csv").read_text().strip().splitlines()[1:]
+    assert rows and all(r.split(",")[0] == "conformal_noise" for r in rows)
+    assert all(r.split(",")[-1] == "-2" for r in rows)
+    assert "trials agree: PASS (value -2)" in (out / "summary.txt").read_text()
+
+
+def test_both_strategies_run_only_what_applies(tmp_path, monkeypatch):
+    ran = []
+
+    def fake(spec, window, strategy, **kwargs):
+        ran.append(strategy)
+        return SimpleNamespace(value=-2, trials=())
+
+    monkeypatch.setattr(weights, "degenerate_weight", fake)
+    code, out = _run(tmp_path, "degenerate-weight", COUNT_CFG)
+    assert code == 0
+    assert ran == ["axis_jitter"]
+    assert "strategies agree: PASS (value -2)" in (out / "summary.txt").read_text()
+
+
+def test_no_strategy_applies_to_a_revolution_metric(tmp_path, capsys):
+    cfg = _REVOLUTION + "band = -1, 1\n[run]\nwindow = 0.0, 7.0\nprotocol = degenerate\n"
+    code, _ = _run(tmp_path, "count", cfg)
+    assert code == 1
+    assert "no perturbation strategy applies to a revolution metric" in capsys.readouterr().err
 
 
 def test_unresolved_cluster_exit_code(tmp_path, monkeypatch):

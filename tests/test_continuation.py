@@ -10,7 +10,7 @@ off.
 import numpy as np
 import pytest
 
-from geocount import cli, continuation, geometry, jacobi, loops, solver
+from geocount import _spectral, cli, continuation, geometry, jacobi, loops, solver
 from geocount.continuation import MetricPath
 from geocount.geometry import GeometryError, MetricSpec
 
@@ -321,14 +321,22 @@ def test_doubled_branch_samples_are_the_walks_solves(pd_path, pd_branch, monkeyp
     # sample is the orbit the walk holds, with no further solve
     event = pd_branch.events[0]
     batches = []
+    deviations = []
     real_refine = solver.refine_many
+    real_deviation = continuation._cover_deviation
 
     def refine(seeds, tol=1e-10):
         out = real_refine(seeds, tol=tol)
         batches.append(([s.metric for s in seeds], out))
         return out
 
+    def deviation(nodes, prim_nodes):
+        got = real_deviation(nodes, prim_nodes)
+        deviations.append(got[1])
+        return got
+
     monkeypatch.setattr(solver, "refine_many", refine)
+    monkeypatch.setattr(continuation, "_cover_deviation", deviation)
     samples = continuation.spawn_doubled_branch(pd_path, event, (0.005, 0.01, 0.015, 0.02))
     assert len(samples) == 4
     boot_spec = pd_path.at(event.t + 0.005)
@@ -347,6 +355,31 @@ def test_doubled_branch_samples_are_the_walks_solves(pd_path, pd_branch, monkeyp
     assert not any(primitive(r) for _, out in batches[1:n_boot - 1] for r in out)
     assert samples[0].result is next(r for r in batches[n_boot - 1][1] if primitive(r))
     assert all(s.result is out[0] for s, (_, out) in zip(samples[1:], batches[n_boot + 1::2]))
+    # one cover deviation per orbit: the bootstrap's and one per walk step,
+    # each serving both the next step's seed and the orbit's sample
+    steps = len(batches[n_boot:]) // 2
+    assert steps == 3
+    assert len(deviations) == steps + 1
+    assert [s.amplitude for s in samples] \
+        == [float(np.sqrt(np.mean(np.sum(d * d, axis=1)))) for d in deviations]
+
+
+def test_cover_deviation_shifts_the_cover_once(monkeypatch):
+    prim = loops.circle_nodes(32, (1.0, 0.0, 0.0), (0.0, 0.8, 0.6))
+    cover = np.tile(prim, (2, 1))
+    nodes = _spectral.fractional_shift(cover, 0.0123) + 1e-3 * np.roll(cover, 5, axis=1)
+    shifts = []
+    real_shift = _spectral.fractional_shift
+
+    def shift(values, s):
+        shifts.append(s)
+        return real_shift(values, s)
+
+    monkeypatch.setattr(_spectral, "fractional_shift", shift)
+    s, dev = continuation._cover_deviation(nodes, prim)
+    assert shifts == [s]
+    assert np.array_equal(dev, nodes - real_shift(cover, s))
+    assert np.max(np.linalg.norm(dev, axis=1)) < 2e-3
 
 
 def test_period_doubling_trace_crosses_minus_two(pd_branch):

@@ -120,6 +120,7 @@ def test_changed_line_count_fails(tmp_path, capsys):
 def test_snapshot_runs_include_the_sphere_count():
     assert ("SPHERE_COUNT_CFG", "count") in snapshot.TEST_RUNS
     assert ("NOISE_COUNT_CFG", "count") in snapshot.TEST_RUNS
+    assert ("CONFORMAL_COUNT_CFG", "count") in snapshot.TEST_RUNS
 
 
 def test_snapshot_writes_the_seed_log_of_each_run(tmp_path, monkeypatch):

@@ -12,8 +12,7 @@ def ellipsoid_records(ellipsoid_census, ellipsoid_reports):
     recs = {}
     for entry in ellipsoid_census.entries:
         rep = ellipsoid_reports[entry.ident]
-        recs[entry.ident] = weights.weight(
-            rep, ident=entry.ident, length=entry.result.length)
+        recs[entry.ident] = weights.weight(rep, ident=entry.ident)
     return recs
 
 
@@ -39,7 +38,6 @@ def test_count_table_totals_minus_two(ellipsoid_table):
     assert all(row.d == 1 and row.contribution == 2 * n1[row.ident] for row in table.rows)
     assert [row.contribution for row in table.rows] == [-2, 2, -2]
     assert [row.cumulative for row in table.rows] == [-2, 0, -2]
-    assert table.total() == -2
     assert not table.collisions
 
 
@@ -73,17 +71,18 @@ def test_cover_rows_carry_zero_weight(ellipsoid_spec):
     covers = [row for row in table.rows if row.d == 2]
     assert len(primitive) == 3 and len(covers) == 3
     assert all(row.contribution == 0 for row in covers)
-    assert table.total() == -2
+    assert table.rows[-1].cumulative == -2
     assert weights.count_function(table, 12.95) == -2
 
 
 def test_weight_requires_super_rigidity(sphere_report):
     with pytest.raises(NotSuperRigid):
-        weights.weight(sphere_report, ident="equator", length=2 * np.pi)
+        weights.weight(sphere_report, ident="equator")
 
 
 def test_waist_weight_record(waist_report, waist_result):
-    rec = weights.weight(waist_report, ident="waist", length=waist_result.length)
+    rec = weights.weight(waist_report, ident="waist")
+    assert rec.length == waist_result.length
     assert rec.eps == (1, 1)
     assert rec.n1 == 1
     assert rec.n2 == 0
@@ -105,6 +104,23 @@ def test_perturb_metric_strategies(sphere_spec):
     assert conf.family == "conformal_sphere"
     with pytest.raises(ValueError):
         weights.perturb_metric(sphere_spec, "unknown", rng, 1e-2)
+
+
+def test_applicable_strategies_follow_the_metric(sphere_spec, ellipsoid_spec):
+    assert weights.applicable_strategies(sphere_spec) == ("axis_jitter", "conformal_noise")
+    assert weights.applicable_strategies(ellipsoid_spec) == ("axis_jitter",)
+    assert weights.applicable_strategies(
+        geometry.MetricSpec.ellipsoid((1.0, 1.0, 1.0, 1.0))) == ("axis_jitter",)
+    conformal = geometry.MetricSpec.conformal_sphere([(0, 0, 0.1)])
+    assert weights.applicable_strategies(conformal) == ("conformal_noise",)
+    rng = np.random.default_rng(4)
+    with pytest.raises(geometry.GeometryError, match="axis_jitter does not apply"):
+        weights.perturb_metric(conformal, "axis_jitter", rng, 1e-2)
+    with pytest.raises(geometry.GeometryError, match="conformal_noise does not apply"):
+        weights.perturb_metric(ellipsoid_spec, "conformal_noise", rng, 1e-2)
+    band = geometry.MetricSpec.revolution("poly", (1.0,), (-1.0, 1.0))
+    with pytest.raises(geometry.GeometryError, match="revolution"):
+        weights.applicable_strategies(band)
 
 
 def test_degenerate_weight_on_the_round_sphere(sphere_spec):

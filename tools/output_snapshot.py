@@ -7,9 +7,10 @@ compare two such directories with a float tolerance.
 Runs ``geocount.cli.main`` on every benchmark workload config in
 ``perfbench/workloads.py`` at seeds 1 and 7, and on the CLI test configs of
 ``tests/test_cli.py`` (census, jacobi and weights on ``ELLIPSOID_CFG``, count
-on ``COUNT_CFG``, ``SPHERE_COUNT_CFG`` and ``NOISE_COUNT_CFG``, continue on
-``FOLD_CFG``, ``PD_CFG`` and ``STALL_CFG``, the one config whose
-continuation gives up, with exit 3).  Each run writes its files to
+on ``COUNT_CFG``, ``SPHERE_COUNT_CFG``, ``NOISE_COUNT_CFG`` and
+``CONFORMAL_COUNT_CFG``, where the default strategy resolves to conformal
+noise, continue on ``FOLD_CFG``, ``PD_CFG`` and ``STALL_CFG``, the one
+config whose continuation gives up, with exit 3).  Each run writes its files to
 ``OUT_DIR/<run name>/`` plus an ``exit_code`` file and a ``seeds.log`` file,
 which holds what the run logged to the ``geocount`` logger at DEBUG: one
 line per census seed with its Newton iterations or its failure.  The
@@ -53,6 +54,7 @@ TEST_RUNS = (
     ("COUNT_CFG", "count"),
     ("SPHERE_COUNT_CFG", "count"),
     ("NOISE_COUNT_CFG", "count"),
+    ("CONFORMAL_COUNT_CFG", "count"),
     ("FOLD_CFG", "continue"),
     ("PD_CFG", "continue"),
     ("STALL_CFG", "continue"),
