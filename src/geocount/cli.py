@@ -134,8 +134,10 @@ def _get_int(sec, key, default, lo=None, hi=None):
         val = int(sec[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: expected an integer, got {sec[key]!r}") from exc
-    if lo is not None and val < lo or hi is not None and val > hi:
-        raise ConfigError(f"{key}: {val} outside [{lo}, {hi}]")
+    if lo is not None and val < lo:
+        raise ConfigError(f"{key}: {val} is below {lo}")
+    if hi is not None and val > hi:
+        raise ConfigError(f"{key}: {val} is above {hi}")
     return val
 
 
@@ -257,6 +259,16 @@ def _validate(cfg: RunConfig) -> None:
         above = [p for p in cfg.probes if p > hi]
         if above:
             raise ConfigError(f"probes: {above} lie above the window's end {hi}")
+    perturbs = cfg.command == "degenerate-weight" \
+        or cfg.command == "count" and cfg.protocol != "census"
+    if perturbs and cfg.strategy != "both":
+        try:
+            applicable = weights.applicable_strategies(cfg.metric)
+        except geometry.GeometryError:
+            applicable = ()
+        if cfg.strategy not in applicable:
+            raise ConfigError(f"strategy: {cfg.strategy} does not apply to this "
+                              f"{cfg.metric.family} metric")
 
 
 # ---------------------------------------------------------------------------

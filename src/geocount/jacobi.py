@@ -10,7 +10,10 @@ Two independent computational routes are kept deliberately separate:
   derivative term is diagonal and the curvature term a (block) circulant
   built from the FFT of the curvature samples.  The two assemblies share no
   code, and the direct cover spectrum must equal the union of its sector
-  spectra exactly.
+  spectra exactly.  A sector's form depends on the degree only through a
+  d^2 scale (Bott's iteration formula), so a report solves one sector
+  spectrum per multiplier and counts every degree's sectors from it, while
+  each degree's direct cover is still assembled and solved on its own.
 * Floquet monodromy: symplectic Gauss-Legendre collocation of the Jacobi
   system over one primitive period gives the linearized return map and the
   fundamental solution at the nodes; kernel dimensions of M^d - I recover
@@ -24,7 +27,7 @@ check and is exposed in the report rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,11 +145,14 @@ def _nodal_cover_form(data: JacobiOperatorData, d: int) -> np.ndarray:
     mm, p = bc.shape[0], bc.shape[1]
     c = np.fft.ifft(-((2.0 * np.pi * _spectral.modes(mm)) ** 2)).real
     nodes = np.arange(mm)
-    circ = c[(nodes[:, None] - nodes[None, :]) % mm]
+    # symmetrised sequence and diagonal blocks: the same bits as symmetrising
+    # the assembled matrix, without the extra (dN p)^2 pass
+    cs = 0.5 * (c + c[-nodes % mm])
+    circ = cs[(nodes[:, None] - nodes[None, :]) % mm]
     h = circ if p == 1 else np.kron(circ, np.eye(p))
     h4 = h.reshape(mm, p, mm, p)
-    h4[nodes, :, nodes, :] += bc
-    return 0.5 * (h + h.T)
+    h4[nodes, :, nodes, :] += 0.5 * (bc + np.swapaxes(bc, 1, 2))
+    return h
 
 
 def quadratic_form_matrix(data: JacobiOperatorData, d: int, sector: complex | None = None):
@@ -206,11 +212,11 @@ class IndexResult:
     tau: float
     eigen_gap: float        # smallest |eigenvalue| outside the kernel band
     borderline: bool        # an eigenvalue sits within 10x of the threshold
+    eigenvalues: np.ndarray = field(compare=False, repr=False)   # the counted spectrum
 
 
-def _index_result(data: JacobiOperatorData, d: int, h: np.ndarray) -> IndexResult:
+def _index_result(data: JacobiOperatorData, d: int, ev: np.ndarray) -> IndexResult:
     """Count the eigenvalues of one degree-d form against the kernel band."""
-    ev = np.linalg.eigvalsh(h)
     tau = kernel_threshold(data, d)
     iota = int(np.sum(ev > tau))
     nu = int(np.sum(np.abs(ev) <= tau))
@@ -218,28 +224,44 @@ def _index_result(data: JacobiOperatorData, d: int, h: np.ndarray) -> IndexResul
     gap = float(np.min(outside)) if outside.size else float("inf")
     borderline = bool(np.any((np.abs(ev) > tau) & (np.abs(ev) < 10.0 * tau)))
     return IndexResult(d=d, iota=iota, nu=nu, tau=tau, eigen_gap=gap,
-                       borderline=borderline)
+                       borderline=borderline, eigenvalues=ev)
 
 
 def index_nullity(data: JacobiOperatorData, d: int = 1) -> IndexResult:
     """Morse index and nullity of the degree-d cover via the direct route."""
-    return _index_result(data, d, quadratic_form_matrix(data, d))
+    return _index_result(data, d, np.linalg.eigvalsh(quadratic_form_matrix(data, d)))
 
 
 def sector_index_nullity(data: JacobiOperatorData, d: int, j: int) -> IndexResult:
     """Index and nullity of the lambda = exp(2 pi i j / d) Floquet sector."""
     lam = complex(math.cos(2.0 * math.pi * j / d), math.sin(2.0 * math.pi * j / d))
-    return _index_result(data, d, quadratic_form_matrix(data, d, sector=lam))
+    return _index_result(
+        data, d, np.linalg.eigvalsh(quadratic_form_matrix(data, d, sector=lam)))
 
 
-def sector_decomposition(data: JacobiOperatorData, d: int):
+def sector_decomposition(data: JacobiOperatorData, d: int, solved: dict | None = None):
     """Per-sector indices plus the exact cover consistency check.
 
     Returns (sectors, direct, consistent): ``sectors`` maps j to the
     IndexResult of multiplier exp(2 pi i j / d); consistency demands the
     sector sums reproduce the direct cover's index and nullity as integers.
+
+    A sector's form depends on d only through its d^2 scale (Bott), so one
+    spectrum per multiplier serves every degree: ``solved`` maps a reduced
+    fraction j/d, as the pair (j, d) in lowest terms, to the sector solved at
+    that denominator b, whose eigenvalues times (d / b)^2 are counted against
+    this degree's threshold.  Fractions missing from it are solved and added,
+    so a caller that passes one dict for d = 1, 2, ... solves each multiplier
+    once.  The direct cover is always assembled and solved on its own.
     """
-    sectors = {j: sector_index_nullity(data, d, j) for j in range(d)}
+    solved = {} if solved is None else solved
+    sectors = {}
+    for j in range(d):
+        g = math.gcd(j, d)
+        key = (j // g, d // g)
+        if key not in solved:
+            solved[key] = sector_index_nullity(data, key[1], key[0])
+        sectors[j] = _index_result(data, d, g * g * solved[key].eigenvalues)
     direct = index_nullity(data, d)
     consistent = (
         sum(s.iota for s in sectors.values()) == direct.iota
@@ -426,9 +448,10 @@ def jacobi_report(source, d_max: int = 2) -> JacobiReport:
     floq = {d: floquet_nullity(mono, d) for d in range(1, max(d_max, 4) + 1)}
     indices = []
     sector_checks = {}
+    solved = {}
     agree = True
     for d in range(1, d_max + 1):
-        _, direct, ok = sector_decomposition(data, d)
+        _, direct, ok = sector_decomposition(data, d, solved)
         indices.append(direct)
         sector_checks[d] = ok
         if direct.nu != floq[d] or not ok:

@@ -81,15 +81,18 @@ def _sample_table(mesh):
     """name -> per-d records for the sample set, d = 1..4.
 
     Record fields: iota, nu, floquet nullity, sector-sum flag and explicit
-    sums, and the kernel-gap margin eigen_gap / (10 tau_nu).
+    sums, each sector's (iota, nu) by j, and the kernel-gap margin
+    eigen_gap / (10 tau_nu).  Each sample solves one sector spectrum per
+    multiplier, shared by its four degrees as in ``jacobi_report``.
     """
     table = {}
     for name, result in _samples(mesh):
         data = jacobi.build_operator(result)
         mono = jacobi.monodromy(data)
         rows = []
+        solved = {}
         for d in (1, 2, 3, 4):
-            sectors, direct, consistent = jacobi.sector_decomposition(data, d)
+            sectors, direct, consistent = jacobi.sector_decomposition(data, d, solved)
             rows.append({
                 "iota": direct.iota,
                 "nu": direct.nu,
@@ -97,6 +100,7 @@ def _sample_table(mesh):
                 "consistent": consistent,
                 "sector_iota_sum": sum(s.iota for s in sectors.values()),
                 "sector_nu_sum": sum(s.nu for s in sectors.values()),
+                "sectors": tuple((sectors[j].iota, sectors[j].nu) for j in range(d)),
                 "gap_margin": direct.eigen_gap / (10.0 * jacobi.kernel_threshold(data, d)),
             })
         table[name] = tuple(rows)
@@ -181,6 +185,18 @@ def test_criterion_04_sector_sums(capsys):
                 assert row["consistent"], (name, d)
                 assert row["sector_iota_sum"] == row["iota"], (name, d)
                 assert row["sector_nu_sum"] == row["nu"], (name, d)
+
+
+def test_reused_sectors_match_their_own_forms():
+    # a sector counted from the spectrum of its reduced fraction must give
+    # the (iota, nu) of its own degree-d form solved afresh
+    table = _sample_table(256)
+    for name, result in _samples(256):
+        data = jacobi.build_operator(result)
+        for d, row in zip((1, 2, 3, 4), table[name]):
+            for j in range(d):
+                fresh = jacobi.sector_index_nullity(data, d, j)
+                assert row["sectors"][j] == (fresh.iota, fresh.nu), (name, d, j)
 
 
 def test_criterion_05_nullity_cross_check(capsys):

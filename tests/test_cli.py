@@ -228,7 +228,8 @@ _AXES = "axes = 1.05, 1.0, 0.95\n"
      "[metric] ellipsoid coefficients must be finite and positive"),
     ("census", ELLIPSOID_CFG.replace("mesh = 128", "mesh = abc"),
      "mesh: expected an integer, got 'abc'"),
-    ("census", ELLIPSOID_CFG + "trials = 0\n", "trials: 0 outside [1, None]"),
+    ("census", ELLIPSOID_CFG + "trials = 0\n", "trials: 0 is below 1"),
+    ("census", ELLIPSOID_CFG + "d_max = 5\n", "d_max: 5 is above 4"),
     ("census", ELLIPSOID_CFG.replace("length_bound = 7.0", "length_bound = long"),
      "length_bound: expected a number, got 'long'"),
     ("census", ELLIPSOID_CFG + "amplitude = 0\n", "amplitude: must be positive, got 0.0"),
@@ -244,6 +245,13 @@ _AXES = "axes = 1.05, 1.0, 0.95\n"
      "window: need an increasing pair, got (7.0, 0.0)"),
     ("count", COUNT_CFG + "protocol = bumpy\n", "protocol: unknown value 'bumpy'"),
     ("count", COUNT_CFG + "strategy = bumpy\n", "strategy: unknown value 'bumpy'"),
+    ("count", CONFORMAL_COUNT_CFG + "strategy = axis_jitter\n",
+     "strategy: axis_jitter does not apply to this conformal_sphere metric"),
+    ("degenerate-weight", COUNT_CFG + "strategy = conformal_noise\n",
+     "strategy: conformal_noise does not apply to this ellipsoid metric"),
+    ("degenerate-weight", _REVOLUTION + "band = -1, 1\n[run]\nwindow = 0.0, 7.0\n"
+     "strategy = axis_jitter\n",
+     "strategy: axis_jitter does not apply to this revolution metric"),
     ("census", ELLIPSOID_CFG + "[tolerances]\nresidual = 1e-9\nslack = 1\n",
      "[tolerances] unknown keys: ['slack']"),
     ("continue", FOLD_CFG + "speed = 1\n", "[continue] unknown keys: ['speed']"),
@@ -256,6 +264,23 @@ def test_each_config_error_names_its_cause(tmp_path, command, text, fragment):
     with pytest.raises(cli.ConfigError) as err:
         cli.load_config(_write(tmp_path, "bad.cfg", text), command)
     assert fragment in str(err.value)
+
+
+def test_inapplicable_strategy_exits_2_before_any_census(tmp_path, monkeypatch, capsys):
+    def census(*args, **kwargs):
+        raise AssertionError("a census ran")
+
+    monkeypatch.setattr(solver, "find_all", census)
+    code, _ = _run(tmp_path, "count", CONFORMAL_COUNT_CFG + "strategy = axis_jitter\n")
+    assert code == 2
+    assert "axis_jitter does not apply" in capsys.readouterr().err
+
+
+def test_census_protocol_ignores_the_strategy(tmp_path):
+    # the census protocol draws no perturbation, so any strategy passes
+    cfg = cli.load_config(_write(tmp_path, "count.cfg", COUNT_CFG + "protocol = census\n"
+                                 "strategy = conformal_noise\n"), "count")
+    assert (cfg.protocol, cfg.strategy) == ("census", "conformal_noise")
 
 
 @pytest.mark.parametrize("text, fragment", [

@@ -129,6 +129,29 @@ def test_jacobi_report_solves_each_direct_cover_once(waist_report, monkeypatch):
     assert sorted(degrees) == [1, 2]
 
 
+def test_jacobi_report_solves_one_sector_per_multiplier(waist_report, monkeypatch):
+    # the degree-4 report meets the six multipliers 1, -1, +-i and
+    # exp(+-2 pi i / 3), each solved once at its reduced fraction j/d; the
+    # direct covers are still solved once per degree
+    sectors, degrees = [], []
+    sector_original, direct_original = jacobi.sector_index_nullity, jacobi.index_nullity
+
+    def counting_sector(data, d, j):
+        sectors.append((j, d))
+        return sector_original(data, d, j)
+
+    def counting_direct(data, d=1):
+        degrees.append(d)
+        return direct_original(data, d)
+
+    monkeypatch.setattr(jacobi, "sector_index_nullity", counting_sector)
+    monkeypatch.setattr(jacobi, "index_nullity", counting_direct)
+    report = jacobi.jacobi_report(waist_report.data, d_max=4)
+    assert sorted(sectors) == [(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
+    assert sorted(degrees) == [1, 2, 3, 4]
+    assert all(report.sector_checks.values())
+
+
 def test_eigen_gap_clears_the_kernel_threshold(ellipsoid_reports):
     for rep in ellipsoid_reports.values():
         for d in (1, 2):
@@ -389,13 +412,13 @@ def _curvature_only(speed, b_unit):
 
 
 @st.composite
-def _curvature_samples(draw):
+def _curvature_samples(draw, ranks=(1, 2), symmetric=True):
     n = draw(st.sampled_from([16, 20, 32, 48]))
-    p = draw(st.sampled_from([1, 2]))
+    p = draw(st.sampled_from(ranks))
     raw = draw(hnp.arrays(np.float64, (n, p, p),
                           elements=st.floats(-50.0, 50.0, allow_subnormal=False)))
     speed = draw(st.floats(0.5, 8.0))
-    return _curvature_only(speed, 0.5 * (raw + np.swapaxes(raw, 1, 2)))
+    return _curvature_only(speed, 0.5 * (raw + np.swapaxes(raw, 1, 2)) if symmetric else raw)
 
 
 @settings(max_examples=60)
@@ -411,6 +434,31 @@ def test_nodal_cover_form_matches_the_fourier_form(data, d):
     assert np.max(np.abs(ev - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _symmetrised_nodal_cover_form(data, d):
+    """Reference: the nodal cover form assembled unsymmetrised, then
+    symmetrised as a whole matrix."""
+    bc = jacobi._cover_curvature(data, d)
+    mm, p = bc.shape[0], bc.shape[1]
+    c = np.fft.ifft(-((2.0 * np.pi * _spectral.modes(mm)) ** 2)).real
+    nodes = np.arange(mm)
+    circ = c[(nodes[:, None] - nodes[None, :]) % mm]
+    h = circ if p == 1 else np.kron(circ, np.eye(p))
+    h4 = h.reshape(mm, p, mm, p)
+    h4[nodes, :, nodes, :] += bc
+    return 0.5 * (h + h.T)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@settings(max_examples=30)
+@given(draw=st.data(), d=st.integers(1, 4))
+def test_nodal_cover_form_has_the_bits_of_the_symmetrised_assembly(p, draw, d):
+    # symmetrising the circulant's sequence and the diagonal blocks must give
+    # the matrix bit for bit, also for curvature blocks that are not symmetric
+    data = draw.draw(_curvature_samples(ranks=(p,), symmetric=False))
+    assert np.array_equal(jacobi.quadratic_form_matrix(data, d),
+                          _symmetrised_nodal_cover_form(data, d))
+
+
 def test_nodal_cover_indices_match_the_fourier_form(
         sphere_report, spheroid_report, waist_report, ellipsoid_reports):
     # the sphere (nu = 2 for every d) and the spheroid's double cover (nu = 2)
@@ -420,7 +468,8 @@ def test_nodal_cover_indices_match_the_fourier_form(
     for rep in reports:
         for d in (1, 2, 3, 4):
             got = jacobi.index_nullity(rep.data, d)
-            want = jacobi._index_result(rep.data, d, _fourier_cover_form(rep.data, d))
+            want = jacobi._index_result(
+                rep.data, d, np.linalg.eigvalsh(_fourier_cover_form(rep.data, d)))
             assert (got.iota, got.nu) == (want.iota, want.nu)
             assert abs(got.eigen_gap - want.eigen_gap) <= 1e-9 * want.eigen_gap
 
