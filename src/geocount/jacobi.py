@@ -183,13 +183,15 @@ def quadratic_form_matrix(data: JacobiOperatorData, d: int, sector: complex | No
     bhat = np.fft.fft(bc, axis=0) / mm
     k = _spectral.modes(mm)
     alpha = math.atan2(lam.imag, lam.real) / (2.0 * math.pi)
+    # Hermitian-symmetrised sequence and block diagonal: the same bits as
+    # symmetrising the assembled matrix, without the extra (N p)^2 pass
+    s = float(d * d) * bhat
+    s = 0.5 * (s + np.conj(np.swapaxes(s[-np.arange(mm)], 1, 2)))
     idx = (k[:, None] - k[None, :]).astype(int) % mm
-    h = bhat[idx]                       # (mm, mm, p, p)
-    h = np.transpose(h, (0, 2, 1, 3)).reshape(mm * p, mm * p)
+    h = np.transpose(s[idx], (0, 2, 1, 3)).reshape(mm * p, mm * p)
     diag = -((2.0 * np.pi * (k + alpha)) ** 2)
-    h = h + np.kron(np.diag(diag), np.eye(p))
-    h = float(d * d) * h
-    return 0.5 * (h + h.conj().T)
+    np.fill_diagonal(h, float(d * d) * (bhat[0].diagonal().real + diag[:, None]))
+    return h
 
 
 def kernel_threshold(data: JacobiOperatorData, d: int) -> float:

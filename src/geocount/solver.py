@@ -69,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from . import _scalar, geometry, loops
+from . import geometry, loops
 from .geometry import BandExitError, GeometryError, MetricSpec, _dot
 from .loops import DiscreteLoop
 
@@ -613,12 +613,14 @@ def find_all(
     A seed whose refinement at either stage, or the refinement of its
     primitive base, fails is counted in the certificate by the failure's
     class: ``stalled``, ``diverged``, ``collapsed`` or ``band_exits``; a
-    coarse failure never reaches the fine mesh.  Each seed's outcome is
-    logged at DEBUG: its index, then its Newton iterations (the primitive
-    base's included; ``C + F`` with the coarse count first when the seed
-    ran both stages) or its failure class and message, the message prefixed
-    by ``fine mesh:`` when the fine stage failed.  The lines come in seed
-    order.
+    coarse failure never reaches the fine mesh.  A seed that converges is
+    counted as ``converged`` when its length is at most ``max_length`` and
+    as ``above_bound`` otherwise, so the certificate accounts for every
+    seed.  Each seed's outcome is logged at DEBUG: its index, then its
+    Newton iterations (the primitive base's included; ``C + F`` with the
+    coarse count first when the seed ran both stages) or its failure class
+    and message, the message prefixed by ``fine mesh:`` when the fine stage
+    failed.  The lines come in seed order.
     """
     seeds = _census_seeds(spec, min(mesh, _COARSE_MESH), planes, seed)
     outcome = {}    # seed index -> (result, iterations) or the failure
@@ -648,6 +650,7 @@ def find_all(
             outcome[k] = res if isinstance(res, Exception) else (res, iterations + res.iterations)
 
     converged = []
+    above_bound = 0
     failed = {"stalled": 0, "diverged": 0, "collapsed": 0, "band_exits": 0}
     for k in range(len(seeds)):
         out = outcome[k]
@@ -668,6 +671,8 @@ def find_all(
             _log.debug("seed %d: converged in %d iterations", k, iterations)
         if res.length <= max_length:
             converged.append((res, seeds[k].nodes.tobytes()))
+        else:
+            above_bound += 1
     if seeds and not converged \
             and failed["stalled"] + failed["diverged"] + failed["collapsed"] == len(seeds):
         raise StallError("census found no convergent seed")
@@ -703,6 +708,7 @@ def find_all(
     certificate = {
         "seeds": len(seeds),
         "converged": len(converged),
+        "above_bound": above_bound,
         **failed,
         "classes": len(entries),
         "min_hits": min_hits,
@@ -726,6 +732,43 @@ def iterates(census: Census):
 # ---------------------------------------------------------------------------
 # Clairaut shooting oracle for revolution surfaces
 # ---------------------------------------------------------------------------
+
+def _bisect(f, a: float, b: float) -> float:
+    """A root of f in the sign-changing bracket [a, b], to the last bit.
+
+    Halves the bracket until its midpoint rounds to an endpoint and returns
+    that float, so f vanishes there or changes sign between it and a
+    neighbouring float.  f(a) is evaluated first, so an exception that f
+    raises at the low end propagates before any other call.  ``ValueError``
+    when f(a) and f(b) have the same sign or f returns nan.
+    """
+    def sign(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"f({x!r}) is nan")
+        return (fx > 0.0) - (fx < 0.0)
+
+    a, b = float(a), float(b)
+    sa = sign(a)
+    sb = sign(b)
+    if sa == 0:
+        return a
+    if sb == 0:
+        return b
+    if sa == sb:
+        raise ValueError("f(a) and f(b) must have different signs")
+    while True:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            return m
+        sm = sign(m)
+        if sm == 0:
+            return m
+        if sm == sa:
+            a = m
+        else:
+            b = m
+
 
 @dataclass(frozen=True)
 class ShootResult:
@@ -752,9 +795,10 @@ def clairaut_shoot(
     heights where r = |c| that bracket the profile's widest point.  The
     turning-point square-root singularities are removed by the substitution
     z = mid + half * sin(u), so plain Gauss-Legendre quadrature converges
-    geometrically.  The turning heights are roots of r(z) - |c|, found by
-    Brent's method (``_scalar.brentq``, a port of SciPy's).  This route
-    never touches the discrete solver and serves as its independent check.
+    geometrically.  The turning heights are roots of r(z) - |c|, bisected
+    to the last bit in the grid cell where r crosses |c| (``_bisect``).
+    This route never touches the discrete solver and serves as its
+    independent check.
     """
     if spec.family != "revolution":
         raise GeometryError("Clairaut shooting requires a revolution surface")
@@ -781,11 +825,11 @@ def clairaut_shoot(
     if iL == 0:
         z_minus, leaves = lo, True
     else:
-        z_minus = _scalar.brentq(fr, zs[iL - 1], zs[iL], xtol=1e-14)
+        z_minus = _bisect(fr, zs[iL - 1], zs[iL])
     if iR == len(zs) - 1:
         z_plus, leaves = hi, True
     else:
-        z_plus = _scalar.brentq(fr, zs[iR], zs[iR + 1], xtol=1e-14)
+        z_plus = _bisect(fr, zs[iR], zs[iR + 1])
     if leaves:
         return ShootResult(
             clairaut=c, turning=(z_minus, z_plus), delta_phi=float("nan"),
@@ -832,9 +876,10 @@ def clairaut_find_closed(
 ) -> ShootResult:
     """Solve delta_phi(c) = 2 pi p / q for the Clairaut constant.
 
-    The root is bracketed by ``c_bracket`` and found by Brent's method
-    (``_scalar.brentq``).  ``BandExitError`` if an orbit in the bracket
-    leaves the band.
+    The root is bracketed by ``c_bracket`` and bisected to the last bit
+    (``_bisect``), about 50 quadratures for a bracket 0.1 wide.
+    ``BandExitError`` if an orbit in the bracket leaves the band, the low
+    end's orbit first.
     """
     target = 2.0 * np.pi * p / q
 
@@ -844,14 +889,14 @@ def clairaut_find_closed(
             raise BandExitError("bracket reaches orbits that leave the band")
         return res.delta_phi - target
 
-    c_star = _scalar.brentq(fun, c_bracket[0], c_bracket[1], xtol=1e-14)
+    c_star = _bisect(fun, c_bracket[0], c_bracket[1])
     return clairaut_shoot(spec, c_star, closure_tol=1e-6)
 
 
 def parallel_heights(spec: MetricSpec) -> tuple:
     """Heights of geodesic parallels (critical radii) inside the band: the
     zeros of r' on a 2049-point grid, and each sign change of r' between
-    grid points refined by ``_scalar.brentq``."""
+    grid points bisected to the last bit (``_bisect``)."""
     impl = spec.impl
     lo, hi = spec.data[2]
     zs = np.linspace(lo, hi, 2049)
@@ -861,6 +906,5 @@ def parallel_heights(spec: MetricSpec) -> tuple:
         if rp[i] == 0.0:
             out.append(float(zs[i]))
         elif rp[i] * rp[i + 1] < 0.0:
-            out.append(_scalar.brentq(
-                lambda z: impl.profile(z, 1)[1], zs[i], zs[i + 1], xtol=1e-14))
+            out.append(_bisect(lambda z: impl.profile(z, 1)[1], zs[i], zs[i + 1]))
     return tuple(out)

@@ -88,6 +88,21 @@ start = parallel
 z = 0.55
 """
 
+# the start metric of FOLD_CFG on its own: a census seeded at its two
+# critical parallels
+REVOLUTION_CENSUS_CFG = """\
+[metric]
+family = revolution
+profile = poly
+coefficients = 1.0, -0.02, 0.0, 0.033333333333333333
+band = -1.0, 1.0
+
+[run]
+mesh = 128
+seed = 7
+length_bound = 7.0
+"""
+
 PD_CFG = """\
 [metric.start]
 family = conformal_sphere
@@ -364,6 +379,17 @@ def test_census_below_bound_is_empty_but_clean(tmp_path):
     assert code == 0
     lines = (out / "geodesics.csv").read_text().strip().splitlines()
     assert lines == ["id,d,length,residual,partner"]
+
+
+def test_revolution_census_run(tmp_path):
+    code, out = _run(tmp_path, "census", REVOLUTION_CENSUS_CFG)
+    assert code == 0
+    summary = (out / "summary.txt").read_text()
+    assert "classes: 2" in summary
+    assert "rows: 4" in summary
+    assert ("coverage: revolution census seeds only critical parallels; "
+            "non-parallel classes below the bound are not searched"
+            ) in (out / "warnings.txt").read_text().splitlines()
 
 
 def test_jacobi_output_blocks(tmp_path):

@@ -7,6 +7,7 @@ rotates Jacobi data by 3 pi and the monodromy is exactly -I.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -457,6 +458,44 @@ def test_nodal_cover_form_has_the_bits_of_the_symmetrised_assembly(p, draw, d):
     data = draw.draw(_curvature_samples(ranks=(p,), symmetric=False))
     assert np.array_equal(jacobi.quadratic_form_matrix(data, d),
                           _symmetrised_nodal_cover_form(data, d))
+
+
+def _symmetrised_sector_form(data, d, lam):
+    """Reference: the sector form assembled unsymmetrised, with a dense
+    Kronecker product for its diagonal, then symmetrised as a whole matrix."""
+    p = data.normal_rank
+    bc = data.speed ** 2 * data.b_unit
+    mm = bc.shape[0]
+    bhat = np.fft.fft(bc, axis=0) / mm
+    k = _spectral.modes(mm)
+    alpha = math.atan2(lam.imag, lam.real) / (2.0 * math.pi)
+    idx = (k[:, None] - k[None, :]).astype(int) % mm
+    h = np.transpose(bhat[idx], (0, 2, 1, 3)).reshape(mm * p, mm * p)
+    h = h + np.kron(np.diag(-((2.0 * np.pi * (k + alpha)) ** 2)), np.eye(p))
+    h = float(d * d) * h
+    return 0.5 * (h + h.conj().T)
+
+
+def _sector_forms_match_the_symmetrised_assembly(data, d):
+    for j in range(d):
+        lam = complex(math.cos(2.0 * math.pi * j / d), math.sin(2.0 * math.pi * j / d))
+        assert np.array_equal(jacobi.quadratic_form_matrix(data, d, sector=lam),
+                              _symmetrised_sector_form(data, d, lam))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@settings(max_examples=30)
+@given(draw=st.data(), d=st.integers(1, 4))
+def test_sector_form_has_the_bits_of_the_symmetrised_assembly(p, draw, d):
+    # every multiplier of degree d, also for curvature blocks that are not
+    # symmetric
+    _sector_forms_match_the_symmetrised_assembly(
+        draw.draw(_curvature_samples(ranks=(p,), symmetric=False)), d)
+
+
+def test_sector_forms_of_a_report_have_the_bits_of_the_symmetrised_assembly(waist_report):
+    for d in (1, 2, 3, 4):
+        _sector_forms_match_the_symmetrised_assembly(waist_report.data, d)
 
 
 def test_nodal_cover_indices_match_the_fourier_form(

@@ -123,6 +123,10 @@ def test_snapshot_runs_include_the_sphere_count():
     assert ("CONFORMAL_COUNT_CFG", "count") in snapshot.TEST_RUNS
 
 
+def test_snapshot_runs_include_a_revolution_census():
+    assert ("REVOLUTION_CENSUS_CFG", "census") in snapshot.TEST_RUNS
+
+
 def test_snapshot_writes_the_seed_log_of_each_run(tmp_path, monkeypatch):
     # one census run of the snapshot set; its 24 seeds each log one line
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -16,13 +16,14 @@ band LU with the borders eliminated around it, must agree with
 
 import functools
 import logging
+import math
 import re
 
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geocount import geometry, jacobi, loops, solver
@@ -167,6 +168,77 @@ def test_revolution_census_seeds_close_critical_parallels():
     assert np.allclose(sorted(solver.parallel_heights(spec)), [0.01, 0.04], atol=1e-10)
     census = solver.find_all(spec, 7.0, mesh=128, planes=24)
     assert len(census.entries) == 2
+
+
+def _sign_changing(kind, root, scale, power, wiggle):
+    if kind == 0:
+        return lambda x: scale * (x - root)
+    if kind == 1:
+        return lambda x: scale * ((x - root) ** power + wiggle * (x - root) ** 3)
+    if kind == 2:
+        return lambda x: math.tanh(scale * (x - root)) + 1e-3 * wiggle
+    return lambda x: math.sin(7.0 * x + wiggle) - 0.5 * root
+
+
+@settings(max_examples=300)
+@given(kind=st.integers(0, 3), root=st.floats(-1.0, 1.0),
+       log_scale=st.floats(-250.0, 5.0), power=st.integers(1, 5),
+       wiggle=st.floats(-2.0, 2.0), a=st.floats(-2.0, -0.5), b=st.floats(0.5, 2.0))
+def test_bisect_brackets_a_root_to_the_last_bit(kind, root, log_scale, power, wiggle, a, b):
+    f = _sign_changing(kind, root, 10.0 ** log_scale, power, wiggle)
+    assume(np.sign(f(a)) * np.sign(f(b)) <= 0.0)
+    x = solver._bisect(f, a, b)
+    assert type(x) is float
+    assert a <= x <= b
+    fx = f(x)
+    assert fx == 0.0 or any(np.sign(f(np.nextafter(x, to))) == -np.sign(fx)
+                            for to in (-np.inf, np.inf))
+
+
+def test_bisect_returns_a_root_at_an_endpoint():
+    for a, b in ((0.25, 1.0), (-1.0, 0.25)):
+        assert solver._bisect(lambda x: x - 0.25, a, b) == 0.25
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: x * x + 1.0,                    # same sign at both ends
+    lambda x: 1e-200 * (x + 2.0),             # same sign, f(a) f(b) underflows
+    lambda x: math.nan,                       # nan at the ends
+    lambda x: math.nan if x == 0.0 else x,    # nan at the first midpoint
+])
+def test_bisect_refuses_a_bracket_without_a_sign_change_and_nan(f):
+    with pytest.raises(ValueError):
+        solver._bisect(f, -1.0, 1.0)
+
+
+def test_bisect_calls_f_at_the_low_end_first_and_propagates_its_exception():
+    class Stop(Exception):
+        pass
+
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        raise Stop
+
+    with pytest.raises(Stop):
+        solver._bisect(f, -1.0, 1.0)
+    assert calls == [-1.0]
+
+
+def test_clairaut_find_closed_propagates_a_band_exit():
+    # the bracket's low end, c = 0.30, gives an orbit that leaves the band
+    with pytest.raises(geometry.BandExitError, match="leave the band"):
+        solver.clairaut_find_closed(MetricSpec.revolution(*BARREL), 1, 1, (0.30, 0.62))
+
+
+def test_census_certificate_accounts_for_every_seed(ellipsoid_spec):
+    # below 6.3 lies only the shortest principal ellipse (6.134); the seeds
+    # that converge to the two longer ones are counted above the bound
+    cert = solver.find_all(ellipsoid_spec, 6.3, mesh=128, planes=24, seed=7).certificate
+    assert (cert["seeds"], cert["converged"], cert["above_bound"]) == (24, 9, 15)
+    assert cert["seeds"] == sum(cert[k] for k in (
+        "converged", "above_bound", "stalled", "diverged", "collapsed", "band_exits"))
 
 
 def test_refinement_keeps_collapse_apart_from_a_singular_solve(ellipsoid_spec, monkeypatch):

@@ -6,8 +6,9 @@ compare two such directories with a float tolerance.
 
 Runs ``geocount.cli.main`` on every benchmark workload config in
 ``perfbench/workloads.py`` at seeds 1 and 7, and on the CLI test configs of
-``tests/test_cli.py`` (census, jacobi and weights on ``ELLIPSOID_CFG``, count
-on ``COUNT_CFG``, ``SPHERE_COUNT_CFG``, ``NOISE_COUNT_CFG`` and
+``tests/test_cli.py`` (census, jacobi and weights on ``ELLIPSOID_CFG``, census
+on ``REVOLUTION_CENSUS_CFG``, seeded at critical parallels, count on
+``COUNT_CFG``, ``SPHERE_COUNT_CFG``, ``NOISE_COUNT_CFG`` and
 ``CONFORMAL_COUNT_CFG``, where the default strategy resolves to conformal
 noise, continue on ``FOLD_CFG``, ``PD_CFG`` and ``STALL_CFG``, the one
 config whose continuation gives up, with exit 3).  Each run writes its files to
@@ -51,6 +52,7 @@ TEST_RUNS = (
     ("ELLIPSOID_CFG", "census"),
     ("ELLIPSOID_CFG", "jacobi"),
     ("ELLIPSOID_CFG", "weights"),
+    ("REVOLUTION_CENSUS_CFG", "census"),
     ("COUNT_CFG", "count"),
     ("SPHERE_COUNT_CFG", "count"),
     ("NOISE_COUNT_CFG", "count"),
