@@ -180,7 +180,7 @@ def _branch_tangent(path, t, nodes, prev=None):
     orientation (continuation direction), otherwise dt > 0 is chosen.
     """
     n, m = nodes.shape
-    jac = solver._fd_jacobian(path.at(t), nodes)
+    jac = solver._jacobian(path.at(t), nodes)
     r_t = _param_derivative(path, t, nodes)
     sol = solver._bordered_solve(jac, nodes, np.concatenate([-r_t, [0.0]]))
     dx_dt = sol[:-1].reshape(n, m)
@@ -219,7 +219,7 @@ def _corrector(path, base_nodes, base_t, tau, ds, tol):
                     + (t - base_t) * tau[-1] - ds)
         if res <= tol and fdef <= solver._CONSTRAINT_TOL and abs(arc) <= 1e-10:
             return nodes, t
-        jac = solver._fd_jacobian(spec, nodes)
+        jac = solver._jacobian(spec, nodes)
         r_t = _param_derivative(path, t, nodes)
         arc_row = np.concatenate([tau[:-1] / sqn, [tau[-1]]])
         rhs = np.concatenate([-full.reshape(-1), [0.0], [-arc]])

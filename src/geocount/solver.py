@@ -12,12 +12,23 @@ samples of a closed geodesic with O(1/N^2) node error; lengths are then read
 off spectrally, which restores O(1/N^4) accuracy because geodesics are
 critical points of length.
 
-The Newton corrector uses a colored central-difference Jacobian (Curtis,
-Powell & Reid 1974): the stencil only couples neighbors, so nodes with equal
-index mod 4 have disjoint residual footprints and one perturbed loop probes
-a whole color class.  The 4m probes (color, coordinate) are stacked into one
-(4m, N, m) array, so a Jacobian costs two residual evaluations, one on the
-+h stack and one on the -h stack.  The central differences are gathered
+The Newton corrector's Jacobian is assembled from closed-form m x m blocks
+on the induced-metric families (ellipsoids and surfaces of revolution).
+There the residual of node i is R_i = P_i a_i + N^2 F_i nu_i with
+a_i = N^2 (x_{i+1} - 2 x_i + x_{i-1}), nu = grad F / |grad F|,
+P = I - nu nu^T and D nu = P Hess F / |grad F|, so
+
+    dR_i/dx_{i+-1} = N^2 P_i,
+    dR_i/dx_i      = -2 N^2 P_i + N^2 nu_i grad F_i^T
+                     + (N^2 F_i - a_i . nu_i) D nu_i - nu_i a_i^T D nu_i.
+
+The conformal sphere keeps a colored central-difference Jacobian (Curtis,
+Powell & Reid 1974), which also serves the tests as the analytic blocks'
+oracle: the stencil only couples neighbors, so nodes with equal index
+mod 4 have disjoint residual footprints and one perturbed loop probes a
+whole color class.  The 4m probes (color, coordinate) are stacked into one
+(4m, N, m) array, so that Jacobian costs two residual evaluations, one on
+the +h stack and one on the -h stack.  Either way the Jacobian goes
 straight into LAPACK band storage with the nodes in the folded order
 (0, N-1, 1, N-2, ...): there the periodic neighbors of every node, node 0
 and node N-1 included, sit at most two blocks away, so J is a band matrix
@@ -154,12 +165,14 @@ def _velocity(nodes: np.ndarray) -> np.ndarray:
 def _band_pattern(n: int, m: int):
     """Unit color bumps, the folded order and the band layout of the Jacobian.
 
-    Returns (units, fold, gather, target): ``units[c * m + d]`` is 1 at
-    coordinate d of every node j with j mod 4 == c; ``fold`` lists the
+    Returns (units, fold, gather, target, scatter): ``units[c * m + d]`` is
+    1 at coordinate d of every node j with j mod 4 == c; ``fold`` lists the
     flattened coordinates in the folded node order (0, N-1, 1, N-2, ...);
     ``gather`` indexes the flattened (4m, N, m) difference stack at every
     Jacobian entry and ``target`` is where that entry sits in the LAPACK band
     storage (3 kl + 1, Nm), kl = 3m - 1, flattened in Fortran order.
+    ``scatter`` is where each entry of an (N, 3, m, m) block array sits in
+    that storage, block (i, s) being dR_i/dx_{i+s-1}.
     """
     units = np.zeros((4 * m, n, m))
     for color in range(4):
@@ -182,9 +195,42 @@ def _band_pattern(n: int, m: int):
     target = col * (3 * kl + 1) + 2 * kl + row - col
     gather, target = (np.broadcast_to(a, (n, m, 3, m)).reshape(-1)
                       for a in (gather, target))
-    for arr in (units, fold, gather, target):
+    # block entry (row node i, neighbor s, row coordinate k, coordinate d)
+    i = np.arange(n)[:, None, None, None]
+    col = pos[(i + np.arange(3)[:, None, None] - 1) % n] * m + coord
+    row = pos[i] * m + coord[:, None]
+    scatter = (col * (3 * kl + 1) + 2 * kl + row - col).reshape(-1)
+    for arr in (units, fold, gather, target, scatter):
         arr.flags.writeable = False
-    return units, fold, gather, target
+    return units, fold, gather, target, scatter
+
+
+def _jacobian(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
+    """Residual Jacobian in band storage, as ``_fd_jacobian`` lays it out.
+
+    Induced-metric families fill the band with the closed-form blocks of
+    the module docstring; the conformal sphere takes ``_fd_jacobian``.
+    """
+    if spec.impl.conformal:
+        return _fd_jacobian(spec, nodes)
+    n, m = nodes.shape
+    n2 = float(n * n)
+    xp, xm = _neighbors(nodes)
+    acc = (xp - 2.0 * nodes + xm) * n2
+    f = geometry.constraint(spec, nodes)
+    g = geometry.constraint_grad(spec, nodes)
+    gn = np.sqrt(_dot(g, g))
+    nu = g / gn[:, None]
+    proj = np.eye(m) - nu[:, :, None] * nu[:, None, :]
+    dnu = proj @ geometry.constraint_hess(spec, nodes) / gn[:, None, None]
+    blocks = np.empty((n, 3, m, m))
+    blocks[:, 0] = blocks[:, 2] = n2 * proj
+    blocks[:, 1] = (-2.0 * n2) * proj + n2 * nu[:, :, None] * g[:, None, :] \
+        + (n2 * f - _dot(acc, nu))[:, None, None] * dnu \
+        - nu[:, :, None] * (acc[:, None, :] @ dnu)
+    band = np.zeros((n * m, 9 * m - 2))                   # (Nm, 3 kl + 1), transposed below
+    band.reshape(-1)[_band_pattern(n, m)[4]] = blocks.reshape(-1)
+    return band.T
 
 
 def _fd_jacobian(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
@@ -200,7 +246,7 @@ def _fd_jacobian(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
     """
     n, m = nodes.shape
     h = _FD_STEP * max(1.0, float(np.max(np.abs(nodes))))
-    units, _, gather, target = _band_pattern(n, m)
+    units, _, gather, target, _ = _band_pattern(n, m)
     bump = units * h
     rp = residual_field(spec, nodes + bump)[0].reshape(-1)
     rm = residual_field(spec, nodes - bump)[0].reshape(-1)
@@ -212,7 +258,7 @@ def _fd_jacobian(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
 def _bordered_solve(jac, nodes, rhs, extra_col=None, extra_row=None):
     """Solve the gauge-bordered Newton system of the module docstring.
 
-    ``jac`` is the band Jacobian of ``_fd_jacobian``.  ``rhs`` covers every
+    ``jac`` is the band Jacobian of ``_jacobian``.  ``rhs`` covers every
     row: the residual rows, the gauge row and, with ``extra_col`` (length
     Nm) and ``extra_row`` (length Nm + 1, the last entry in the extra
     column), the extra row.  The unknowns are ordered (dx, [dt,] mu).
@@ -354,7 +400,7 @@ def _newton_step(spec, nodes, full, scale):
 
     The band Jacobian and the bordered solve's arrays live only in this call.
     """
-    jac = _fd_jacobian(spec, nodes)
+    jac = _jacobian(spec, nodes)
     rhs = np.concatenate([-full.reshape(-1), [0.0]])
     try:
         sol = _bordered_solve(jac, nodes, rhs)
@@ -616,11 +662,15 @@ def find_all(
     coarse failure never reaches the fine mesh.  A seed that converges is
     counted as ``converged`` when its length is at most ``max_length`` and
     as ``above_bound`` otherwise, so the certificate accounts for every
-    seed.  Each seed's outcome is logged at DEBUG: its index, then its
-    Newton iterations (the primitive base's included; ``C + F`` with the
-    coarse count first when the seed ran both stages) or its failure class
-    and message, the message prefixed by ``fine mesh:`` when the fine stage
-    failed.  The lines come in seed order.
+    seed.  The certificate's ``complete`` says that every class was hit by
+    at least two seeds; a surface of revolution is seeded once per critical
+    parallel, so there it says that no seed failed and that every converged
+    parallel is a class of its own.  Each seed's outcome is logged at
+    DEBUG: its index, then its Newton iterations (the primitive base's
+    included; ``C + F`` with the coarse count first when the seed ran both
+    stages) or its failure class and message, the message prefixed by
+    ``fine mesh:`` when the fine stage failed.  The lines come in seed
+    order.
     """
     seeds = _census_seeds(spec, min(mesh, _COARSE_MESH), planes, seed)
     outcome = {}    # seed index -> (result, iterations) or the failure
@@ -705,6 +755,12 @@ def find_all(
             run = 1
 
     min_hits = min((e.hits for e in entries), default=0)
+    if spec.family == "revolution":
+        # one seed per critical parallel, so no class can be hit twice:
+        # covered when every parallel converged to a class of its own
+        complete = not any(failed.values()) and len(entries) == len(converged)
+    else:
+        complete = bool(entries) and min_hits >= 2
     certificate = {
         "seeds": len(seeds),
         "converged": len(converged),
@@ -712,7 +768,7 @@ def find_all(
         **failed,
         "classes": len(entries),
         "min_hits": min_hits,
-        "complete": bool(entries) and min_hits >= 2,
+        "complete": complete,
         "max_residual": max((e.result.residual for e in entries), default=0.0),
     }
     return Census(

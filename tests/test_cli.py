@@ -350,7 +350,7 @@ def test_census_outputs(tmp_path):
     assert lines[0] == "id,d,length,residual,partner"
     assert len(lines) == 7  # three classes, two orientations each
     body = "\n".join(lines)
-    for frozen in ("6.1344978839180992", "6.3028700871907368", "6.4495922490578677"):
+    for frozen in ("6.1344978839180992", "6.3028700871907368", "6.4495922490578668"):
         assert body.count(frozen) == 2
     ids = [ln.split(",")[0] for ln in lines[1:]]
     assert ids == ["g000.1+", "g000.1-", "g001.1+", "g001.1-", "g002.1+", "g002.1-"]
@@ -387,9 +387,29 @@ def test_revolution_census_run(tmp_path):
     summary = (out / "summary.txt").read_text()
     assert "classes: 2" in summary
     assert "rows: 4" in summary
-    assert ("coverage: revolution census seeds only critical parallels; "
-            "non-parallel classes below the bound are not searched"
-            ) in (out / "warnings.txt").read_text().splitlines()
+    # one seed per critical parallel, each converged to a class of its own
+    assert "coverage (every critical parallel converged to its own class): PASS" in summary
+    assert (out / "warnings.txt").read_text().splitlines() == [
+        "coverage: revolution census seeds only critical parallels; "
+        "non-parallel classes below the bound are not searched"]
+
+
+def test_revolution_census_coverage_fails_on_a_failed_parallel(tmp_path, monkeypatch):
+    real_refine = solver.refine_many
+    calls = []
+
+    def refine(seeds, tol=1e-10):
+        out = real_refine(seeds, tol=tol)
+        calls.append(len(seeds))
+        return [solver.StallError("stub")] + out[1:] if len(calls) == 1 else out
+
+    monkeypatch.setattr(solver, "refine_many", refine)
+    code, out = _run(tmp_path, "census", REVOLUTION_CENSUS_CFG)
+    assert code == 0
+    assert calls == [2, 1]
+    summary = (out / "summary.txt").read_text()
+    assert "classes: 1" in summary
+    assert "coverage (every critical parallel converged to its own class): FAIL" in summary
 
 
 def test_jacobi_output_blocks(tmp_path):

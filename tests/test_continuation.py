@@ -119,7 +119,7 @@ def test_corrector_solve_at_the_fold_matches_a_dense_solve(fold_path, fold_branc
         fold_path, before.t, np.asarray(before.result.loop.nodes))
     nodes = np.asarray(event.loop.nodes)
     n, m = nodes.shape
-    jac = solver._fd_jacobian(fold_path.at(event.t), nodes)
+    jac = solver._jacobian(fold_path.at(event.t), nodes)
     r_t = continuation._param_derivative(fold_path, event.t, nodes)
     arc_row = np.concatenate([tau[:-1] / np.sqrt(n), [tau[-1]]])
     rhs = np.random.default_rng(0).normal(size=n * m + 2)
@@ -151,7 +151,7 @@ def test_fold_kicks_past_the_turn_stall_early(fold_path, fold_branch, monkeypatc
     batches = []
     jacobians = []
     outcomes = []
-    real_jacobian = solver._fd_jacobian
+    real_jacobian = solver._jacobian
     real_refine = solver.refine_many
 
     def jacobian(spec, nodes):
@@ -167,7 +167,7 @@ def test_fold_kicks_past_the_turn_stall_early(fold_path, fold_branch, monkeypatc
         outcomes.extend(out)
         return out
 
-    monkeypatch.setattr(solver, "_fd_jacobian", jacobian)
+    monkeypatch.setattr(solver, "_jacobian", jacobian)
     monkeypatch.setattr(solver, "refine_many", refine)
     detail, _ = continuation._fold_side_detail(
         fold_path, event, event.t + 0.02, kick_dir, 1e-10)
@@ -176,7 +176,7 @@ def test_fold_kicks_past_the_turn_stall_early(fold_path, fold_branch, monkeypatc
     assert len(outcomes) == 6
     assert all(isinstance(o, solver.StallError) for o in outcomes)
     assert all("line search" in str(o) for o in outcomes)
-    assert all(count <= 12 for count in jacobians)
+    assert all(1 <= count <= 12 for count in jacobians)
 
 
 def _rebuilt_trace_rows(branch_id, result):

@@ -250,6 +250,33 @@ def test_conformal_grad_differentiates_the_exponent(coeffs, seed):
     assert np.max(np.abs(np.sum(x * grad, axis=-1))) < 1e-13
 
 
+HESSIAN_SPECS = {
+    "ellipsoid": MetricSpec.ellipsoid((1.05, 1.0, 0.95)),
+    "ellipsoid4": MetricSpec.ellipsoid((1.0, 1.1, 0.9, 1.2)),
+    "poly": MetricSpec.revolution("poly", (0.8, 0.1, -0.8, 0.2), (-0.6, 0.6)),
+    "cosh": MetricSpec.revolution("cosh", (1.0, 0.1), (-0.6, 0.6)),
+    "ellipse": MetricSpec.revolution("ellipse", (1.0, 1.3), (-0.9, 0.9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HESSIAN_SPECS))
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_constraint_hess_differentiates_the_gradient(name, seed):
+    # the analytic Newton Jacobian rests on these Hessians
+    spec = HESSIAN_SPECS[name]
+    m = spec.ambient_dim
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.6, 0.6, size=(8, m))
+    hess = geometry.constraint_hess(spec, x)
+    assert hess.shape == (8, m, m)
+    h = 1e-6
+    fd = np.stack([
+        (geometry.constraint_grad(spec, x + h * e)
+         - geometry.constraint_grad(spec, x - h * e)) / (2.0 * h)
+        for e in np.eye(m)], axis=-1)
+    assert np.max(np.abs(hess - fd)) < 1e-7 * max(1.0, np.max(np.abs(hess)))
+
+
 def test_surface_project_is_idempotent(ellipsoid_spec):
     rng = np.random.default_rng(2)
     raw = rng.normal(size=(8, 3))

@@ -9,7 +9,9 @@ The Newton kernel is checked against reference implementations kept here.
 The stacked residual must reproduce the ``np.roll`` / ``np.sum`` /
 ``np.linalg.norm`` residual bit for bit.  The colored Jacobian in folded
 band storage must hold the per-color COO loop's differences bit for bit
-and match a dense one-column-at-a-time difference.  The bordered solve, a
+and match a dense one-column-at-a-time difference, and the analytic
+Jacobian of the induced-metric families must match the colored
+differences to their truncation error.  The bordered solve, a
 band LU with the borders eliminated around it, must agree with
 ``np.linalg.solve`` of the bordered matrix assembled densely.
 """
@@ -427,14 +429,18 @@ def test_census_does_not_depend_on_seed_order(ellipsoid_spec, ellipsoid_census, 
 
 def test_census_representatives_survive_a_change_in_the_last_bits(
         ellipsoid_spec, ellipsoid_census, monkeypatch):
-    # another difference step moves the last bits of every refinement; each
-    # class must keep its representative's seed, so node 0 and the
-    # orientation stay put and no rotation alignment is needed
-    monkeypatch.setattr(solver, "_FD_STEP", 6.1e-6)
-    census = solver.find_all(ellipsoid_spec, 7.0, mesh=128, planes=24, seed=7)
-    assert len(census.entries) == len(ellipsoid_census.entries)
-    for got, ref in zip(census.entries, ellipsoid_census.entries):
-        assert got.hits == ref.hits
+    # another difference step moves the last bits of every refinement made
+    # with the colored differences; each class must keep its
+    # representative's seed, so node 0 and the orientation stay put and no
+    # rotation alignment is needed
+    monkeypatch.setattr(solver, "_jacobian", solver._fd_jacobian)
+    runs = []
+    for step in (6e-6, 6.1e-6):
+        monkeypatch.setattr(solver, "_FD_STEP", step)
+        runs.append(solver.find_all(ellipsoid_spec, 7.0, mesh=128, planes=24, seed=7))
+    for census in runs:
+        assert [e.hits for e in census.entries] == [e.hits for e in ellipsoid_census.entries]
+    for got, ref in zip(runs[1].entries, runs[0].entries):
         assert np.max(np.abs(got.result.loop.nodes - ref.result.loop.nodes)) <= 1e-8
 
 
@@ -468,12 +474,18 @@ KERNEL_SPECS = {
         ((1, 1, 0.05), (2, 0, 0.16), (2, 2, 0.08), (3, 3, 0.03))),
     "ellipsoid4": MetricSpec.ellipsoid((1.0, 1.1, 0.9, 1.2)),
 }
+# more profiles for the analytic Jacobian, which reads their Hessians
+PROFILE_SPECS = {
+    "cosh": MetricSpec.revolution("cosh", (1.0, 0.1), (-0.6, 0.6)),
+    "ellipse": MetricSpec.revolution("ellipse", (1.0, 1.3), (-0.9, 0.9)),
+}
+INDUCED = ("ellipsoid", "ellipsoid4", "revolution", "cosh", "ellipse")
 
 
 def _kernel_nodes(name, n, seed=0, amplitude=0.02):
     """A randomly perturbed loop on the surface, not a geodesic."""
-    spec = KERNEL_SPECS[name]
-    if name == "revolution":
+    spec = KERNEL_SPECS.get(name) or PROFILE_SPECS[name]
+    if spec.family == "revolution":
         base = loops.parallel_circle(spec, 0.1, n).nodes
     elif name == "conformal":
         base = loops.great_circle_seed(spec, np.eye(3)[0], np.eye(3)[2], n).nodes
@@ -688,13 +700,33 @@ def test_fd_jacobian_makes_two_residual_calls(monkeypatch):
     assert calls == [(16, 32, 4)] * 2
 
 
+@pytest.mark.parametrize("name", INDUCED)
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(0.0, 0.05),
+       n=st.sampled_from([32, 64]))
+def test_analytic_jacobian_matches_the_colored_differences(name, seed, amplitude, n):
+    spec, nodes = _kernel_nodes(name, n, seed, amplitude)
+    m = nodes.shape[1]
+    jac = solver._jacobian(spec, nodes)
+    assert jac.shape == (9 * m - 2, n * m)
+    assert not np.any(jac[:3 * m - 1])
+    fold = _folded_order(n, m)
+    want = _coo_jacobian(spec, nodes).toarray()[np.ix_(fold, fold)]
+    assert np.max(np.abs(_band_dense(jac, m) - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_conformal_jacobian_is_the_colored_differences():
+    spec, nodes = _kernel_nodes("conformal", 32)
+    assert np.array_equal(solver._jacobian(spec, nodes), solver._fd_jacobian(spec, nodes))
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 @settings(max_examples=10)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_bordered_solve_matches_a_dense_solve(name, seed):
     spec, nodes = _kernel_nodes(name, 32, seed)
     n, m = nodes.shape
-    jac = solver._fd_jacobian(spec, nodes)
+    jac = solver._jacobian(spec, nodes)
     rng = np.random.default_rng(seed)
     extra_col = rng.normal(size=n * m)
     extra_row = rng.normal(size=n * m + 1)
@@ -726,7 +758,7 @@ def test_refinement_evaluates_each_residual_once(ellipsoid_spec, monkeypatch):
     monkeypatch.setattr(geometry, "surface_project", project)
     res = solver.refine_to_geodesic(loops.DiscreteLoop(ellipsoid_spec, nodes))
     assert res.iterations >= 3
-    assert len(stacked) == 2 * res.iterations
+    assert stacked == []    # the analytic Jacobian evaluates no probe stack
     assert len(single) == 1 + len(trials)
     assert len(set(single)) == len(single)
 
