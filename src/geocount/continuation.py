@@ -182,8 +182,11 @@ def _branch_tangent(path, t, nodes, prev=None):
     n, m = nodes.shape
     jac = solver._jacobian(path.at(t), nodes)
     r_t = _param_derivative(path, t, nodes)
-    sol = solver._bordered_solve(jac, nodes, np.concatenate([-r_t, [0.0]]))
-    dx_dt = sol[:-1].reshape(n, m)
+    sol, failed = solver._bordered_solve(
+        lambda k: jac, nodes[None], np.concatenate([-r_t, [0.0]])[None])
+    if failed:
+        raise failed[0]
+    dx_dt = sol[0, :-1].reshape(n, m)
     tau = np.concatenate([dx_dt.reshape(-1) / math.sqrt(n), [1.0]])
     tau = tau / np.linalg.norm(tau)
     if prev is not None and float(np.dot(tau, prev)) < 0.0:
@@ -223,12 +226,12 @@ def _corrector(path, base_nodes, base_t, tau, ds, tol):
         r_t = _param_derivative(path, t, nodes)
         arc_row = np.concatenate([tau[:-1] / sqn, [tau[-1]]])
         rhs = np.concatenate([-full.reshape(-1), [0.0], [-arc]])
-        try:
-            sol = solver._bordered_solve(jac, nodes, rhs, r_t, arc_row)
-        except RuntimeError:
+        sol, failed = solver._bordered_solve(
+            lambda k: jac, nodes[None], rhs[None], r_t[None], arc_row[None])
+        if failed:
             return None
-        delta_nodes = sol[:n * m].reshape(n, m)
-        delta_t = float(sol[n * m])
+        delta_nodes = sol[0, :n * m].reshape(n, m)
+        delta_t = float(sol[0, n * m])
         if not np.all(np.isfinite(delta_nodes)) or not np.isfinite(delta_t):
             return None
         nodes = nodes + delta_nodes

@@ -60,14 +60,21 @@ the full bordered system (Govaerts & Pryce, IMA J. Numer. Anal. 1993).
 
 One seed's refinement is one routine, ``_newton``, written as for a seed
 on its own.  It is a generator: it yields the evaluations worth stacking
-with other seeds' (a line-search trial, a new iterate) and returns the
-result.  ``refine_many`` steps the routines of many seeds in lock-step and
-evaluates each round's requests as one stack, which costs far less per
-loop than one call per loop; each seed's Jacobian and bordered solve stay
-its own.  Every stacked evaluation gives each loop the same bits as an
-evaluation on its own, so each seed's arithmetic, iterates and outcome are
-unchanged by the batch it runs in; ``refine_to_geodesic`` is a batch of
-one.
+with other seeds' (a new iterate, a Newton step, a line-search trial) and
+returns the result.  ``refine_many`` steps the routines of many seeds in
+lock-step and answers each round's requests as one stack, which costs far
+less per loop than one call per loop.  In a round of Newton steps
+(``_newton_steps``) one call computes the closed-form Jacobian blocks of
+every seed, and the bordered solve computes the velocities, the border
+rows and columns, their norms and the folded right-hand sides for the
+whole stack.  What stays per seed is the band: each seed's band is
+scattered from its blocks (or, on the conformal sphere, built from its
+colored differences) just before its LU, and its Schur elimination and
+residual correction run before the next seed's band is built, so one band
+is alive at a time.  A seed whose system is singular fails alone.  Every
+stacked evaluation gives each loop the same bits as an evaluation on its
+own, so each seed's arithmetic, iterates and outcome are unchanged by the
+batch it runs in; ``refine_to_geodesic`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -205,32 +212,63 @@ def _band_pattern(n: int, m: int):
     return units, fold, gather, target, scatter
 
 
-def _jacobian(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
-    """Residual Jacobian in band storage, as ``_fd_jacobian`` lays it out.
+def _jacobian_blocks(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
+    """Closed-form Jacobian blocks (..., N, 3, m, m) of an induced-metric loop
+    or stack of loops, block (i, s) being dR_i/dx_{i+s-1}.
 
-    Induced-metric families fill the band with the closed-form blocks of
-    the module docstring; the conformal sphere takes ``_fd_jacobian``.
+    The blocks are those of the module docstring.  Every loop of a stack
+    gets the bits it gets on its own.
     """
-    if spec.impl.conformal:
-        return _fd_jacobian(spec, nodes)
-    n, m = nodes.shape
+    n, m = nodes.shape[-2:]
     n2 = float(n * n)
     xp, xm = _neighbors(nodes)
     acc = (xp - 2.0 * nodes + xm) * n2
     f = geometry.constraint(spec, nodes)
     g = geometry.constraint_grad(spec, nodes)
     gn = np.sqrt(_dot(g, g))
-    nu = g / gn[:, None]
-    proj = np.eye(m) - nu[:, :, None] * nu[:, None, :]
-    dnu = proj @ geometry.constraint_hess(spec, nodes) / gn[:, None, None]
-    blocks = np.empty((n, 3, m, m))
-    blocks[:, 0] = blocks[:, 2] = n2 * proj
-    blocks[:, 1] = (-2.0 * n2) * proj + n2 * nu[:, :, None] * g[:, None, :] \
-        + (n2 * f - _dot(acc, nu))[:, None, None] * dnu \
-        - nu[:, :, None] * (acc[:, None, :] @ dnu)
+    nu = g / gn[..., None]
+    # Written in place, term by term in the order of the docstring's sum,
+    # so that a stack holds one array of its size, the blocks themselves.
+    # The last block holds D nu, then its term, until it takes its copy.
+    blocks = np.empty(nodes.shape[:-1] + (3, m, m))
+    proj, diag, dnu = (blocks[..., s, :, :] for s in range(3))
+    np.multiply(nu[..., :, None], nu[..., None, :], out=proj)
+    np.subtract(np.eye(m), proj, out=proj)
+    np.matmul(proj, geometry.constraint_hess(spec, nodes), out=dnu)
+    dnu /= gn[..., None, None]
+    a_dnu = (acc[..., None, :] @ dnu)[..., 0, :]
+    dnu *= (n2 * f - _dot(acc, nu))[..., None, None]
+    np.multiply(proj, -2.0 * n2, out=diag)
+    n2_nu = n2 * nu
+    for j in range(m):
+        diag[..., j] += n2_nu * g[..., j, None]
+    diag += dnu
+    for j in range(m):
+        diag[..., j] -= nu * a_dnu[..., j, None]
+    proj *= n2
+    dnu[...] = proj
+    return blocks
+
+
+def _band(blocks: np.ndarray) -> np.ndarray:
+    """One loop's (N, 3, m, m) Jacobian blocks scattered into the folded band
+    storage of ``_fd_jacobian``."""
+    n, _, m, _ = blocks.shape
     band = np.zeros((n * m, 9 * m - 2))                   # (Nm, 3 kl + 1), transposed below
     band.reshape(-1)[_band_pattern(n, m)[4]] = blocks.reshape(-1)
     return band.T
+
+
+def _jacobian(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
+    """Residual Jacobian of one loop in band storage, as ``_fd_jacobian``
+    lays it out.
+
+    Induced-metric families fill the band with the closed-form blocks of
+    the module docstring; the conformal sphere takes ``_fd_jacobian``.
+    """
+    if spec.impl.conformal:
+        return _fd_jacobian(spec, nodes)
+    return _band(_jacobian_blocks(spec, nodes))
 
 
 def _fd_jacobian(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
@@ -255,65 +293,90 @@ def _fd_jacobian(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
     return band.T
 
 
-def _bordered_solve(jac, nodes, rhs, extra_col=None, extra_row=None):
-    """Solve the gauge-bordered Newton system of the module docstring.
+def _bordered_solve(band, nodes, rhs, extra_col=None, extra_row=None):
+    """Solve the gauge-bordered Newton system of the module docstring for
+    every loop of a stack.
 
-    ``jac`` is the band Jacobian of ``_jacobian``.  ``rhs`` covers every
-    row: the residual rows, the gauge row and, with ``extra_col`` (length
-    Nm) and ``extra_row`` (length Nm + 1, the last entry in the extra
-    column), the extra row.  The unknowns are ordered (dx, [dt,] mu).
-    Raises CollapseError when the loop velocity vanishes and RuntimeError
-    when the band LU or the Schur complement is exactly singular.
+    ``nodes`` is (B, N, m) and ``rhs`` (B, R) covers every row: the
+    residual rows, the gauge row and, with ``extra_col`` (B, Nm) and
+    ``extra_row`` (B, Nm + 1, the last entry in the extra column), the
+    extra row.  ``band(k)`` returns loop k's band Jacobian (``_jacobian``);
+    it is called just before that loop's factorization, so one band is
+    alive at a time.  The velocity, the border column and gauge row, their
+    norms and the folded right-hand sides are computed for the whole stack;
+    the band LU, the Schur elimination and the residual correction run one
+    loop at a time.  Each loop gets the bits it gets in a batch of one.
+
+    Returns the (B, R) solutions, the unknowns ordered (dx, [dt,] mu), and
+    a dict from the index of every loop without one to its failure:
+    CollapseError when its velocity vanishes, RuntimeError when its band
+    LU or its Schur complement is exactly singular.  Those rows are zero.
     """
-    vel = _velocity(nodes)
-    n, m = nodes.shape
-    w = vel.reshape(-1)
-    wn = np.linalg.norm(w)
-    if wn < 1e-12 * n:
-        raise CollapseError("loop velocity collapsed during refinement")
+    b, n, m = nodes.shape
     size = n * m
     kl = 3 * m - 1
     fold = _band_pattern(n, m)[1]
-    if extra_col is None:
-        right = w[:, None] / wn
-        below = np.zeros((1, size))
-        corner = np.zeros((1, 1))
-    else:
-        right = np.stack([extra_col, w / wn], axis=1)
-        below = np.zeros((2, size))
-        below[1] = extra_row[:-1]
-        corner = np.array([[0.0, 0.0], [extra_row[-1], 0.0]])
-    below[0, :m] = vel[0] / np.linalg.norm(vel[0])
-    right, below = right[fold], below[:, fold]
-    lu, piv, info = scipy.linalg.lapack.dgbtrf(jac, kl, kl)
-    if info > 0:
-        raise RuntimeError(f"singular Jacobian: zero pivot in column {info}")
-    rhs_top = rhs[:size][fold]
-    z = scipy.linalg.lapack.dgbtrs(lu, kl, kl, np.column_stack([rhs_top, right]), piv)[0]
-    # block elimination of the borders: with J z = [f, B], the Schur
-    # complement S = D - C J^-1 B carries the border unknowns
-    schur = corner - below @ z[:, 1:]
+    # each loop's velocity as a column, the layout of the border column
+    vel = _velocity(nodes).reshape(b, size, 1)
+    # the norms as (1, n) @ (n, 1) products of unit-stride vectors: the
+    # ddot, and so the bits, of np.linalg.norm on one loop's vector
+    wn = np.sqrt(vel.transpose(0, 2, 1) @ vel)
+    v0n = np.sqrt(vel[:, :m].transpose(0, 2, 1) @ vel[:, :m])
+    collapsed = wn[:, 0, 0] < 1e-12 * n
+    wn[collapsed] = v0n[collapsed] = 1.0
+    # The border rows are kept transposed, (B, Nm, rows), so that each
+    # loop's (rows, Nm) block has the strides, and its products the bits,
+    # of np.zeros((rows, Nm))[:, fold].  np.take lays its result out
+    # C-contiguous, as fancy indexing along the first axis does.  Node 0
+    # comes first in the folded order, so the gauge keeps its place.
+    rows = 1 if extra_col is None else 2
+    below = np.zeros((b, size, rows))
+    below[:, :m, 0] = vel[:, :m, 0] / v0n[:, 0]
+    right = vel.take(fold, axis=1)
+    right /= wn
+    del vel
+    corner = np.zeros((b, rows, rows))
+    if extra_col is not None:
+        right = np.concatenate([extra_col.take(fold, axis=1)[:, :, None], right], axis=2)
+        below[:, :, 1] = extra_row[:, :-1].take(fold, axis=1)
+        corner[:, 1, 0] = extra_row[:, -1]
+    below = below.transpose(0, 2, 1)
+    rhs_top = rhs[:, :size].take(fold, axis=1)
+    out = np.zeros(rhs.shape)
+    failed = {k: CollapseError("loop velocity collapsed during refinement")
+              for k in np.flatnonzero(collapsed).tolist()}
+    for k in np.flatnonzero(~collapsed).tolist():
+        jac = band(k)
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(jac, kl, kl)
+        if info > 0:
+            failed[k] = RuntimeError(f"singular Jacobian: zero pivot in column {info}")
+            continue
+        z = scipy.linalg.lapack.dgbtrs(
+            lu, kl, kl, np.column_stack([rhs_top[k], right[k]]), piv)[0]
+        # block elimination of the borders: with J z = [f, B], the Schur
+        # complement S = D - C J^-1 B carries the border unknowns
+        schur = corner[k] - below[k] @ z[:, 1:]
 
-    def eliminate(x0, rhs_bottom):
-        y = np.linalg.solve(schur, rhs_bottom - below @ x0)
-        return x0 - z[:, 1:] @ y, y
+        def eliminate(x0, rhs_bottom):
+            y = np.linalg.solve(schur, rhs_bottom - below[k] @ x0)
+            return x0 - z[:, 1:] @ y, y
 
-    try:
-        x, y = eliminate(z[:, 0], rhs[size:])
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"singular bordered system: {exc}") from exc
-    # block elimination loses accuracy when J is nearly singular, as at a
-    # fold; one step of residual correction on the full system restores it
-    # (Govaerts & Pryce 1993)
-    band_jx = scipy.linalg.blas.dgbmv(size, size, kl, kl, 1.0, jac[kl:], x)
-    res_top = rhs_top - band_jx - right @ y
-    res_bottom = rhs[size:] - below @ x - corner @ y
-    dx0 = scipy.linalg.lapack.dgbtrs(lu, kl, kl, res_top[:, None], piv)[0][:, 0]
-    dx, dy = eliminate(dx0, res_bottom)
-    out = np.empty(size + len(y))
-    out[fold] = x + dx
-    out[size:] = y + dy
-    return out
+        try:
+            x, y = eliminate(z[:, 0], rhs[k, size:])
+        except np.linalg.LinAlgError as exc:
+            failed[k] = RuntimeError(f"singular bordered system: {exc}")
+            continue
+        # block elimination loses accuracy when J is nearly singular, as at
+        # a fold; one step of residual correction on the full system
+        # restores it (Govaerts & Pryce 1993)
+        band_jx = scipy.linalg.blas.dgbmv(size, size, kl, kl, 1.0, jac[kl:], x)
+        res_top = rhs_top[k] - band_jx - right[k] @ y
+        res_bottom = rhs[k, size:] - below[k] @ x - corner[k] @ y
+        dx0 = scipy.linalg.lapack.dgbtrs(lu, kl, kl, res_top[:, None], piv)[0][:, 0]
+        dx, dy = eliminate(dx0, res_bottom)
+        out[k, fold] = x + dx
+        out[k, size:] = y + dy
+    return out, failed
 
 
 @dataclass(frozen=True)
@@ -394,42 +457,66 @@ def _each(fn, spec, arrays):
     return results
 
 
-def _newton_step(spec, nodes, full, scale):
-    """The Newton correction of ``nodes`` from its residual ``full``, capped
-    at a move of ``_STEP_CAP * scale``; raises the seed's failure.
+def _newton_steps(spec, nodes, full, scale):
+    """The Newton corrections of a stack of loops ``nodes`` (B, N, m) from
+    their residuals ``full``, each capped at a move of ``_STEP_CAP`` times
+    its entry of ``scale`` (B,).
 
-    The band Jacobian and the bordered solve's arrays live only in this call.
+    Returns one entry per loop: its correction, or its failure.  A
+    CollapseError of the bordered solve stands as it is, any other failure
+    of it becomes StallError, and a non-finite correction DivergenceError.
+    An induced metric's Jacobian blocks are computed for the whole stack in
+    one call and each loop's band is scattered from them when its solve is
+    due; the conformal sphere builds each loop's ``_fd_jacobian`` then.
+    Every loop's residual has been evaluated at its nodes, which the
+    blocks evaluate again, so they raise no GeometryError.
     """
-    jac = _jacobian(spec, nodes)
-    rhs = np.concatenate([-full.reshape(-1), [0.0]])
-    try:
-        sol = _bordered_solve(jac, nodes, rhs)
-    except CollapseError:   # a RuntimeError, but not a singular system
-        raise
-    except RuntimeError as exc:
-        raise StallError(f"singular corrector system: {exc}") from exc
-    delta = sol[:-1].reshape(nodes.shape)
-    if not np.all(np.isfinite(delta)):
-        raise DivergenceError("non-finite Newton correction")
-    dmax = float(np.max(np.abs(delta)))
-    if dmax > _STEP_CAP * scale:
-        delta = delta * (_STEP_CAP * scale / dmax)
-    return delta
+    b = len(nodes)
+    if spec.impl.conformal:
+        def band(k):
+            return _fd_jacobian(spec, nodes[k])
+    else:
+        blocks = _jacobian_blocks(spec, nodes)
+
+        def band(k):
+            return _band(blocks[k])
+    rhs = np.zeros((b, full[0].size + 1))
+    np.negative(full.reshape(b, -1), out=rhs[:, :-1])
+    sol, failed = _bordered_solve(band, nodes, rhs)
+    delta = sol[:, :-1].reshape(nodes.shape)
+    finite = np.isfinite(delta).all(axis=(1, 2))
+    dmax = np.where(finite, np.max(np.abs(delta), axis=(1, 2)), 0.0)
+    cap = _STEP_CAP * scale
+    delta *= (cap / np.maximum(dmax, cap))[:, None, None]   # 1.0 within the cap
+    steps = list(delta)
+    for k, exc in failed.items():
+        steps[k] = exc if isinstance(exc, CollapseError) \
+            else StallError(f"singular corrector system: {exc}")
+    for k in np.flatnonzero(~finite).tolist():
+        steps[k] = DivergenceError("non-finite Newton correction")
+    return steps
 
 
 def _newton(spec, nodes, tol):
     """One seed's Newton refinement, a generator that ``refine_many`` steps.
 
     Returns the GeodesicResult and raises the seed's failure.  It yields the
-    evaluations worth stacking with other seeds': a line-search trial as an
-    array, answered with (the trial projected onto the surface, its
-    ``residual_field``) or None when it cannot be projected; and a new
-    iterate as (nodes, fields), fields None when it has none, answered with
-    (its fields, its ``_scaled_residual``).  A GeometryError from a residual
-    evaluation is thrown in at the yield.
+    evaluations worth stacking with other seeds' as requests led by their
+    kind:
+
+    - ("iterate", nodes, fields) for a new iterate, fields None when it has
+      none, answered with (its fields, its ``_scaled_residual``);
+    - ("step", nodes, full, scale) for the Newton correction of ``nodes``
+      from its residual ``full``, answered as ``_newton_steps`` answers;
+    - ("trial", x) for a line-search trial, answered with (x projected onto
+      the surface, its ``residual_field``) or None when it cannot be
+      projected.
+
+    A failed evaluation is thrown in at the yield: a GeometryError from a
+    residual evaluation, or the failure ``_newton_steps`` gives the step.
     """
     scale0 = max(1.0, float(np.max(np.abs(nodes))))
-    fields, (res, fdef, _) = yield nodes, None
+    fields, (res, fdef, _) = yield "iterate", nodes, None
     res0 = res
     history = [res]
     failed_searches = 0
@@ -444,14 +531,14 @@ def _newton(spec, nodes, tol):
             raise StallError(f"no convergence in {_MAX_NEWTON_ITER} Newton iterations")
         geometry.check_band(spec, nodes)
         merit = float(np.sum(fields[0] * fields[0]))
-        delta = _newton_step(spec, nodes, fields[0], scale0)
+        delta = yield "step", nodes, fields[0], scale0
         # Armijo backtracking on |R|^2.  Each trial is pulled back onto the
         # surface so the N^2-scaled constraint rows do not poison the merit
         # with the step's quadratic normal drift.
         step = 1.0
         for _ in range(12):
             trial = nodes + step * delta
-            trial, fields = (yield trial) or (trial, None)
+            trial, fields = (yield "trial", trial) or (trial, None)
             if fields is not None \
                     and float(np.sum(fields[0] ** 2)) <= (1.0 - 1e-4 * step) * merit:
                 break
@@ -463,7 +550,7 @@ def _newton(spec, nodes, tol):
         nodes = trial
         if np.max(np.abs(nodes)) > 100.0 * scale0:
             raise DivergenceError("iterates left the working region")
-        fields, (res, fdef, ell) = yield nodes, fields
+        fields, (res, fdef, ell) = yield "iterate", nodes, fields
         history.append(res)
         if ell < 1e-3:
             raise CollapseError("loop length collapsed toward zero")
@@ -492,13 +579,13 @@ def refine_many(seeds, tol: float = 1e-10) -> list:
     alternates failed searches with tiny accepted steps and would otherwise
     run the whole iteration budget.
 
-    This driver answers the evaluations the seeds ask for, one kind per
-    round and each round as one stack: every pending line-search trial
-    first, and the new iterates only once no seed is still searching, so
-    the seeds take their Newton steps together.  Every stacked evaluation
-    gives each loop the bits it gets on its own, so each seed's iterates,
-    history and outcome are those of a batch of one, whatever else is in
-    the batch.
+    This driver answers the requests of ``_newton`` in rounds of one kind,
+    each round as one stack: every pending line-search trial first, then
+    every Newton step (``_newton_steps``), and the new iterates only once no
+    seed is still searching, so the seeds take their Newton steps together.
+    Every stacked evaluation gives each loop the bits it gets on its own,
+    so each seed's iterates, history and outcome are those of a batch of
+    one, whatever else is in the batch.
     """
     seeds = list(seeds)
     if not seeds:
@@ -511,30 +598,35 @@ def refine_many(seeds, tol: float = 1e-10) -> list:
     gens = {k: _newton(spec, np.array(s.nodes, dtype=float), tol) for k, s in enumerate(seeds)}
     pending = {k: next(gen) for k, gen in gens.items()}    # seed index -> its request
     while pending:
-        trials = {k: x for k, x in pending.items() if isinstance(x, np.ndarray)}
-        if trials:
-            answers = dict.fromkeys(trials)
-            projected = {k: x for k, x in zip(trials, _each(
-                geometry.surface_project, spec, list(trials.values())))
+        kinds = {req[0] for req in pending.values()}
+        kind = next(kind for kind in ("trial", "step", "iterate") if kind in kinds)
+        batch = {k: req[1:] for k, req in pending.items() if req[0] == kind}
+        if kind == "trial":
+            answers = dict.fromkeys(batch)
+            projected = {k: x for k, x in zip(batch, _each(
+                geometry.surface_project, spec, [x for x, in batch.values()]))
                 if not isinstance(x, GeometryError)}
             for (k, x), fields in zip(projected.items(), _each(
                     residual_field, spec, list(projected.values()))):
                 answers[k] = fields if isinstance(fields, GeometryError) else (x, fields)
+        elif kind == "step":
+            answers = dict(zip(batch, _newton_steps(
+                spec, *(np.stack(a) for a in zip(*batch.values())))))
         else:
-            answers = {k: fields for k, (_, fields) in pending.items()}
+            answers = {k: fields for k, (_, fields) in batch.items()}
             fresh = [k for k, fields in answers.items() if fields is None]
-            answers.update(zip(fresh, _each(residual_field, spec, [pending[k][0] for k in fresh])))
+            answers.update(zip(fresh, _each(residual_field, spec, [batch[k][0] for k in fresh])))
             ok = [k for k, fields in answers.items() if not isinstance(fields, GeometryError)]
             if ok:
                 for k, vals in zip(ok, _scaled_residuals(
-                        spec, np.stack([pending[k][0] for k in ok]),
+                        spec, np.stack([batch[k][0] for k in ok]),
                         np.stack([answers[k][1] for k in ok]),
                         np.stack([answers[k][2] for k in ok]))):
                     answers[k] = answers[k], vals
         for k, answer in answers.items():
             gen = gens[k]
             try:
-                pending[k] = (gen.throw(answer) if isinstance(answer, GeometryError)
+                pending[k] = (gen.throw(answer) if isinstance(answer, Exception)
                               else gen.send(answer))
             except StopIteration as stop:
                 out[k] = stop.value

@@ -124,8 +124,10 @@ def test_corrector_solve_at_the_fold_matches_a_dense_solve(fold_path, fold_branc
     arc_row = np.concatenate([tau[:-1] / np.sqrt(n), [tau[-1]]])
     rhs = np.random.default_rng(0).normal(size=n * m + 2)
     want = np.linalg.solve(_bordered_dense(jac, nodes, r_t, arc_row), rhs)
-    got = solver._bordered_solve(jac, nodes, rhs, r_t, arc_row)
-    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    got, failed = solver._bordered_solve(lambda k: jac, nodes[None], rhs[None], r_t[None],
+                                         arc_row[None])
+    assert not failed
+    assert np.max(np.abs(got[0] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_fold_branch_labels_do_not_depend_on_the_kernel_sign(fold_path, fold_branch):
@@ -151,12 +153,12 @@ def test_fold_kicks_past_the_turn_stall_early(fold_path, fold_branch, monkeypatc
     batches = []
     jacobians = []
     outcomes = []
-    real_jacobian = solver._jacobian
+    real_blocks = solver._jacobian_blocks
     real_refine = solver.refine_many
 
-    def jacobian(spec, nodes):
-        jacobians[-1] += 1
-        return real_jacobian(spec, nodes)
+    def blocks(spec, nodes):
+        jacobians[-1] += len(nodes)
+        return real_blocks(spec, nodes)
 
     def refine(seeds, tol=1e-10):
         batches.append(len(seeds))
@@ -167,7 +169,7 @@ def test_fold_kicks_past_the_turn_stall_early(fold_path, fold_branch, monkeypatc
         outcomes.extend(out)
         return out
 
-    monkeypatch.setattr(solver, "_jacobian", jacobian)
+    monkeypatch.setattr(solver, "_jacobian_blocks", blocks)
     monkeypatch.setattr(solver, "refine_many", refine)
     detail, _ = continuation._fold_side_detail(
         fold_path, event, event.t + 0.02, kick_dir, 1e-10)

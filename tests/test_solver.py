@@ -13,7 +13,10 @@ and match a dense one-column-at-a-time difference, and the analytic
 Jacobian of the induced-metric families must match the colored
 differences to their truncation error.  The bordered solve, a
 band LU with the borders eliminated around it, must agree with
-``np.linalg.solve`` of the bordered matrix assembled densely.
+``np.linalg.solve`` of the bordered matrix assembled densely.  Its stacked
+form, and the stacked Jacobian blocks, must give every loop the bits of a
+batch of one and of the per-loop solve kept here, and a seed whose system
+is singular must fail alone.
 """
 
 import functools
@@ -23,6 +26,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.special
 from hypothesis import assume, given, settings
@@ -243,22 +247,31 @@ def test_census_certificate_accounts_for_every_seed(ellipsoid_spec):
         "converged", "above_bound", "stalled", "diverged", "collapsed", "band_exits"))
 
 
+def _failure(solved):
+    """The one failure of a bordered solve on a batch of one."""
+    sol, failed = solved
+    assert list(failed) == [0] and not np.any(sol)
+    return failed[0]
+
+
 def test_refinement_keeps_collapse_apart_from_a_singular_solve(ellipsoid_spec, monkeypatch):
-    # the collapse check comes before the factorization
-    with pytest.raises(solver.CollapseError):
-        solver._bordered_solve(None, np.zeros((16, 3)), np.zeros(49))
+    # the collapse check comes before the band is asked for
+    exc = _failure(solver._bordered_solve(None, np.zeros((1, 16, 3)), np.zeros((1, 49))))
+    assert type(exc) is solver.CollapseError
     seed = loops.great_circle_seed(ellipsoid_spec, np.eye(3)[0], np.eye(3)[1], 64)
-    with pytest.raises(RuntimeError, match="singular"):
-        solver._bordered_solve(np.zeros((25, 192)), seed.nodes, np.zeros(193))
+    nodes = np.asarray(seed.nodes)[None]
+    exc = _failure(solver._bordered_solve(
+        lambda k: np.zeros((25, 192)), nodes, np.zeros((1, 193))))
+    assert type(exc) is RuntimeError and "singular" in str(exc)
     identity = np.zeros((25, 192))
     identity[16] = 1.0                        # the main diagonal, row 2 kl
-    with pytest.raises(RuntimeError, match="singular"):   # a zero extra row and column
-        solver._bordered_solve(identity, seed.nodes, np.zeros(194), np.zeros(192),
-                               np.zeros(193))
+    exc = _failure(solver._bordered_solve(    # a zero extra row and column
+        lambda k: identity, nodes, np.zeros((1, 194)), np.zeros((1, 192)), np.zeros((1, 193))))
+    assert type(exc) is RuntimeError and "singular" in str(exc)
     for raised, expected in ((solver.CollapseError("collapsed"), solver.CollapseError),
                              (RuntimeError("singular matrix"), solver.StallError)):
-        def fail(*args, raised=raised):
-            raise raised
+        def fail(band, nodes, rhs, raised=raised):
+            return np.zeros_like(rhs), dict.fromkeys(range(len(nodes)), raised)
         monkeypatch.setattr(solver, "_bordered_solve", fail)
         with pytest.raises(expected):
             solver.refine_to_geodesic(seed)
@@ -433,7 +446,13 @@ def test_census_representatives_survive_a_change_in_the_last_bits(
     # with the colored differences; each class must keep its
     # representative's seed, so node 0 and the orientation stay put and no
     # rotation alignment is needed
-    monkeypatch.setattr(solver, "_jacobian", solver._fd_jacobian)
+    def fd_blocks(spec, nodes):
+        n, m = nodes.shape[-2:]
+        scatter = solver._band_pattern(n, m)[4]
+        return np.stack([solver._fd_jacobian(spec, x).T.reshape(-1)[scatter].reshape(n, 3, m, m)
+                         for x in nodes])
+
+    monkeypatch.setattr(solver, "_jacobian_blocks", fd_blocks)
     runs = []
     for step in (6e-6, 6.1e-6):
         monkeypatch.setattr(solver, "_FD_STEP", step)
@@ -644,6 +663,48 @@ def _band_dense(band, m):
     return out
 
 
+def _reference_bordered_solve(jac, nodes, rhs, extra_col=None, extra_row=None):
+    """Reference: the bordered solve of one loop, its border rows and
+    columns built for that loop and folded by fancy indexing."""
+    vel = solver._velocity(nodes)
+    n, m = nodes.shape
+    w = vel.reshape(-1)
+    wn = np.linalg.norm(w)
+    size = n * m
+    kl = 3 * m - 1
+    fold = _folded_order(n, m)
+    if extra_col is None:
+        right = w[:, None] / wn
+        below = np.zeros((1, size))
+        corner = np.zeros((1, 1))
+    else:
+        right = np.stack([extra_col, w / wn], axis=1)
+        below = np.zeros((2, size))
+        below[1] = extra_row[:-1]
+        corner = np.array([[0.0, 0.0], [extra_row[-1], 0.0]])
+    below[0, :m] = vel[0] / np.linalg.norm(vel[0])
+    right, below = right[fold], below[:, fold]
+    lu, piv, _ = scipy.linalg.lapack.dgbtrf(jac, kl, kl)
+    rhs_top = rhs[:size][fold]
+    z = scipy.linalg.lapack.dgbtrs(lu, kl, kl, np.column_stack([rhs_top, right]), piv)[0]
+    schur = corner - below @ z[:, 1:]
+
+    def eliminate(x0, rhs_bottom):
+        y = np.linalg.solve(schur, rhs_bottom - below @ x0)
+        return x0 - z[:, 1:] @ y, y
+
+    x, y = eliminate(z[:, 0], rhs[size:])
+    band_jx = scipy.linalg.blas.dgbmv(size, size, kl, kl, 1.0, jac[kl:], x)
+    res_top = rhs_top - band_jx - right @ y
+    res_bottom = rhs[size:] - below @ x - corner @ y
+    dx0 = scipy.linalg.lapack.dgbtrs(lu, kl, kl, res_top[:, None], piv)[0][:, 0]
+    dx, dy = eliminate(dx0, res_bottom)
+    out = np.empty(size + len(y))
+    out[fold] = x + dx
+    out[size:] = y + dy
+    return out
+
+
 def _bordered_dense(jac, nodes, extra_col=None, extra_row=None):
     """Reference: the bordered matrix assembled densely in the natural order."""
     n, m = nodes.shape
@@ -720,6 +781,60 @@ def test_conformal_jacobian_is_the_colored_differences():
     assert np.array_equal(solver._jacobian(spec, nodes), solver._fd_jacobian(spec, nodes))
 
 
+def _induced_stack(name, n, seed, amplitude, b):
+    spec = KERNEL_SPECS.get(name) or PROFILE_SPECS[name]
+    return spec, np.stack([_kernel_nodes(name, n, seed + k, amplitude)[1] for k in range(b)])
+
+
+@pytest.mark.parametrize("name", INDUCED)
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(0.0, 0.05),
+       n=st.sampled_from([32, 64]), b=st.integers(1, 5))
+def test_stacked_blocks_scatter_into_each_loops_jacobian(name, seed, amplitude, n, b):
+    spec, stack = _induced_stack(name, n, seed, amplitude, b)
+    m = stack.shape[-1]
+    blocks = solver._jacobian_blocks(spec, stack)
+    assert blocks.shape == (b, n, 3, m, m)
+    for k in range(b):
+        assert np.array_equal(solver._band(blocks[k]), solver._jacobian(spec, stack[k]))
+
+
+@pytest.mark.parametrize("name", INDUCED)
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(0.0, 0.05), b=st.integers(1, 5))
+def test_stacked_bordered_solve_equals_batches_of_one(name, seed, amplitude, b):
+    spec, stack = _induced_stack(name, 32, seed, amplitude, b)
+    blocks = solver._jacobian_blocks(spec, stack)
+    rhs = np.random.default_rng(seed).normal(size=(b, stack[0].size + 1))
+    got, failed = solver._bordered_solve(lambda k: solver._band(blocks[k]), stack, rhs)
+    assert not failed
+    for k in range(b):
+        jac = solver._jacobian(spec, stack[k])
+        one, failed = solver._bordered_solve(lambda _: jac, stack[k:k + 1], rhs[k:k + 1])
+        assert not failed
+        assert np.array_equal(got[k], one[0])
+        assert np.array_equal(one[0], _reference_bordered_solve(jac, stack[k], rhs[k]))
+
+
+@pytest.mark.parametrize("name", INDUCED)
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(0.0, 0.05))
+def test_bordered_solve_with_an_extra_column_keeps_the_bits_of_one_loop(name, seed, amplitude):
+    # continuation's tangent and corrector solve a batch of one with the
+    # path column and the arclength row
+    spec, stack = _induced_stack(name, 32, seed, amplitude, 1)
+    size = stack[0].size
+    rng = np.random.default_rng(seed)
+    extra_col, extra_row = rng.normal(size=size), rng.normal(size=size + 1)
+    rhs = rng.normal(size=size + 2)
+    jac = solver._jacobian(spec, stack[0])
+    got, failed = solver._bordered_solve(
+        lambda k: jac, stack, rhs[None], extra_col[None], extra_row[None])
+    assert not failed
+    assert np.array_equal(got[0], _reference_bordered_solve(jac, stack[0], rhs, extra_col,
+                                                            extra_row))
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 @settings(max_examples=10)
 @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -733,8 +848,10 @@ def test_bordered_solve_matches_a_dense_solve(name, seed):
     for args in ((), (extra_col, extra_row)):
         rhs = rng.normal(size=n * m + 1 + len(args) // 2)
         want = np.linalg.solve(_bordered_dense(jac, nodes, *args), rhs)
-        got = solver._bordered_solve(jac, nodes, rhs, *args)
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        got, failed = solver._bordered_solve(
+            lambda k: jac, nodes[None], rhs[None], *(a[None] for a in args))
+        assert not failed
+        assert np.max(np.abs(got[0] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_refinement_evaluates_each_residual_once(ellipsoid_spec, monkeypatch):
@@ -909,10 +1026,61 @@ def _each_loop(x):
 def _nan_correction(monkeypatch, target):
     real = solver._bordered_solve
 
-    def solve(jac, nodes, rhs):
-        sol = real(jac, nodes, rhs)
-        return np.full_like(sol, np.nan) if _near(nodes, target) else sol
+    def solve(band, nodes, rhs):
+        sol, failed = real(band, nodes, rhs)
+        for k, x in enumerate(nodes):
+            if _near(x, target):
+                sol[k] = np.nan
+        return sol, failed
     monkeypatch.setattr(solver, "_bordered_solve", solve)
+
+
+def _target_blocks(change):
+    """Replace the Jacobian blocks of the target seed by ``change(blocks)``."""
+    def install(monkeypatch, target):
+        real = solver._jacobian_blocks
+
+        def blocks(spec, nodes):
+            out = real(spec, nodes)
+            for k, x in enumerate(nodes):
+                if _near(x, target):
+                    out[k] = change(out[k])
+            return out
+        monkeypatch.setattr(solver, "_jacobian_blocks", blocks)
+    return install
+
+
+def _target_velocity(change):
+    """Replace the velocity of every loop near the target by ``change(vel)``."""
+    def install(monkeypatch, target):
+        real = solver._velocity
+
+        def velocity(nodes):
+            out = real(nodes)
+            for x, v in zip(_each_loop(nodes), _each_loop(out)):
+                if _near(x, target):
+                    v[...] = change(v)
+            return out
+        monkeypatch.setattr(solver, "_velocity", velocity)
+    return install
+
+
+def _singular_schur(monkeypatch, target):
+    # node 0 moves along (1, 0, 0), so the gauge row is e_0; the Jacobian is
+    # the identity but for node 0's block, which swaps the first two
+    # coordinates.  Then J^-1 w has no e_0 component at node 0 and the
+    # Schur complement g^T J^-1 w is exactly zero
+    def swap_at_node_0(blocks):
+        out = np.zeros_like(blocks)
+        out[:, 1] = np.eye(3)
+        out[0, 1] = np.eye(3)[[1, 0, 2]]
+        return out
+
+    def node_0_along_e0(vel):
+        vel[0] = (1.0, 0.0, 0.0)
+        return vel
+    _target_blocks(swap_at_node_0)(monkeypatch, target)
+    _target_velocity(node_0_along_e0)(monkeypatch, target)
 
 
 def _stepped_scaled_residuals(change):
@@ -948,6 +1116,12 @@ KERNEL_EXITS = {
     "loop length collapsed toward zero": (
         solver.CollapseError, _stepped_scaled_residuals(lambda r, d, e: (r, d, 0.0))),
     "iterates left the working region": (solver.DivergenceError, _far_projection),
+    "singular corrector system: singular Jacobian: zero pivot in column 1": (
+        solver.StallError, _target_blocks(np.zeros_like)),
+    "singular corrector system: singular bordered system: Singular matrix": (
+        solver.StallError, _singular_schur),
+    "loop velocity collapsed during refinement": (
+        solver.CollapseError, _target_velocity(np.zeros_like)),
 }
 
 
@@ -976,8 +1150,9 @@ def test_a_search_without_a_projected_trial_moves_to_its_last_raw_trial(
     want = []
     for seed in seeds:
         nodes = np.asarray(seed.nodes)
-        delta = solver._newton_step(spec, nodes, solver.residual_field(spec, nodes)[0],
-                                    max(1.0, float(np.max(np.abs(nodes)))))
+        [delta] = solver._newton_steps(
+            spec, nodes[None], solver.residual_field(spec, nodes)[0][None],
+            np.array([max(1.0, float(np.max(np.abs(nodes))))]))
         raw = nodes + 2.0 ** -11 * delta
         assert np.max(np.abs(geometry.constraint(spec, raw))) > 1e-9
         alone = solver.refine_to_geodesic(loops.DiscreteLoop(spec, raw))
@@ -1022,3 +1197,48 @@ def test_the_seeds_of_a_batch_take_their_newton_steps_together(name, monkeypatch
     iterations = [res.iterations for res in solver.refine_many(seeds)]
     assert len(set(iterations)) > 1
     assert len(calls) == 1 + max(iterations)
+
+
+def test_a_round_of_newton_steps_stacks_the_jacobian_blocks(monkeypatch):
+    # one block evaluation per Newton round, holding every seed still
+    # stepping: in round r, the seeds that take more than r steps
+    seeds = _lock_step_case("ellipsoid")
+    stacks = []
+    real = solver._jacobian_blocks
+    monkeypatch.setattr(solver, "_jacobian_blocks",
+                        lambda spec, nodes: stacks.append(len(nodes)) or real(spec, nodes))
+    iterations = [res.iterations for res in solver.refine_many(seeds)]
+    assert len(set(iterations)) > 1
+    assert stacks == [sum(it > r for it in iterations) for r in range(max(iterations))]
+
+
+def test_the_conformal_sphere_keeps_one_colored_jacobian_per_seed_step(monkeypatch):
+    # the step rounds are stacked, but each seed's Jacobian is still its own
+    # colored differences: two residual evaluations per seed and step
+    seeds = _batch_case("conformal")
+    want = _batch_outcomes("conformal")
+    steps, per_jacobian, residual_calls = [], [], []
+    real_steps, real_fd, real_residual = \
+        solver._newton_steps, solver._fd_jacobian, solver.residual_field
+
+    def newton_steps(spec, nodes, full, scale):
+        steps.append(len(nodes))
+        return real_steps(spec, nodes, full, scale)
+
+    def fd_jacobian(spec, nodes):
+        before = len(residual_calls)
+        out = real_fd(spec, nodes)
+        per_jacobian.append(len(residual_calls) - before)
+        return out
+
+    def blocks(spec, nodes):
+        raise AssertionError("the conformal sphere has no closed-form blocks")
+
+    monkeypatch.setattr(solver, "_newton_steps", newton_steps)
+    monkeypatch.setattr(solver, "_fd_jacobian", fd_jacobian)
+    monkeypatch.setattr(solver, "_jacobian_blocks", blocks)
+    monkeypatch.setattr(solver, "residual_field",
+                        lambda spec, x: residual_calls.append(1) or real_residual(spec, x))
+    assert tuple(_outcome(res) for res in solver.refine_many(seeds)) == want
+    assert max(steps) == len(seeds)
+    assert per_jacobian == [2] * sum(steps)
