@@ -14,10 +14,15 @@ Two independent computational routes are kept deliberately separate:
   d^2 scale (Bott's iteration formula), so a report solves one sector
   spectrum per multiplier and counts every degree's sectors from it, while
   each degree's direct cover is still assembled and solved on its own.
+  Each form is one dense buffer, which the private ``_eigvalsh`` solves in
+  place, overwriting it; the nodal cover form is filled with no index array
+  of its size.  ``quadratic_form_matrix`` still returns a matrix that its
+  caller owns.
 * Floquet monodromy: symplectic Gauss-Legendre collocation of the Jacobi
   system over one primitive period gives the linearized return map and the
   fundamental solution at the nodes; kernel dimensions of M^d - I recover
-  nullities with no spectral truncation, and unit-root eigenvectors carried
+  nullities with no spectral truncation, the sign of det(M^d - I) gives the
+  parity of every nondegenerate index, and unit-root eigenvectors carried
   by the fundamental solution are the quasi-periodic Jacobi fields.
 
 Agreement between the routes is the package's main internal consistency
@@ -30,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import _spectral, geometry, loops, solver
 from .geometry import MetricSpec
@@ -140,6 +146,10 @@ def _nodal_cover_form(data: JacobiOperatorData, d: int) -> np.ndarray:
     is the real circulant spectral second difference: C[i, j] = c[(i - j)
     mod dN] with c the inverse FFT of -(2 pi k)^2.  Conjugating by the
     unitary DFT gives the Fourier-basis form, so the spectra agree.
+
+    The matrix is one (dN p)^2 buffer: row i of C is a window of the doubled,
+    reversed sequence, so the circulant is a strided view of 2 dN numbers and
+    no index array of its size is built.
     """
     bc = _cover_curvature(data, d)
     mm, p = bc.shape[0], bc.shape[1]
@@ -148,9 +158,14 @@ def _nodal_cover_form(data: JacobiOperatorData, d: int) -> np.ndarray:
     # symmetrised sequence and diagonal blocks: the same bits as symmetrising
     # the assembled matrix, without the extra (dN p)^2 pass
     cs = 0.5 * (c + c[-nodes % mm])
-    circ = cs[(nodes[:, None] - nodes[None, :]) % mm]
-    h = circ if p == 1 else np.kron(circ, np.eye(p))
+    # window s of the reversed doubled sequence holds cs[(mm - 1 - s - j) mod
+    # mm] at j, which is row mm - 1 - s of C
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(cs, 2)[::-1], mm)
+    circ = windows[mm - 1::-1]
+    h = np.empty((mm * p, mm * p))
     h4 = h.reshape(mm, p, mm, p)
+    # the products of np.kron(circ, np.eye(p)), signed zeros included
+    np.multiply(circ[:, None, :, None], np.eye(p)[None, :, None, :], out=h4)
     h4[nodes, :, nodes, :] += 0.5 * (bc + np.swapaxes(bc, 1, 2))
     return h
 
@@ -171,6 +186,11 @@ def quadratic_form_matrix(data: JacobiOperatorData, d: int, sector: complex | No
     Positive eigenvalues are negative directions of the index form, so the
     Morse index is the count above +tau and the nullity the count inside
     [-tau, tau].
+
+    Either form is one freshly assembled buffer that the caller owns.  The
+    index routes hand it straight to ``_eigvalsh``, which solves it in place
+    and leaves it overwritten; a caller that needs the matrix afterwards
+    solves a copy.
     """
     if sector is None:
         return _nodal_cover_form(data, d)
@@ -202,7 +222,9 @@ def kernel_threshold(data: JacobiOperatorData, d: int) -> float:
     grows like the mesh squared and would make a norm-based threshold
     mesh-dependent.
     """
-    rho = max(1.0, float(np.max(np.abs(_cover_curvature(data, d)))))
+    # d^2 times the largest primitive sample: scaling by d^2 is monotone, so
+    # this is the largest sample of the tiled cover, bit for bit
+    rho = max(1.0, d * d * float(np.max(np.abs(data.speed ** 2 * data.b_unit))))
     return KERNEL_SCALE * rho
 
 
@@ -229,16 +251,29 @@ def _index_result(data: JacobiOperatorData, d: int, ev: np.ndarray) -> IndexResu
                        borderline=borderline, eigenvalues=ev)
 
 
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric or Hermitian form, solved in h.
+
+    The form's buffer is handed to LAPACK's divide and conquer (dsyevd or
+    zheevd) as its Fortran-ordered transpose, which holds the same bits, so
+    no copy is made and h is overwritten.  The driver, the lower triangle
+    and the eigenvalues are those of ``np.linalg.eigvalsh``; a non-finite
+    form raises ``np.linalg.LinAlgError`` as it does there.
+    """
+    return scipy.linalg.eigh(h.T, eigvals_only=True, driver="evd",
+                             overwrite_a=True, check_finite=False)
+
+
 def index_nullity(data: JacobiOperatorData, d: int = 1) -> IndexResult:
     """Morse index and nullity of the degree-d cover via the direct route."""
-    return _index_result(data, d, np.linalg.eigvalsh(quadratic_form_matrix(data, d)))
+    return _index_result(data, d, _eigvalsh(quadratic_form_matrix(data, d)))
 
 
 def sector_index_nullity(data: JacobiOperatorData, d: int, j: int) -> IndexResult:
     """Index and nullity of the lambda = exp(2 pi i j / d) Floquet sector."""
     lam = complex(math.cos(2.0 * math.pi * j / d), math.sin(2.0 * math.pi * j / d))
     return _index_result(
-        data, d, np.linalg.eigvalsh(quadratic_form_matrix(data, d, sector=lam)))
+        data, d, _eigvalsh(quadratic_form_matrix(data, d, sector=lam)))
 
 
 def sector_decomposition(data: JacobiOperatorData, d: int, solved: dict | None = None):
@@ -438,13 +473,27 @@ class JacobiReport:
     indices: tuple            # IndexResult for d = 1..d_max
     mono: MonodromyResult
     floquet_nullities: dict   # d -> dim ker(M^d - I), d <= max(d_max, 4)
-    routes_agree: bool        # spectral vs Floquet nullities and sector sums
+    routes_agree: bool        # nullities, index parities and sector sums
     sector_checks: dict       # d -> bool
+
+
+def _parity_agrees(mono: MonodromyResult, iota: int, d: int) -> bool:
+    """Lefschetz parity of the Poincare map: (-1)^iota(d) = (-1)^p sign
+    det(M^d - I) for a degree-d cover with dim ker(M^d - I) = 0 (Long,
+    *Index Theory for Symplectic Paths*, 2002)."""
+    md = np.linalg.matrix_power(mono.matrix, d)
+    sign = np.linalg.slogdet(md - np.eye(md.shape[0])).sign
+    return (-1) ** (iota + md.shape[0] // 2) == sign
 
 
 def jacobi_report(source, d_max: int = 2) -> JacobiReport:
     """Full two-route stability report for one closed geodesic, from its
-    refinement result or that result's ``build_operator`` data."""
+    refinement result or that result's ``build_operator`` data.
+
+    The routes agree when, for every d <= d_max, the direct cover's nullity
+    is the Floquet nullity, the Bott sectors sum to the direct cover, and,
+    where the Floquet nullity is 0, the parity of the direct index is the
+    one the sign of det(M^d - I) gives."""
     data = source if isinstance(source, JacobiOperatorData) else build_operator(source)
     mono = monodromy(data)
     floq = {d: floquet_nullity(mono, d) for d in range(1, max(d_max, 4) + 1)}
@@ -457,6 +506,8 @@ def jacobi_report(source, d_max: int = 2) -> JacobiReport:
         indices.append(direct)
         sector_checks[d] = ok
         if direct.nu != floq[d] or not ok:
+            agree = False
+        elif floq[d] == 0 and not _parity_agrees(mono, direct.iota, d):
             agree = False
     return JacobiReport(
         data=data, indices=tuple(indices), mono=mono, floquet_nullities=floq,

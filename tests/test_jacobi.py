@@ -8,6 +8,7 @@ rotates Jacobi data by 3 pi and the monodromy is exactly -I.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -567,3 +568,97 @@ def test_permuted_ellipsoid_axes_give_the_same_census(
     for (ell, iota), (ell_ref, iota_ref) in zip(got, census_reference):
         assert abs(ell - ell_ref) <= 1e-9 * ell_ref
         assert iota == iota_ref
+
+
+def _forms_of_degree(data, d):
+    """The nodal cover form of degree d and every sector form of the degree."""
+    yield jacobi.quadratic_form_matrix(data, d)
+    for j in range(d):
+        lam = complex(math.cos(2.0 * math.pi * j / d), math.sin(2.0 * math.pi * j / d))
+        yield jacobi.quadratic_form_matrix(data, d, sector=lam)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@settings(max_examples=20)
+@given(draw=st.data(), d=st.integers(1, 4))
+def test_in_place_eigensolve_has_the_bits_of_eigvalsh(p, draw, d):
+    # numpy and scipy bundle different OpenBLAS builds; the index counts must
+    # not depend on which of them solves a form
+    data = draw.draw(_curvature_samples(ranks=(p,)))
+    for h in _forms_of_degree(data, d):
+        want = np.linalg.eigvalsh(h)
+        got = jacobi._eigvalsh(h)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sector", [None, 1j])
+def test_in_place_eigensolve_overwrites_its_form(waist_report, sector):
+    h = jacobi.quadratic_form_matrix(waist_report.data, 2, sector=sector)
+    before = h.copy()
+    ev = jacobi._eigvalsh(h)
+    assert np.array_equal(ev, np.linalg.eigvalsh(before))
+    assert not np.array_equal(h, before)
+
+
+def test_direct_cover_solve_holds_one_form_buffer(ellipsoid_spec):
+    # the degree-4 form of a 256-node loop is 1024^2 doubles; its assembly
+    # builds no index array of that size and its solve makes no copy of it
+    data = jacobi.build_operator(
+        solver.refine_to_geodesic(loops.principal_ellipse(ellipsoid_spec, 0, 1, 256)))
+    form_bytes = (4 * 256) ** 2 * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        res = jacobi.index_nullity(data, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.eigenvalues.shape == (4 * 256,)
+    assert peak < 1.25 * form_bytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_form_raises_linalg_error(sphere_report, bad):
+    b_unit = sphere_report.data.b_unit.copy()
+    b_unit[5] = bad
+    data = dataclasses.replace(sphere_report.data, b_unit=b_unit)
+    with np.errstate(all="ignore"):
+        for sector in (None, -1.0):
+            with pytest.raises(np.linalg.LinAlgError):
+                jacobi._eigvalsh(jacobi.quadratic_form_matrix(data, 2, sector=sector))
+        with pytest.raises(np.linalg.LinAlgError):
+            jacobi.index_nullity(data, 2)
+
+
+@settings(max_examples=40)
+@given(data=_curvature_samples(ranks=(1, 2, 3)), d=st.integers(1, 4))
+def test_kernel_threshold_has_the_bits_of_the_tiled_cover(data, d):
+    tiled = max(1.0, float(np.max(np.abs(jacobi._cover_curvature(data, d)))))
+    assert np.array_equal(jacobi.kernel_threshold(data, d), jacobi.KERNEL_SCALE * tiled)
+
+
+def test_index_parity_matches_the_monodromy_trace(ellipsoid_reports, waist_report):
+    # p = 1 and det M = 1, so det(M^d - I) = 2 - tr M^d: the parity of every
+    # nondegenerate index is sign(tr M^d - 2), here up to d = 4 on every class
+    reports = list(ellipsoid_reports.values()) + [waist_report]
+    for rep in reports:
+        for d in (1, 2, 3, 4):
+            assert jacobi.floquet_nullity(rep.mono, d) == 0
+            iota = jacobi.index_nullity(rep.data, d).iota
+            trace = float(np.trace(np.linalg.matrix_power(rep.mono.matrix, d)))
+            assert (-1) ** iota == np.sign(trace - 2.0)
+            assert jacobi._parity_agrees(rep.mono, iota, d)
+            assert not jacobi._parity_agrees(rep.mono, iota + 1, d)
+        assert rep.routes_agree
+
+
+def test_report_disagrees_when_the_parity_does(waist_report, monkeypatch):
+    # -M keeps every Floquet nullity of the waist at 0 but flips the sign of
+    # det(M - I), so only the parity check can tell
+    mono = dataclasses.replace(waist_report.mono, matrix=-waist_report.mono.matrix)
+    monkeypatch.setattr(jacobi, "monodromy", lambda data: mono)
+    report = jacobi.jacobi_report(waist_report.data, d_max=1)
+    assert report.floquet_nullities[1] == 0 == report.indices[0].nu
+    assert report.sector_checks[1]
+    assert not report.routes_agree
