@@ -15,9 +15,9 @@ Two independent computational routes are kept deliberately separate:
   spectrum per multiplier and counts every degree's sectors from it, while
   each degree's direct cover is still assembled and solved on its own.
   Each form is one dense buffer, which the private ``_eigvalsh`` solves in
-  place, overwriting it; the nodal cover form is filled with no index array
-  of its size.  ``quadratic_form_matrix`` still returns a matrix that its
-  caller owns.
+  place, overwriting it; both circulants are filled from strided windows,
+  with no index array of the form's size.  ``quadratic_form_matrix`` still
+  returns a matrix that its caller owns.
 * Floquet monodromy: symplectic Gauss-Legendre collocation of the Jacobi
   system over one primitive period gives the linearized return map and the
   fundamental solution at the nodes; kernel dimensions of M^d - I recover
@@ -207,8 +207,13 @@ def quadratic_form_matrix(data: JacobiOperatorData, d: int, sector: complex | No
     # symmetrising the assembled matrix, without the extra (N p)^2 pass
     s = float(d * d) * bhat
     s = 0.5 * (s + np.conj(np.swapaxes(s[-np.arange(mm)], 1, 2)))
-    idx = (k[:, None] - k[None, :]).astype(int) % mm
-    h = np.transpose(s[idx], (0, 2, 1, 3)).reshape(mm * p, mm * p)
+    # in FFT order k_a - k_b = a - b (mod N), so H[(a, i), (b, j)] =
+    # s[(a - b) mod N, i, j]: block row a is window N - 1 - a of the
+    # reversed doubled sequence, copied straight into the one buffer
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([s, s])[::-1], mm, axis=0)
+    h = np.empty((mm * p, mm * p), dtype=complex)
+    h.reshape(mm, p, mm, p)[...] = windows[mm - 1::-1].transpose(0, 1, 3, 2)
     diag = -((2.0 * np.pi * (k + alpha)) ** 2)
     np.fill_diagonal(h, float(d * d) * (bhat[0].diagonal().real + diag[:, None]))
     return h

@@ -28,13 +28,14 @@ oracle: the stencil only couples neighbors, so nodes with equal index
 mod 4 have disjoint residual footprints and one perturbed loop probes a
 whole color class.  The 4m probes (color, coordinate) are stacked into one
 (4m, N, m) array, so that Jacobian costs two residual evaluations, one on
-the +h stack and one on the -h stack.  Either way the Jacobian goes
-straight into LAPACK band storage with the nodes in the folded order
-(0, N-1, 1, N-2, ...): there the periodic neighbors of every node, node 0
-and node N-1 included, sit at most two blocks away, so J is a band matrix
-with kl = ku = 3m - 1 and its LU (``dgbtrf``) costs O(N m^3).  The probe
-stack, the folded order and the gather and scatter indices are built once
-per (N, m) and cached.
+the +h stack and one on the -h stack, and its entries are gathered into
+the same (N, 3, m, m) blocks as the closed form's.  Either way one writer,
+``_band``, scatters the blocks into LAPACK band storage with the nodes in
+the folded order (0, N-1, 1, N-2, ...): there the periodic neighbors of
+every node, node 0 and node N-1 included, sit at most two blocks away, so
+J is a band matrix with kl = ku = 3m - 1 and its LU (``dgbtrf``) costs
+O(N m^3).  The probe stack, the folded order and the probe and scatter
+indices are built once per (N, m) and cached.
 
 Every Newton step in the package, here and in branch continuation, solves
 one gauge-bordered linear system (``_bordered_solve``):
@@ -68,10 +69,10 @@ less per loop than one call per loop.  In a round of Newton steps
 every seed, and the bordered solve computes the velocities, the border
 rows and columns, their norms and the folded right-hand sides for the
 whole stack.  What stays per seed is the band: each seed's band is
-scattered from its blocks (or, on the conformal sphere, built from its
-colored differences) just before its LU, and its Schur elimination and
-residual correction run before the next seed's band is built, so one band
-is alive at a time.  A seed whose system is singular fails alone.  Every
+scattered from its blocks (on the conformal sphere, its colored
+differences, computed then) just before its LU, and its Schur elimination
+and residual correction run before the next seed's band is built, so one
+band is alive at a time.  A seed whose system is singular fails alone.  Every
 stacked evaluation gives each loop the same bits as an evaluation on its
 own, so each seed's arithmetic, iterates and outcome are unchanged by the
 batch it runs in; ``refine_to_geodesic`` is a batch of one.
@@ -170,16 +171,16 @@ def _velocity(nodes: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _band_pattern(n: int, m: int):
-    """Unit color bumps, the folded order and the band layout of the Jacobian.
+    """Unit color bumps, the folded order and the Jacobian's block layouts.
 
-    Returns (units, fold, gather, target, scatter): ``units[c * m + d]`` is
-    1 at coordinate d of every node j with j mod 4 == c; ``fold`` lists the
-    flattened coordinates in the folded node order (0, N-1, 1, N-2, ...);
-    ``gather`` indexes the flattened (4m, N, m) difference stack at every
-    Jacobian entry and ``target`` is where that entry sits in the LAPACK band
-    storage (3 kl + 1, Nm), kl = 3m - 1, flattened in Fortran order.
-    ``scatter`` is where each entry of an (N, 3, m, m) block array sits in
-    that storage, block (i, s) being dR_i/dx_{i+s-1}.
+    Returns (units, fold, probe, scatter): ``units[c * m + d]`` is 1 at
+    coordinate d of every node j with j mod 4 == c; ``fold`` lists the
+    flattened coordinates in the folded node order (0, N-1, 1, N-2, ...).
+    ``probe`` and ``scatter`` index the entries of an (N, 3, m, m) block
+    array, block (i, s) being dR_i/dx_{i+s-1}: ``probe`` is where each entry
+    sits in the flattened (4m, N, m) difference stack of ``_fd_jacobian``,
+    ``scatter`` where it sits in the LAPACK band storage (3 kl + 1, Nm),
+    kl = 3m - 1, flattened in Fortran order.
     """
     units = np.zeros((4 * m, n, m))
     for color in range(4):
@@ -190,26 +191,18 @@ def _band_pattern(n: int, m: int):
     order[1::2] = n - 1 - np.arange(n // 2)
     pos = np.argsort(order)                                  # folded position of each node
     fold = (order[:, None] * m + np.arange(m)).reshape(-1)
-    j = order[:, None]                                       # node of each folded column block
-    nbrs = np.concatenate([(j - 1) % n, j, (j + 1) % n], axis=1)        # (n, 3)
     coord = np.arange(m)
-    # entry (column block p, coordinate d, neighbor i, row coordinate k)
-    probe = ((j % 4) * m)[:, None, :, None] + coord[None, :, None, None]
-    gather = probe * (n * m) + (nbrs * m)[:, None, :, None] + coord
-    col = np.arange(n)[:, None, None, None] * m + coord[None, :, None, None]
-    row = (pos[nbrs] * m)[:, None, :, None] + coord
     kl = 3 * m - 1
-    target = col * (3 * kl + 1) + 2 * kl + row - col
-    gather, target = (np.broadcast_to(a, (n, m, 3, m)).reshape(-1)
-                      for a in (gather, target))
     # block entry (row node i, neighbor s, row coordinate k, coordinate d)
     i = np.arange(n)[:, None, None, None]
-    col = pos[(i + np.arange(3)[:, None, None] - 1) % n] * m + coord
+    j = (i + np.arange(3)[:, None, None] - 1) % n            # column node of block (i, s)
+    probe = ((((j % 4) * m + coord) * n + i) * m + coord[:, None]).reshape(-1)
+    col = pos[j] * m + coord
     row = pos[i] * m + coord[:, None]
     scatter = (col * (3 * kl + 1) + 2 * kl + row - col).reshape(-1)
-    for arr in (units, fold, gather, target, scatter):
+    for arr in (units, fold, probe, scatter):
         arr.flags.writeable = False
-    return units, fold, gather, target, scatter
+    return units, fold, probe, scatter
 
 
 def _jacobian_blocks(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
@@ -251,46 +244,41 @@ def _jacobian_blocks(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
 
 
 def _band(blocks: np.ndarray) -> np.ndarray:
-    """One loop's (N, 3, m, m) Jacobian blocks scattered into the folded band
-    storage of ``_fd_jacobian``."""
+    """One loop's (N, 3, m, m) Jacobian blocks in the folded band storage of
+    the module docstring: the (3 kl + 1, Nm) LAPACK band array, kl = 3m - 1,
+    whose first kl rows are left free for the LU factors."""
     n, _, m, _ = blocks.shape
     band = np.zeros((n * m, 9 * m - 2))                   # (Nm, 3 kl + 1), transposed below
-    band.reshape(-1)[_band_pattern(n, m)[4]] = blocks.reshape(-1)
+    band.reshape(-1)[_band_pattern(n, m)[3]] = blocks.reshape(-1)
     return band.T
 
 
 def _jacobian(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
-    """Residual Jacobian of one loop in band storage, as ``_fd_jacobian``
-    lays it out.
+    """Residual Jacobian of one loop in the band storage of ``_band``.
 
-    Induced-metric families fill the band with the closed-form blocks of
-    the module docstring; the conformal sphere takes ``_fd_jacobian``.
+    Induced-metric families take the closed-form blocks of the module
+    docstring; the conformal sphere takes ``_fd_jacobian``.
     """
-    if spec.impl.conformal:
-        return _fd_jacobian(spec, nodes)
-    return _band(_jacobian_blocks(spec, nodes))
+    return _band(_fd_jacobian(spec, nodes) if spec.impl.conformal
+                 else _jacobian_blocks(spec, nodes))
 
 
 def _fd_jacobian(spec: MetricSpec, nodes: np.ndarray) -> np.ndarray:
-    """Colored central-difference Jacobian of the residual in band storage.
+    """Colored central-difference Jacobian blocks (N, 3, m, m) of one loop,
+    in the layout of ``_jacobian_blocks``.
 
     Perturbing node j only touches residual rows j-1, j, j+1, so all nodes in
     one color class (index mod 4) are probed by one perturbed loop.  The 4m
-    probe loops are evaluated as one stack per sign of the step.  Rows and
-    columns are in the folded node order, where neighbors sit at most two
-    blocks apart, so the Jacobian has kl = ku = 3m - 1 sub- and
-    super-diagonals; the result is the (3 kl + 1, Nm) LAPACK band array
-    whose first kl rows are left free for the LU factors.
+    probe loops are evaluated as one stack per sign of the step, and each
+    block entry is gathered from the two stacks.
     """
     n, m = nodes.shape
     h = _FD_STEP * max(1.0, float(np.max(np.abs(nodes))))
-    units, _, gather, target, _ = _band_pattern(n, m)
+    units, _, probe, _ = _band_pattern(n, m)
     bump = units * h
     rp = residual_field(spec, nodes + bump)[0].reshape(-1)
     rm = residual_field(spec, nodes - bump)[0].reshape(-1)
-    band = np.zeros((n * m, 9 * m - 2))                   # (Nm, 3 kl + 1), transposed below
-    band.reshape(-1)[target] = (rp[gather] - rm[gather]) / (2.0 * h)
-    return band.T
+    return ((rp[probe] - rm[probe]) / (2.0 * h)).reshape(n, 3, m, m)
 
 
 def _bordered_solve(band, nodes, rhs, extra_col=None, extra_row=None):
@@ -300,12 +288,13 @@ def _bordered_solve(band, nodes, rhs, extra_col=None, extra_row=None):
     ``nodes`` is (B, N, m) and ``rhs`` (B, R) covers every row: the
     residual rows, the gauge row and, with ``extra_col`` (B, Nm) and
     ``extra_row`` (B, Nm + 1, the last entry in the extra column), the
-    extra row.  ``band(k)`` returns loop k's band Jacobian (``_jacobian``);
-    it is called just before that loop's factorization, so one band is
-    alive at a time.  The velocity, the border column and gauge row, their
-    norms and the folded right-hand sides are computed for the whole stack;
-    the band LU, the Schur elimination and the residual correction run one
-    loop at a time.  Each loop gets the bits it gets in a batch of one.
+    extra row.  ``band(k)`` returns loop k's Jacobian in the band storage
+    of ``_band``; it is called just before that loop's factorization, so
+    one band is alive at a time.  The velocity, the border column and gauge
+    row, their norms and the folded right-hand sides are computed for the
+    whole stack; the band LU, the Schur elimination and the residual
+    correction run one loop at a time.  Each loop gets the bits it gets in
+    a batch of one.
 
     Returns the (B, R) solutions, the unknowns ordered (dx, [dt,] mu), and
     a dict from the index of every loop without one to its failure:
@@ -466,20 +455,17 @@ def _newton_steps(spec, nodes, full, scale):
     CollapseError of the bordered solve stands as it is, any other failure
     of it becomes StallError, and a non-finite correction DivergenceError.
     An induced metric's Jacobian blocks are computed for the whole stack in
-    one call and each loop's band is scattered from them when its solve is
-    due; the conformal sphere builds each loop's ``_fd_jacobian`` then.
+    one call, the conformal sphere's (``_fd_jacobian``) loop by loop; each
+    loop's band is scattered from its blocks when its solve is due.
     Every loop's residual has been evaluated at its nodes, which the
     blocks evaluate again, so they raise no GeometryError.
     """
     b = len(nodes)
-    if spec.impl.conformal:
-        def band(k):
-            return _fd_jacobian(spec, nodes[k])
-    else:
-        blocks = _jacobian_blocks(spec, nodes)
+    blocks = None if spec.impl.conformal else _jacobian_blocks(spec, nodes)
 
-        def band(k):
-            return _band(blocks[k])
+    def band(k):
+        return _band(_fd_jacobian(spec, nodes[k]) if blocks is None else blocks[k])
+
     rhs = np.zeros((b, full[0].size + 1))
     np.negative(full.reshape(b, -1), out=rhs[:, :-1])
     sol, failed = _bordered_solve(band, nodes, rhs)

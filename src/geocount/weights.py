@@ -267,11 +267,14 @@ def degenerate_weight(
     perturbed class is still not super-rigid.  Each census refines at
     ``tol`` and identifies classes at ``dedup_tol``, as ``solver.find_all``
     does.  Trials must agree exactly; disagreement raises AmbiguousWeight
-    with the per-trial values attached, never an average.
+    with the per-trial values attached, never an average.  ``trials`` below
+    1 raises ValueError before any census runs.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be an increasing pair")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     pad = 3.0 * amplitude * max(abs(lo), abs(hi), 1.0)
     outcomes = []
     for t in range(trials):

@@ -81,9 +81,11 @@ def _sample_table(mesh):
     """name -> per-d records for the sample set, d = 1..4.
 
     Record fields: iota, nu, floquet nullity, sector-sum flag and explicit
-    sums, each sector's (iota, nu) by j, and the kernel-gap margin
-    eigen_gap / (10 tau_nu).  Each sample solves one sector spectrum per
-    multiplier, shared by its four degrees as in ``jacobi_report``.
+    sums, each sector's (iota, nu) by j, the kernel-gap margin
+    eigen_gap / (10 tau_nu), and whether the parity of iota is the one the
+    sign of det(M^d - I) gives (None where the Floquet nullity is not 0).
+    Each sample solves one sector spectrum per multiplier, shared by its
+    four degrees as in ``jacobi_report``.
     """
     table = {}
     for name, result in _samples(mesh):
@@ -93,15 +95,18 @@ def _sample_table(mesh):
         solved = {}
         for d in (1, 2, 3, 4):
             sectors, direct, consistent = jacobi.sector_decomposition(data, d, solved)
+            floquet = jacobi.floquet_nullity(mono, d)
             rows.append({
                 "iota": direct.iota,
                 "nu": direct.nu,
-                "floquet": jacobi.floquet_nullity(mono, d),
+                "floquet": floquet,
                 "consistent": consistent,
                 "sector_iota_sum": sum(s.iota for s in sectors.values()),
                 "sector_nu_sum": sum(s.nu for s in sectors.values()),
                 "sectors": tuple((sectors[j].iota, sectors[j].nu) for j in range(d)),
                 "gap_margin": direct.eigen_gap / (10.0 * jacobi.kernel_threshold(data, d)),
+                "parity": (jacobi._parity_agrees(mono, direct.iota, d)
+                           if floquet == 0 else None),
             })
         table[name] = tuple(rows)
     return table
@@ -215,6 +220,12 @@ def test_criterion_06_index_parity(capsys):
         assert len(rigid) >= 6
         for name, rows in rigid.items():
             assert (-1) ** rows[3]["iota"] == (-1) ** rows[1]["iota"], name
+        # the Lefschetz parity of the Poincare map, wherever M^d - I is
+        # invertible: (-1)^iota(d) = (-1)^p sign det(M^d - I)
+        for name, rows in table.items():
+            for d, row in zip((1, 2, 3, 4), rows):
+                if row["floquet"] == 0:
+                    assert row["parity"], (name, d)
 
 
 def test_criterion_07_period_doubling_invariance(capsys):

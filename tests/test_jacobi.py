@@ -602,20 +602,23 @@ def test_in_place_eigensolve_overwrites_its_form(waist_report, sector):
 
 
 def test_direct_cover_solve_holds_one_form_buffer(ellipsoid_spec):
-    # the degree-4 form of a 256-node loop is 1024^2 doubles; its assembly
-    # builds no index array of that size and its solve makes no copy of it
+    # the degree-4 form of a 256-node loop is 1024^2 doubles and a sector's
+    # form 256^2 complex numbers; neither assembly builds an index array of
+    # that size and neither solve makes a copy of it
     data = jacobi.build_operator(
         solver.refine_to_geodesic(loops.principal_ellipse(ellipsoid_spec, 0, 1, 256)))
-    form_bytes = (4 * 256) ** 2 * 8
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        res = jacobi.index_nullity(data, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.eigenvalues.shape == (4 * 256,)
-    assert peak < 1.25 * form_bytes
+    cases = [(lambda: jacobi.index_nullity(data, 4), 4 * 256, 8),
+             (lambda: jacobi.sector_index_nullity(data, 4, 1), 256, 16)]
+    for solve, size, itemsize in cases:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            res = solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.eigenvalues.shape == (size,)
+        assert peak < 1.25 * size ** 2 * itemsize, (size, peak / (size ** 2 * itemsize))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

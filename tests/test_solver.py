@@ -447,10 +447,7 @@ def test_census_representatives_survive_a_change_in_the_last_bits(
     # representative's seed, so node 0 and the orientation stay put and no
     # rotation alignment is needed
     def fd_blocks(spec, nodes):
-        n, m = nodes.shape[-2:]
-        scatter = solver._band_pattern(n, m)[4]
-        return np.stack([solver._fd_jacobian(spec, x).T.reshape(-1)[scatter].reshape(n, 3, m, m)
-                         for x in nodes])
+        return np.stack([solver._fd_jacobian(spec, x) for x in nodes])
 
     monkeypatch.setattr(solver, "_jacobian_blocks", fd_blocks)
     runs = []
@@ -736,13 +733,15 @@ def test_stacked_residual_equals_single_calls(name, seed, amplitude):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_fd_jacobian_matches_the_per_color_loop(name):
-    # the band holds the per-color differences bit for bit, in the folded
-    # order, and the first kl rows are left free for the LU
+    # the blocks' band holds the per-color differences bit for bit, in the
+    # folded order, and the first kl rows are left free for the LU
     spec, nodes = _kernel_nodes(name, 32)
     n, m = nodes.shape
     fold = _folded_order(n, m)
     assert np.array_equal(solver._band_pattern(n, m)[1], fold)
-    jac = solver._fd_jacobian(spec, nodes)
+    blocks = solver._fd_jacobian(spec, nodes)
+    assert blocks.shape == (n, 3, m, m)
+    jac = solver._band(blocks)
     assert jac.shape == (9 * m - 2, n * m)
     assert not np.any(jac[:3 * m - 1])
     folded = np.ix_(fold, fold)
@@ -778,7 +777,8 @@ def test_analytic_jacobian_matches_the_colored_differences(name, seed, amplitude
 
 def test_conformal_jacobian_is_the_colored_differences():
     spec, nodes = _kernel_nodes("conformal", 32)
-    assert np.array_equal(solver._jacobian(spec, nodes), solver._fd_jacobian(spec, nodes))
+    assert np.array_equal(solver._jacobian(spec, nodes),
+                          solver._band(solver._fd_jacobian(spec, nodes)))
 
 
 def _induced_stack(name, n, seed, amplitude, b):

@@ -135,6 +135,16 @@ def test_degenerate_weight_on_the_round_sphere(sphere_spec):
         assert trial.table.metric.family == "ellipsoid"
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_degenerate_weight_needs_a_trial(monkeypatch, sphere_spec, trials):
+    def no_census(*args, **kwargs):
+        raise AssertionError("no census may run")
+
+    monkeypatch.setattr(solver, "find_all", no_census)
+    with pytest.raises(ValueError, match="trials"):
+        weights.degenerate_weight(sphere_spec, (0.0, 7.0), trials=trials)
+
+
 def test_degenerate_weight_redraws_after_a_degenerate_draw(
         monkeypatch, ellipsoid_spec, ellipsoid_census, ellipsoid_table):
     # every draw "finds" the triaxial census; the first draw's table refuses
