@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -46,9 +47,12 @@ _CONTINUE_KEYS = {"start", "z", "plane", "grid", "delta", "ds", "ds_max",
 
 def _floats(text: str, key: str) -> tuple:
     try:
-        return tuple(float(p) for p in text.replace(",", " ").split())
+        vals = tuple(float(p) for p in text.replace(",", " ").split())
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a list of numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"{key}: every value must be finite, got {vals}")
+    return vals
 
 
 def _terms(text: str) -> tuple:
@@ -148,6 +152,8 @@ def _get_float(sec, key, default, positive=False):
         val = float(sec[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {sec[key]!r}") from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"{key}: must be finite, got {val}")
     if positive and not val > 0.0:
         raise ConfigError(f"{key}: must be positive, got {val}")
     return val
@@ -556,10 +562,17 @@ def _start_results(cfg: RunConfig):
     return [("g000", solver.refine_to_geodesic(seed, tol=cfg.tol_residual))]
 
 
-def _trace_rows(branch_id, result: continuation.BranchResult):
+def _trace_rows(branch_id, result: continuation.BranchResult, mismatches=None):
     """One row per branch point.  A period doubling is marked on the row whose
     step spans its t; a fold, where t turns back, on the first point past the
-    turn in arclength."""
+    turn in arclength.
+
+    Each point checks the index parity of its monodromy M: for d = 1, 2,
+    wherever both the Floquet nullity and the direct nu(d) are 0,
+    (-1)^iota(d) must be (-1)^p sign det(M^d - I) (``jacobi._parity_agrees``).
+    One warning line per point and d where it is not goes to ``mismatches``.
+    """
+    mismatches = [] if mismatches is None else mismatches
     rows = []
     events = list(result.events)
     prev = None
@@ -572,6 +585,12 @@ def _trace_rows(branch_id, result: continuation.BranchResult):
             marker = ";".join(kinds)
         i1 = jacobi.index_nullity(pt.data, 1)
         i2 = jacobi.index_nullity(pt.data, 2)
+        for d, direct in ((1, i1), (2, i2)):
+            if direct.nu == 0 and jacobi.floquet_nullity(pt.mono, d) == 0 \
+                    and not jacobi._parity_agrees(pt.mono, direct.iota, d):
+                mismatches.append(
+                    f"parity: branch {branch_id} at t {_fmt(pt.t)}, d={d}: "
+                    f"iota {direct.iota} disagrees with sign det(M^d - I)")
         rows.append((branch_id, pt.s, pt.t, pt.result.length,
                      i1.iota, i2.iota, i1.nu, i2.nu,
                      (-1) ** i1.iota, (-1) ** i2.iota, marker))
@@ -623,7 +642,10 @@ def cmd_continue(cfg: RunConfig, out: Out) -> None:
             stalled = exc
             if result is None:
                 break
-        trace_rows.extend(_trace_rows(ident, result))
+        mismatches = []
+        trace_rows.extend(_trace_rows(ident, result, mismatches))
+        out.warnings.extend(mismatches)
+        all_ok = all_ok and not mismatches
         out.summary.append(
             f"branch {ident}: {result.stop_reason}, "
             f"samples {len(result.points)}, events {len(result.events)}")

@@ -98,6 +98,7 @@ class BranchPoint:
     trace: float              # tr of the primitive monodromy
     result: solver.GeodesicResult
     data: jacobi.JacobiOperatorData   # Jacobi operator of ``result``
+    mono: jacobi.MonodromyResult      # its primitive monodromy
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,8 @@ def _trace(result: solver.GeodesicResult) -> tuple:
 
 
 def _point(t: float, s: float, result: solver.GeodesicResult) -> BranchPoint:
-    trace, data, _ = _trace(result)
-    return BranchPoint(t=t, s=s, trace=trace, result=result, data=data)
+    trace, data, mono = _trace(result)
+    return BranchPoint(t=t, s=s, trace=trace, result=result, data=data, mono=mono)
 
 
 def _refine_primitive(path, t, guesses, tol):

@@ -64,7 +64,11 @@ on its own.  It is a generator: it yields the evaluations worth stacking
 with other seeds' (a new iterate, a Newton step, a line-search trial) and
 returns the result.  ``refine_many`` steps the routines of many seeds in
 lock-step and answers each round's requests as one stack, which costs far
-less per loop than one call per loop.  In a round of Newton steps
+less per loop than one call per loop.  A round of line-search trials
+projects and evaluates its trials as one stack and reduces their merits
+|R|^2 there, one row sum per trial (``_trial_fields``), so no trial is
+scored seed by seed; each seed is answered with views of the stacks.  In
+a round of Newton steps
 (``_newton_steps``) one call computes the closed-form Jacobian blocks of
 every seed, and the bordered solve computes the velocities, the border
 rows and columns, their norms and the folded right-hand sides for the
@@ -72,7 +76,8 @@ whole stack.  What stays per seed is the band: each seed's band is
 scattered from its blocks (on the conformal sphere, its colored
 differences, computed then) just before its LU, and its Schur elimination
 and residual correction run before the next seed's band is built, so one
-band is alive at a time.  A seed whose system is singular fails alone.  Every
+band is alive at a time; the 1 x 1 Schur complement is solved by division.
+A seed whose system is singular fails alone.  Every
 stacked evaluation gives each loop the same bits as an evaluation on its
 own, so each seed's arithmetic, iterates and outcome are unchanged by the
 batch it runs in; ``refine_to_geodesic`` is a batch of one.
@@ -294,7 +299,11 @@ def _bordered_solve(band, nodes, rhs, extra_col=None, extra_row=None):
     row, their norms and the folded right-hand sides are computed for the
     whole stack; the band LU, the Schur elimination and the residual
     correction run one loop at a time.  Each loop gets the bits it gets in
-    a batch of one.
+    a batch of one.  Refinement's 1 x 1 Schur complement s is solved as the
+    quotient r / s, the division by its one pivot that ``np.linalg.solve``
+    (LAPACK ``dgesv``) makes, so the bits are the same, and s == 0 raises
+    its ``LinAlgError("Singular matrix")``; continuation's 2 x 2 complement
+    takes ``np.linalg.solve``.
 
     Returns the (B, R) solutions, the unknowns ordered (dx, [dt,] mu), and
     a dict from the index of every loop without one to its failure:
@@ -347,7 +356,13 @@ def _bordered_solve(band, nodes, rhs, extra_col=None, extra_row=None):
         schur = corner[k] - below[k] @ z[:, 1:]
 
         def eliminate(x0, rhs_bottom):
-            y = np.linalg.solve(schur, rhs_bottom - below[k] @ x0)
+            r = rhs_bottom - below[k] @ x0
+            if rows == 2:
+                y = np.linalg.solve(schur, r)
+            elif schur[0, 0] == 0.0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            else:
+                y = r / schur[0]
             return x0 - z[:, 1:] @ y, y
 
         try:
@@ -426,7 +441,9 @@ def _each(fn, spec, arrays):
     Returns one result per loop, or the GeometryError that loop raised: when
     the stacked call raises, the loops are evaluated one at a time, so each
     sees its own failure.  A single loop is evaluated unstacked.  Results
-    taken from a stack are copies, so none keeps the stack alive.
+    taken from a stack are views of it, not copies.  A seed keeps its view
+    only while that loop is its trial or iterate, and a result keeps its
+    nodes through ``DiscreteLoop``, which copies them.
     """
     if len(arrays) > 1:
         try:
@@ -435,8 +452,8 @@ def _each(fn, spec, arrays):
             pass
         else:
             if isinstance(out, tuple):
-                return [tuple(a[i].copy() for a in out) for i in range(len(arrays))]
-            return [a.copy() for a in out]
+                return list(zip(*out))
+            return list(out)
     results = []
     for x in arrays:
         try:
@@ -444,6 +461,18 @@ def _each(fn, spec, arrays):
         except GeometryError as exc:
             results.append(exc)
     return results
+
+
+def _trial_fields(spec, nodes):
+    """``residual_field`` of one loop or a stack of loops, and the merit
+    |R|^2 of each loop: a float array (...).
+
+    The merit is one sum over each loop's flattened squared residual, the
+    bits of ``np.sum(full ** 2)`` on that loop alone.
+    """
+    full, tan, f = residual_field(spec, nodes)
+    sq = full ** 2
+    return full, tan, f, np.sum(sq.reshape(sq.shape[:-2] + (-1,)), axis=-1)
 
 
 def _newton_steps(spec, nodes, full, scale):
@@ -495,14 +524,15 @@ def _newton(spec, nodes, tol):
     - ("step", nodes, full, scale) for the Newton correction of ``nodes``
       from its residual ``full``, answered as ``_newton_steps`` answers;
     - ("trial", x) for a line-search trial, answered with (x projected onto
-      the surface, its ``residual_field``) or None when it cannot be
-      projected.
+      the surface, its ``residual_field``, its merit |R|^2 as a float) as
+      ``_trial_fields`` computes them, or None when it cannot be projected.
 
     A failed evaluation is thrown in at the yield: a GeometryError from a
     residual evaluation, or the failure ``_newton_steps`` gives the step.
     """
     scale0 = max(1.0, float(np.max(np.abs(nodes))))
     fields, (res, fdef, _) = yield "iterate", nodes, None
+    merit = float(np.sum(fields[0] ** 2))
     res0 = res
     history = [res]
     failed_searches = 0
@@ -516,7 +546,6 @@ def _newton(spec, nodes, tol):
         if it == _MAX_NEWTON_ITER:
             raise StallError(f"no convergence in {_MAX_NEWTON_ITER} Newton iterations")
         geometry.check_band(spec, nodes)
-        merit = float(np.sum(fields[0] * fields[0]))
         delta = yield "step", nodes, fields[0], scale0
         # Armijo backtracking on |R|^2.  Each trial is pulled back onto the
         # surface so the N^2-scaled constraint rows do not poison the merit
@@ -524,9 +553,8 @@ def _newton(spec, nodes, tol):
         step = 1.0
         for _ in range(12):
             trial = nodes + step * delta
-            trial, fields = (yield "trial", trial) or (trial, None)
-            if fields is not None \
-                    and float(np.sum(fields[0] ** 2)) <= (1.0 - 1e-4 * step) * merit:
+            trial, fields, trial_merit = (yield "trial", trial) or (trial, None, None)
+            if fields is not None and trial_merit <= (1.0 - 1e-4 * step) * merit:
                 break
             step *= 0.5
         else:   # no acceptable step: move to the last trial all the same
@@ -537,6 +565,8 @@ def _newton(spec, nodes, tol):
         if np.max(np.abs(nodes)) > 100.0 * scale0:
             raise DivergenceError("iterates left the working region")
         fields, (res, fdef, ell) = yield "iterate", nodes, fields
+        # the new iterate is the last trial, whose merit came with its fields
+        merit = float(np.sum(fields[0] ** 2)) if trial_merit is None else trial_merit
         history.append(res)
         if ell < 1e-3:
             raise CollapseError("loop length collapsed toward zero")
@@ -593,8 +623,9 @@ def refine_many(seeds, tol: float = 1e-10) -> list:
                 geometry.surface_project, spec, [x for x, in batch.values()]))
                 if not isinstance(x, GeometryError)}
             for (k, x), fields in zip(projected.items(), _each(
-                    residual_field, spec, list(projected.values()))):
-                answers[k] = fields if isinstance(fields, GeometryError) else (x, fields)
+                    _trial_fields, spec, list(projected.values()))):
+                answers[k] = fields if isinstance(fields, GeometryError) \
+                    else (x, fields[:3], float(fields[3]))
         elif kind == "step":
             answers = dict(zip(batch, _newton_steps(
                 spec, *(np.stack(a) for a in zip(*batch.values())))))

@@ -1,5 +1,6 @@
 """Command line behavior: config parsing, file outputs, exit codes, determinism."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -274,6 +275,25 @@ _AXES = "axes = 1.05, 1.0, 0.95\n"
      "start: unknown value 'meridian'"),
     ("continue", FOLD_CFG + "plane = 0, 3\n",
      "plane: need two distinct axis indices 0..2, got (0.0, 3.0)"),
+    ("census", ELLIPSOID_CFG.replace("length_bound = 7.0", "length_bound = inf"),
+     "length_bound: must be finite, got inf"),
+    ("count", COUNT_CFG.replace("window = 0.0, 7.0", "window = 0, inf"),
+     "window: every value must be finite, got (0.0, inf)"),
+    ("count", COUNT_CFG.replace("probes = 5.0, 7.0", "probes = 5.0, nan"),
+     "probes: every value must be finite, got (5.0, nan)"),
+    ("count", COUNT_CFG + "amplitude = inf\n", "amplitude: must be finite, got inf"),
+    ("census", ELLIPSOID_CFG + "[tolerances]\nresidual = inf\n",
+     "residual: must be finite, got inf"),
+    ("census", ELLIPSOID_CFG + "[tolerances]\nevent_bisection = nan\n",
+     "event_bisection: must be finite, got nan"),
+    ("census", ELLIPSOID_CFG + "[tolerances]\ndedup = inf\n",
+     "dedup: must be finite, got inf"),
+    ("continue", FOLD_CFG.replace("z = 0.55", "z = nan"), "z: must be finite, got nan"),
+    ("continue", FOLD_CFG + "delta = inf\n", "delta: must be finite, got inf"),
+    ("continue", FOLD_CFG + "ds = inf\n", "ds: must be finite, got inf"),
+    ("continue", FOLD_CFG + "ds_max = -inf\n", "ds_max: must be finite, got -inf"),
+    ("census", ELLIPSOID_CFG.replace(_AXES, "axes = 1.05, inf, 0.95\n"),
+     "axes: every value must be finite, got (1.05, inf, 0.95)"),
 ])
 def test_each_config_error_names_its_cause(tmp_path, command, text, fragment):
     with pytest.raises(cli.ConfigError) as err:
@@ -289,6 +309,17 @@ def test_inapplicable_strategy_exits_2_before_any_census(tmp_path, monkeypatch, 
     code, _ = _run(tmp_path, "count", CONFORMAL_COUNT_CFG + "strategy = axis_jitter\n")
     assert code == 2
     assert "axis_jitter does not apply" in capsys.readouterr().err
+
+
+def test_an_infinite_length_bound_exits_2_before_any_census(tmp_path, monkeypatch, capsys):
+    def census(*args, **kwargs):
+        raise AssertionError("a census ran")
+
+    monkeypatch.setattr(solver, "find_all", census)
+    code, _ = _run(tmp_path, "census",
+                   ELLIPSOID_CFG.replace("length_bound = 7.0", "length_bound = inf"))
+    assert code == 2
+    assert "length_bound: must be finite" in capsys.readouterr().err
 
 
 def test_census_protocol_ignores_the_strategy(tmp_path):
@@ -461,6 +492,31 @@ def test_continue_fold_run(tmp_path):
     assert "overall: PASS" in summary
     inv = (out / "invariance.txt").read_text()
     assert "local invariance: PASS" in inv
+
+
+def test_continue_fails_where_a_branch_point_disagrees_with_its_parity(
+        tmp_path, monkeypatch):
+    # -M keeps every Floquet nullity of a hyperbolic point at 0 but flips the
+    # sign of det(M - I), so only the parity check can tell; the fold branch
+    # passes hyperbolic parallels (tr M > 2)
+    real_point = continuation._point
+
+    def point(t, s, result):
+        pt = real_point(t, s, result)
+        return dataclasses.replace(
+            pt, mono=dataclasses.replace(pt.mono, matrix=-pt.mono.matrix))
+
+    monkeypatch.setattr(continuation, "_point", point)
+    code, out = _run(tmp_path, "continue", FOLD_CFG)
+    assert code == 0
+    warnings = [line for line in (out / "warnings.txt").read_text().splitlines()
+                if line.startswith("parity: ")]
+    assert warnings
+    assert all(line.startswith("parity: branch g000 at t ") and ", d=1: iota " in line
+               for line in warnings)
+    summary = (out / "summary.txt").read_text()
+    assert "invariance event 1: PASS" in summary
+    assert summary.splitlines()[-1] == "overall: FAIL"
 
 
 def test_continue_period_doubling_run(tmp_path):
@@ -704,8 +760,10 @@ plane = 0, 2
 
 def test_a_stall_without_partial_results_keeps_the_earlier_branches(
         tmp_path, monkeypatch, capsys):
+    # a monodromy whose parity agrees with the patched indices 1 and 2
     point = continuation.BranchPoint(
-        t=0.0, s=0.0, trace=1.5, result=SimpleNamespace(length=6.25), data=None)
+        t=0.0, s=0.0, trace=1.5, result=SimpleNamespace(length=6.25), data=None,
+        mono=SimpleNamespace(matrix=np.array([[-2.5, 1.0], [-1.0, 0.0]])))
     followed = []
 
     def follow(path, start, **kwargs):

@@ -854,6 +854,57 @@ def test_bordered_solve_matches_a_dense_solve(name, seed):
         assert np.max(np.abs(got[0] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+@settings(max_examples=40)
+@given(name=st.sampled_from(["ellipsoid", "ellipsoid4"]), n=st.sampled_from([16, 64, 128, 256]),
+       b=st.integers(1, 48), seed=st.integers(0, 2 ** 32 - 1),
+       amplitude=st.sampled_from([0.0, 1e-6, 0.02]))
+def test_stacked_trial_merits_equal_each_loops_squared_residual_sum(name, n, b, seed, amplitude):
+    # m = 3 and m = 4; the line search compares these merits, so a trial
+    # must score the same bits in any stack as on its own
+    spec, base = _kernel_nodes(name, n, seed, amplitude)
+    rng = np.random.default_rng(seed)
+    stack = geometry.surface_project(spec, base + 0.01 * rng.normal(size=(b,) + base.shape))
+    *fields, merits = solver._trial_fields(spec, stack)
+    assert merits.shape == (b,)
+    for k, x in enumerate(stack):
+        full = solver.residual_field(spec, x)[0]
+        assert np.array_equal(fields[0][k], full)
+        assert merits[k] == np.sum(full ** 2)
+        assert solver._trial_fields(spec, x)[3] == np.sum(full ** 2)
+
+
+# calls and loops evaluated by each stacked kernel in one census of a
+# perturbed round sphere at mesh 128 (coarse stage at 64 nodes): 5 seeds
+# converge, 3 stall after the whole Newton budget
+PINNED_CENSUS_CALLS = {
+    "surface_project": (447, 1767),
+    "residual_field": (436, 1767),
+    "_scaled_residuals": (53, 291),
+    "_newton_steps": (51, 278),
+}
+
+
+def test_a_census_makes_its_pinned_numbers_of_stacked_calls(monkeypatch):
+    counts = {name: [0, 0] for name in PINNED_CENSUS_CALLS}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(spec, x, *args):
+            counts[name][0] += 1
+            counts[name][1] += 1 if np.ndim(x) == 2 else len(x)
+            return real(spec, x, *args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(geometry, "surface_project")
+    for name in ("residual_field", "_scaled_residuals", "_newton_steps"):
+        counting(solver, name)
+    census = solver.find_all(MetricSpec.ellipsoid((1.004, 0.998, 1.0)), 7.0,
+                             mesh=128, planes=8, seed=1)
+    assert (census.certificate["converged"], census.certificate["stalled"]) == (5, 3)
+    assert {name: tuple(c) for name, c in counts.items()} == PINNED_CENSUS_CALLS
+
+
 def test_refinement_evaluates_each_residual_once(ellipsoid_spec, monkeypatch):
     seed = loops.principal_ellipse(ellipsoid_spec, 0, 1, 64)
     rng = np.random.default_rng(3)
