@@ -472,9 +472,12 @@ def _count_outputs(table, window, probes, out: Out) -> None:
         except weights.SpectrumCollision as exc:
             out.warnings.append(f"spectrum-collision: {exc}")
             out.summary.append(f"pi({_fmt(probe)}) = REFUSED (on a jump)")
-    total = weights.set_weight(table, window)
-    out.summary.append(
-        f"count over ({_fmt(window[0])}, {_fmt(window[1])}): {total}")
+    label = f"count over ({_fmt(window[0])}, {_fmt(window[1])})"
+    try:
+        out.summary.append(f"{label}: {weights.set_weight(table, window)}")
+    except weights.SpectrumCollision as exc:
+        out.warnings.append(f"spectrum-collision: {exc}")
+        out.summary.append(f"{label}: REFUSED (window end on a length)")
 
 
 def cmd_count(cfg: RunConfig, out: Out) -> None:
@@ -482,7 +485,7 @@ def cmd_count(cfg: RunConfig, out: Out) -> None:
     out.summary.append("command: count")
     protocol = cfg.protocol
     if protocol != "degenerate":
-        census = _run_census(cfg, cfg.metric, window[1])
+        census = _run_census(cfg, cfg.metric, weights.count_bound(window[1]))
         _census_warnings(census, out)
     if protocol == "auto":
         protocol = "degenerate" if census.degenerate_family else "census"
@@ -696,19 +699,25 @@ def cmd_continue(cfg: RunConfig, out: Out) -> None:
 
 
 def _count_grid(cfg: RunConfig, out: Out):
-    """Windowed counts on an s grid; degenerate grid points are skipped."""
+    """Windowed counts on an s grid.  Degenerate grid points are skipped,
+    and so are points where a length crosses a window end."""
     svals = list(np.linspace(0.0, 1.0, cfg.grid)) if cfg.grid > 1 else [0.5]
     rows = []
     counts = []
     for s in svals:
-        census = _run_census(cfg, cfg.path.at(s), cfg.window[1])
+        census = _run_census(cfg, cfg.path.at(s), weights.count_bound(cfg.window[1]))
         try:
             table = weights.build_count_table(census)
         except weights.NotSuperRigid:
             out.warnings.append(
                 f"count-grid: s={_fmt(s)} is degenerate; point skipped")
             continue
-        val = weights.set_weight(table, cfg.window)
+        try:
+            val = weights.set_weight(table, cfg.window)
+        except weights.SpectrumCollision as exc:
+            out.warnings.append(
+                f"count-grid: s={_fmt(s)} is a crossing ({exc}); point skipped")
+            continue
         rows.append((s, val))
         counts.append(val)
     return rows, counts

@@ -35,9 +35,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from . import _spectral, geometry, loops, solver
+from . import _lapack, _spectral, geometry, loops, solver
 from .geometry import MetricSpec
 from .loops import DiscreteLoop
 
@@ -261,12 +260,21 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
 
     The form's buffer is handed to LAPACK's divide and conquer (dsyevd or
     zheevd) as its Fortran-ordered transpose, which holds the same bits, so
-    no copy is made and h is overwritten.  The driver, the lower triangle
-    and the eigenvalues are those of ``np.linalg.eigvalsh``; a non-finite
-    form raises ``np.linalg.LinAlgError`` as it does there.
+    no copy is made and h is overwritten.  The lower triangle and the
+    workspace sizes from the ``*_lwork`` query are those that
+    ``scipy.linalg.eigh(..., driver="evd", eigvals_only=True)`` passes, and
+    the eigenvalues those of ``np.linalg.eigvalsh``.  A non-zero ``info``,
+    as from a non-finite form, raises ``np.linalg.LinAlgError``.
     """
-    return scipy.linalg.eigh(h.T, eigvals_only=True, driver="evd",
-                             overwrite_a=True, check_finite=False)
+    solve, query = (_lapack.zheevd, _lapack.zheevd_lwork) if np.iscomplexobj(h) \
+        else (_lapack.dsyevd, _lapack.dsyevd_lwork)
+    *sizes, info = query(h.shape[0], compute_v=0, lower=1)
+    if info == 0:
+        work = {k: int(x.real) for k, x in zip(("lwork", "liwork", "lrwork"), sizes)}
+        ev, _, info = solve(h.T, compute_v=0, lower=1, overwrite_a=1, **work)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigensolve failed with LAPACK info {info}")
+    return ev
 
 
 def index_nullity(data: JacobiOperatorData, d: int = 1) -> IndexResult:

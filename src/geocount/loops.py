@@ -82,17 +82,6 @@ def resample(loop: DiscreteLoop, n: int) -> DiscreteLoop:
     return DiscreteLoop(loop.metric, geometry.surface_project(loop.metric, nodes))
 
 
-def rotate(loop: DiscreteLoop, k: int) -> DiscreteLoop:
-    """Shift the starting node: new node i is old node (i + k) mod N."""
-    return DiscreteLoop(loop.metric, np.roll(loop.nodes, -int(k), axis=0))
-
-
-def fractional_rotate(loop: DiscreteLoop, s: float) -> DiscreteLoop:
-    """Rotate the parametrization by a real shift s in units of the period."""
-    nodes = _spectral.fractional_shift(loop.nodes, float(s))
-    return DiscreteLoop(loop.metric, geometry.surface_project(loop.metric, nodes))
-
-
 def reverse(loop: DiscreteLoop) -> DiscreteLoop:
     """Orientation-reversed loop through the same points, fixing node 0."""
     return DiscreteLoop(loop.metric, np.roll(loop.nodes[::-1], 1, axis=0))

@@ -91,9 +91,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
-from . import geometry, loops
+from . import _lapack, geometry, loops
 from .geometry import BandExitError, GeometryError, MetricSpec, _dot
 from .loops import DiscreteLoop
 
@@ -345,11 +344,11 @@ def _bordered_solve(band, nodes, rhs, extra_col=None, extra_row=None):
               for k in np.flatnonzero(collapsed).tolist()}
     for k in np.flatnonzero(~collapsed).tolist():
         jac = band(k)
-        lu, piv, info = scipy.linalg.lapack.dgbtrf(jac, kl, kl)
+        lu, piv, info = _lapack.dgbtrf(jac, kl, kl)
         if info > 0:
             failed[k] = RuntimeError(f"singular Jacobian: zero pivot in column {info}")
             continue
-        z = scipy.linalg.lapack.dgbtrs(
+        z = _lapack.dgbtrs(
             lu, kl, kl, np.column_stack([rhs_top[k], right[k]]), piv)[0]
         # block elimination of the borders: with J z = [f, B], the Schur
         # complement S = D - C J^-1 B carries the border unknowns
@@ -373,10 +372,10 @@ def _bordered_solve(band, nodes, rhs, extra_col=None, extra_row=None):
         # block elimination loses accuracy when J is nearly singular, as at
         # a fold; one step of residual correction on the full system
         # restores it (Govaerts & Pryce 1993)
-        band_jx = scipy.linalg.blas.dgbmv(size, size, kl, kl, 1.0, jac[kl:], x)
+        band_jx = _lapack.dgbmv(size, size, kl, kl, 1.0, jac[kl:], x)
         res_top = rhs_top[k] - band_jx - right[k] @ y
         res_bottom = rhs[k, size:] - below[k] @ x - corner[k] @ y
-        dx0 = scipy.linalg.lapack.dgbtrs(lu, kl, kl, res_top[:, None], piv)[0][:, 0]
+        dx0 = _lapack.dgbtrs(lu, kl, kl, res_top[:, None], piv)[0][:, 0]
         dx, dy = eliminate(dx0, res_bottom)
         out[k, fold] = x + dx
         out[k, size:] = y + dy

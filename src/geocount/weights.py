@@ -129,6 +129,21 @@ class CountTable:
 _LENGTH_RESOLUTION = 1e-9
 
 
+def _resolution(ell: float) -> float:
+    """The length resolution at ell: a length within it of a count query,
+    a window end or another class's length is not told apart from it."""
+    return _LENGTH_RESOLUTION * max(1.0, ell)
+
+
+def count_bound(hi: float) -> float:
+    """The census length bound of a count table for a window ending at hi.
+
+    It reaches one resolution past hi, so that a length just above the
+    window's end is in the table for ``set_weight`` to refuse.
+    """
+    return hi + _resolution(hi)
+
+
 def build_count_table(census: solver.Census) -> CountTable:
     """Weighted count table of all iterates below the census length bound.
 
@@ -151,7 +166,7 @@ def build_count_table(census: solver.Census) -> CountTable:
                              contribution=contrib, cumulative=cum))
     collisions = tuple(
         (i, i + 1) for i in range(len(rows) - 1)
-        if rows[i + 1].length - rows[i].length <= _LENGTH_RESOLUTION * max(1.0, rows[i].length)
+        if rows[i + 1].length - rows[i].length <= _resolution(rows[i].length)
         and rows[i].ident != rows[i + 1].ident
     )
     return CountTable(metric=census.metric, max_length=census.max_length,
@@ -168,7 +183,7 @@ def count_function(table: CountTable, ell: float) -> int:
         raise ValueError("query exceeds the table's length bound")
     out = 0
     for row in table.rows:
-        if abs(row.length - ell) <= _LENGTH_RESOLUTION * max(1.0, ell):
+        if abs(row.length - ell) <= _resolution(ell):
             raise SpectrumCollision(
                 f"count query at {ell!r} lands on the jump of {row.ident} (d={row.d})")
         if row.length < ell:
@@ -179,10 +194,22 @@ def count_function(table: CountTable, ell: float) -> int:
 
 
 def set_weight(table: CountTable, window: tuple) -> int:
-    """Sum of weighted contributions with iterate length inside the window."""
+    """Sum of weighted contributions with iterate length inside the window.
+
+    A window end within the length resolution of an iterate length, by the
+    rule of ``count_function``, is refused with SpectrumCollision: the count
+    is not defined there.  A lower end of 0 or below bounds no length.  The
+    table must reach ``count_bound(hi)`` for a length just above hi to be
+    seen.
+    """
     lo, hi = window
+    ends = (lo, hi) if lo > 0 else (hi,)
     total = 0
     for row in table.rows:
+        for end in ends:
+            if abs(row.length - end) <= _resolution(end):
+                raise SpectrumCollision(
+                    f"window end {end!r} lands on the length of {row.ident} (d={row.d})")
         if lo < row.length < hi:
             total += row.contribution
     return total
@@ -289,6 +316,9 @@ def degenerate_weight(
                 if redraws == _MAX_REDRAWS:
                     raise
                 continue
+            # pad exceeds the length resolution, 1e-9 * max(1, end), for any
+            # amplitude above 3.4e-10, so set_weight never refuses the window
+            # of an accepted draw
             if not any(min(abs(row.length - lo), abs(row.length - hi)) < pad
                        for row in table.rows):
                 break

@@ -479,6 +479,21 @@ def test_count_outputs(tmp_path):
     assert len(step) > 4
 
 
+def test_count_refuses_a_window_end_on_a_length(tmp_path):
+    # the window ends 1.8e-11 below the class length 6.1344978839181; the
+    # census reaches one resolution past the end, so the class is in the
+    # table and the total is refused instead of read as 0
+    cfg = COUNT_CFG.replace("window = 0.0, 7.0", "window = 0.0, 6.1344978839") \
+        .replace("probes = 5.0, 7.0", "probes = 5.0")
+    code, out = _run(tmp_path, "count", cfg)
+    assert code == 0
+    summary = (out / "summary.txt").read_text()
+    assert "pi(5) = 0" in summary
+    assert "count over (0, 6.1344978838999999): REFUSED (window end on a length)" in summary
+    assert (out / "warnings.txt").read_text().splitlines() == [
+        "spectrum-collision: window end 6.1344978839 lands on the length of g000 (d=1)"]
+
+
 def test_continue_fold_run(tmp_path):
     code, out = _run(tmp_path, "continue", FOLD_CFG)
     assert code == 0
@@ -715,6 +730,36 @@ def test_count_grid_skips_a_degenerate_point(monkeypatch):
     assert rows == [(0.0, -2), (1.0, -2)]
     assert counts == [-2, -2]
     assert out.warnings == ["count-grid: s=0.5 is degenerate; point skipped"]
+
+
+def test_count_grid_reports_a_window_end_on_a_length_as_a_crossing(monkeypatch):
+    path = continuation.MetricPath(MetricSpec.ellipsoid((1.05, 1.0, 0.95)),
+                                   MetricSpec.ellipsoid((1.06, 1.0, 0.94)))
+    cfg = cli.RunConfig(command="continue", metric=path.start, path=path,
+                        window=(0.0, 6.0), grid=3)
+    bounds = []
+
+    def table_at(length):
+        return weights.CountTable(
+            metric=path.start, max_length=6.0, records=(), collisions=(),
+            rows=(weights.CountRow(length=length, ident="g000", d=1, contribution=-2,
+                                   cumulative=-2),))
+
+    def census(cfg, spec, bound):
+        bounds.append(bound)
+        return spec
+
+    monkeypatch.setattr(cli, "_run_census", census)
+    monkeypatch.setattr(weights, "build_count_table", lambda spec: table_at(
+        6.0 if spec == path.at(0.5) else 5.0))
+    out = cli.Out("unused")
+    rows, counts = cli._count_grid(cfg, out)
+    assert bounds == [weights.count_bound(6.0)] * 3
+    assert rows == [(0.0, -2), (1.0, -2)]
+    assert counts == [-2, -2]
+    assert out.warnings == [
+        "count-grid: s=0.5 is a crossing (window end 6.0 lands on the length "
+        "of g000 (d=1)); point skipped"]
 
 
 def test_continue_starts_from_the_refined_principal_ellipse(tmp_path, monkeypatch):

@@ -64,6 +64,17 @@ def test_set_weight_windows(ellipsoid_table):
     assert weights.set_weight(ellipsoid_table, (6.5, 7.0)) == 0
 
 
+def test_set_weight_refuses_a_window_end_on_a_length(ellipsoid_table):
+    # the rule of count_function: within 1e-9 * max(1, end) of a length
+    ell = ellipsoid_table.rows[0].length
+    for window in ((0.0, ell), (0.0, ell - 1e-10), (ell + 1e-10, 7.0)):
+        with pytest.raises(SpectrumCollision, match="window end"):
+            weights.set_weight(ellipsoid_table, window)
+    assert weights.set_weight(ellipsoid_table, (0.0, ell - 1e-8)) == 0
+    assert weights.set_weight(ellipsoid_table, (0.0, ell + 1e-8)) == -2
+    assert weights.set_weight(ellipsoid_table, (ell + 1e-8, 7.0)) == 0
+
+
 def test_cover_rows_carry_zero_weight(ellipsoid_spec):
     census = solver.find_all(ellipsoid_spec, 13.0, mesh=128, planes=24, seed=7)
     table = weights.build_count_table(census)
