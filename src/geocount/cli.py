@@ -238,9 +238,10 @@ def load_config(path: str, command: str, overrides=None) -> RunConfig:
     cfg.start_z = _get_float(cont, "z", None)
     if "plane" in cont:
         plane = _floats(cont["plane"], "plane")
-        if len(plane) != 2 or plane[0] == plane[1] \
-                or any(p not in (0.0, 1.0, 2.0) for p in plane):
-            raise ConfigError(f"plane: need two distinct axis indices 0..2, got {plane}")
+        dim = cfg.metric.ambient_dim
+        if len(plane) != 2 or plane[0] == plane[1] or any(p not in range(dim) for p in plane):
+            raise ConfigError(
+                f"plane: need two distinct axis indices 0..{dim - 1}, got {plane}")
         cfg.start_plane = (int(plane[0]), int(plane[1]))
     cfg.grid = _get_int(cont, "grid", cfg.grid, lo=0)
     cfg.delta = _get_float(cont, "delta", cfg.delta, positive=True)
@@ -265,6 +266,8 @@ def _validate(cfg: RunConfig) -> None:
         above = [p for p in cfg.probes if p > hi]
         if above:
             raise ConfigError(f"probes: {above} lie above the window's end {hi}")
+    if cfg.command == "continue" and cfg.grid > 0 and cfg.window is None:
+        raise ConfigError(f"grid: a count grid of {cfg.grid} points needs window in [run]")
     perturbs = cfg.command == "degenerate-weight" \
         or cfg.command == "count" and cfg.protocol != "census"
     if perturbs and cfg.strategy != "both":
@@ -556,8 +559,7 @@ def _start_results(cfg: RunConfig):
             raise ConfigError("continue with start=parallel needs z")
         seed = loops.parallel_circle(spec0, cfg.start_z, cfg.mesh)
     elif cfg.start_kind == "great_circle":
-        e1 = np.eye(3)[cfg.start_plane[0]]
-        e2 = np.eye(3)[cfg.start_plane[1]]
+        e1, e2 = np.eye(spec0.ambient_dim)[list(cfg.start_plane)]
         seed = loops.great_circle_seed(spec0, e1, e2, cfg.mesh)
     else:
         seed = loops.principal_ellipse(
@@ -686,7 +688,7 @@ def cmd_continue(cfg: RunConfig, out: Out) -> None:
         out.summary.append("overall: FAIL (continuation stalled)")
         raise stalled
 
-    if cfg.grid > 0 and cfg.window is not None:
+    if cfg.grid > 0:
         grid_rows, counts = _count_grid(cfg, out)
         out.add("count_grid.csv", _csv(("s", "count"), grid_rows))
         constant = len(set(counts)) == 1

@@ -59,16 +59,14 @@ along the rotation direction, and at a fold, where that elimination alone
 loses digits, so every solve ends with one step of residual correction on
 the full bordered system (Govaerts & Pryce, IMA J. Numer. Anal. 1993).
 
-One seed's refinement is one routine, ``_newton``, written as for a seed
-on its own.  It is a generator: it yields the evaluations worth stacking
-with other seeds' (a new iterate, a Newton step, a line-search trial) and
-returns the result.  ``refine_many`` steps the routines of many seeds in
-lock-step and answers each round's requests as one stack, which costs far
-less per loop than one call per loop.  A round of line-search trials
-projects and evaluates its trials as one stack and reduces their merits
-|R|^2 there, one row sum per trial (``_trial_fields``), so no trial is
-scored seed by seed; each seed is answered with views of the stacks.  In
-a round of Newton steps
+``refine_many`` refines many seeds in phase: every Newton round evaluates
+the new iterates of all live seeds as one stack, takes their Newton steps
+as one stack, and then runs line-search rounds, in each of which every
+seed still searching tries the same step length, projected and evaluated
+as one stack, which costs far less per loop than one call per loop.  A
+round of trials reduces their merits |R|^2 in the stack, one row sum per
+trial (``_trial_fields``), so no trial is scored seed by seed; each seed
+keeps views of the stacks, not copies.  In a round of Newton steps
 (``_newton_steps``) one call computes the closed-form Jacobian blocks of
 every seed, and the bordered solve computes the velocities, the border
 rows and columns, their norms and the folded right-hand sides for the
@@ -77,10 +75,10 @@ scattered from its blocks (on the conformal sphere, its colored
 differences, computed then) just before its LU, and its Schur elimination
 and residual correction run before the next seed's band is built, so one
 band is alive at a time; the 1 x 1 Schur complement is solved by division.
-A seed whose system is singular fails alone.  Every
-stacked evaluation gives each loop the same bits as an evaluation on its
-own, so each seed's arithmetic, iterates and outcome are unchanged by the
-batch it runs in; ``refine_to_geodesic`` is a batch of one.
+A seed whose system is singular fails alone.  Every stacked evaluation
+gives each loop the same bits as an evaluation on its own, so each seed's
+arithmetic, iterates and outcome are unchanged by the batch it runs in;
+``refine_to_geodesic`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -430,10 +428,6 @@ def _convergence_order(history):
     return best
 
 
-# the failures a refinement reports as its seed's outcome
-_FAILURES = (GeometryError, RefineError, StallError)
-
-
 def _each(fn, spec, arrays):
     """``fn(spec, x)`` for every loop x of ``arrays``, evaluated as one stack.
 
@@ -511,68 +505,6 @@ def _newton_steps(spec, nodes, full, scale):
     return steps
 
 
-def _newton(spec, nodes, tol):
-    """One seed's Newton refinement, a generator that ``refine_many`` steps.
-
-    Returns the GeodesicResult and raises the seed's failure.  It yields the
-    evaluations worth stacking with other seeds' as requests led by their
-    kind:
-
-    - ("iterate", nodes, fields) for a new iterate, fields None when it has
-      none, answered with (its fields, its ``_scaled_residual``);
-    - ("step", nodes, full, scale) for the Newton correction of ``nodes``
-      from its residual ``full``, answered as ``_newton_steps`` answers;
-    - ("trial", x) for a line-search trial, answered with (x projected onto
-      the surface, its ``residual_field``, its merit |R|^2 as a float) as
-      ``_trial_fields`` computes them, or None when it cannot be projected.
-
-    A failed evaluation is thrown in at the yield: a GeometryError from a
-    residual evaluation, or the failure ``_newton_steps`` gives the step.
-    """
-    scale0 = max(1.0, float(np.max(np.abs(nodes))))
-    fields, (res, fdef, _) = yield "iterate", nodes, None
-    merit = float(np.sum(fields[0] ** 2))
-    res0 = res
-    history = [res]
-    failed_searches = 0
-    for it in range(_MAX_NEWTON_ITER + 1):
-        if res <= tol and fdef <= _CONSTRAINT_TOL:
-            loop = DiscreteLoop(spec, nodes)
-            return GeodesicResult(
-                loop=loop, length=loops.length(loop), residual=res,
-                constraint_defect=fdef, iterations=it, history=tuple(history),
-                convergence_order=_convergence_order(history))
-        if it == _MAX_NEWTON_ITER:
-            raise StallError(f"no convergence in {_MAX_NEWTON_ITER} Newton iterations")
-        geometry.check_band(spec, nodes)
-        delta = yield "step", nodes, fields[0], scale0
-        # Armijo backtracking on |R|^2.  Each trial is pulled back onto the
-        # surface so the N^2-scaled constraint rows do not poison the merit
-        # with the step's quadratic normal drift.
-        step = 1.0
-        for _ in range(12):
-            trial = nodes + step * delta
-            trial, fields, trial_merit = (yield "trial", trial) or (trial, None, None)
-            if fields is not None and trial_merit <= (1.0 - 1e-4 * step) * merit:
-                break
-            step *= 0.5
-        else:   # no acceptable step: move to the last trial all the same
-            failed_searches += 1
-            if failed_searches >= 3:
-                raise StallError("line search cannot reduce the residual")
-        nodes = trial
-        if np.max(np.abs(nodes)) > 100.0 * scale0:
-            raise DivergenceError("iterates left the working region")
-        fields, (res, fdef, ell) = yield "iterate", nodes, fields
-        # the new iterate is the last trial, whose merit came with its fields
-        merit = float(np.sum(fields[0] ** 2)) if trial_merit is None else trial_merit
-        history.append(res)
-        if ell < 1e-3:
-            raise CollapseError("loop length collapsed toward zero")
-        if res > 1e6 * max(res0, 1.0):
-            raise DivergenceError("residual grew beyond recovery")
-
-
 def refine_many(seeds, tol: float = 1e-10) -> list:
     """Newton-refine seed loops of one metric and one node count to closed
     geodesics, in lock-step.
@@ -581,26 +513,27 @@ def refine_many(seeds, tol: float = 1e-10) -> list:
     refinement failed with: DivergenceError or CollapseError when the
     iteration leaves the basin, StallError when the line search has failed
     three times or the iteration budget runs out, BandExitError if an
-    iterate leaves a revolution band.  Seeds of different metrics or node
-    counts raise ValueError.
+    iterate leaves a revolution band, and the GeometryError of a residual
+    evaluation that fails.  Seeds of different metrics or node counts raise
+    ValueError.
 
-    Each seed runs ``_newton``.  Each Newton step solves the gauge-bordered
-    system of the module docstring with the seed's own Jacobian.  Far from
-    a solution the step is globalized by a backtracking line search on the
-    squared residual; near a solution full steps are taken and convergence
-    is quadratic.  A line search that finds no acceptable step still moves
-    to its last trial.  The solve stalls after three failed line searches
-    in total, consecutive or not: a seed kicked where no geodesic exists
-    alternates failed searches with tiny accepted steps and would otherwise
-    run the whole iteration budget.
+    Each Newton step solves the gauge-bordered system of the module
+    docstring with the seed's own Jacobian.  Far from a solution the step
+    is globalized by a backtracking line search on the squared residual;
+    near a solution full steps are taken and convergence is quadratic.  A
+    line search that finds no acceptable step still moves to its last
+    trial.  The solve stalls after three failed line searches in total,
+    consecutive or not: a seed kicked where no geodesic exists alternates
+    failed searches with tiny accepted steps and would otherwise run the
+    whole iteration budget.
 
-    This driver answers the requests of ``_newton`` in rounds of one kind,
-    each round as one stack: every pending line-search trial first, then
-    every Newton step (``_newton_steps``), and the new iterates only once no
-    seed is still searching, so the seeds take their Newton steps together.
-    Every stacked evaluation gives each loop the bits it gets on its own,
-    so each seed's iterates, history and outcome are those of a batch of
-    one, whatever else is in the batch.
+    All live seeds run each Newton round together, each evaluation as one
+    stack over them in seed order: the residuals and scaled residuals of
+    the new iterates, the Newton steps (``_newton_steps``), then line-search
+    trial rounds, where every seed still searching tries the same step
+    length, until no seed is.  Every stacked evaluation gives each loop the
+    bits it gets on its own, so each seed's iterates, history and outcome
+    are those of a batch of one, whatever else is in the batch.
     """
     seeds = list(seeds)
     if not seeds:
@@ -610,46 +543,96 @@ def refine_many(seeds, tol: float = 1e-10) -> list:
     if any(s.metric != spec or s.nodes.shape != shape for s in seeds):
         raise ValueError("refine_many takes loops of one metric and one node count")
     out = [None] * len(seeds)
-    gens = {k: _newton(spec, np.array(s.nodes, dtype=float), tol) for k, s in enumerate(seeds)}
-    pending = {k: next(gen) for k, gen in gens.items()}    # seed index -> its request
-    while pending:
-        kinds = {req[0] for req in pending.values()}
-        kind = next(kind for kind in ("trial", "step", "iterate") if kind in kinds)
-        batch = {k: req[1:] for k, req in pending.items() if req[0] == kind}
-        if kind == "trial":
-            answers = dict.fromkeys(batch)
-            projected = {k: x for k, x in zip(batch, _each(
-                geometry.surface_project, spec, [x for x, in batch.values()]))
-                if not isinstance(x, GeometryError)}
-            for (k, x), fields in zip(projected.items(), _each(
-                    _trial_fields, spec, list(projected.values()))):
-                answers[k] = fields if isinstance(fields, GeometryError) \
-                    else (x, fields[:3], float(fields[3]))
-        elif kind == "step":
-            answers = dict(zip(batch, _newton_steps(
-                spec, *(np.stack(a) for a in zip(*batch.values())))))
-        else:
-            answers = {k: fields for k, (_, fields) in batch.items()}
-            fresh = [k for k, fields in answers.items() if fields is None]
-            answers.update(zip(fresh, _each(residual_field, spec, [batch[k][0] for k in fresh])))
-            ok = [k for k, fields in answers.items() if not isinstance(fields, GeometryError)]
-            if ok:
-                for k, vals in zip(ok, _scaled_residuals(
-                        spec, np.stack([batch[k][0] for k in ok]),
-                        np.stack([answers[k][1] for k in ok]),
-                        np.stack([answers[k][2] for k in ok]))):
-                    answers[k] = answers[k], vals
-        for k, answer in answers.items():
-            gen = gens[k]
-            try:
-                pending[k] = (gen.throw(answer) if isinstance(answer, Exception)
-                              else gen.send(answer))
-            except StopIteration as stop:
-                out[k] = stop.value
-                del pending[k]
-            except _FAILURES as exc:
-                out[k] = exc
-                del pending[k]
+    nodes = [np.array(s.nodes, dtype=float) for s in seeds]
+    scale = [max(1.0, float(np.max(np.abs(x)))) for x in nodes]
+    fields = [None] * len(seeds)    # residual_field of the iterate, None until evaluated
+    merit = [None] * len(seeds)     # |R|^2 of the iterate, with its fields
+    history = [[] for _ in seeds]
+    failed_searches = [0] * len(seeds)
+
+    def finish(k, outcome):
+        # a finished seed lets go of its views of the round's stacks
+        out[k] = outcome
+        nodes[k] = fields[k] = None
+
+    live = list(range(len(seeds)))
+    for it in range(_MAX_NEWTON_ITER + 1):
+        fresh = [k for k in live if fields[k] is None]
+        for k, new in zip(fresh, _each(residual_field, spec, [nodes[k] for k in fresh])):
+            if isinstance(new, GeometryError):
+                finish(k, new)
+            else:
+                fields[k], merit[k] = new, float(np.sum(new[0] ** 2))
+        live = [k for k in live if out[k] is None]
+        if not live:
+            break
+        stepping = []
+        for k, (res, fdef, ell) in zip(live, _scaled_residuals(
+                spec, np.stack([nodes[k] for k in live]),
+                np.stack([fields[k][1] for k in live]), np.stack([fields[k][2] for k in live]))):
+            history[k].append(res)
+            if it > 0 and ell < 1e-3:
+                finish(k, CollapseError("loop length collapsed toward zero"))
+            elif it > 0 and res > 1e6 * max(history[k][0], 1.0):
+                finish(k, DivergenceError("residual grew beyond recovery"))
+            elif res <= tol and fdef <= _CONSTRAINT_TOL:
+                loop = DiscreteLoop(spec, nodes[k])
+                finish(k, GeodesicResult(
+                    loop=loop, length=loops.length(loop), residual=res,
+                    constraint_defect=fdef, iterations=it, history=tuple(history[k]),
+                    convergence_order=_convergence_order(history[k])))
+            elif it == _MAX_NEWTON_ITER:
+                finish(k, StallError(f"no convergence in {_MAX_NEWTON_ITER} Newton iterations"))
+            else:
+                try:
+                    geometry.check_band(spec, nodes[k])
+                except BandExitError as exc:
+                    finish(k, exc)
+                else:
+                    stepping.append(k)
+        if not stepping:
+            break
+        delta = {}
+        for k, d in zip(stepping, _newton_steps(
+                spec, np.stack([nodes[k] for k in stepping]),
+                np.stack([fields[k][0] for k in stepping]), np.array([scale[k] for k in stepping]))):
+            if isinstance(d, Exception):
+                finish(k, d)
+            else:
+                delta[k] = d
+        # Armijo backtracking on |R|^2.  Each trial is pulled back onto the
+        # surface so the N^2-scaled constraint rows do not poison the merit
+        # with the step's quadratic normal drift.  A trial that cannot be
+        # projected stays raw, with no fields and no merit.
+        trial = {}
+        searching = list(delta)
+        step = 1.0
+        for _ in range(12):
+            raw = [nodes[k] + step * delta[k] for k in searching]
+            projected = [(k, x) for k, x in zip(searching, _each(
+                geometry.surface_project, spec, raw)) if not isinstance(x, GeometryError)]
+            trial.update((k, (x, None, None)) for k, x in zip(searching, raw))
+            for (k, x), new in zip(projected, _each(
+                    _trial_fields, spec, [x for _, x in projected])):
+                if isinstance(new, GeometryError):
+                    finish(k, new)
+                else:
+                    trial[k] = x, new[:3], float(new[3])
+            searching = [k for k in searching if out[k] is None and not (
+                trial[k][2] is not None and trial[k][2] <= (1.0 - 1e-4 * step) * merit[k])]
+            if not searching:
+                break
+            step *= 0.5
+        for k in searching:    # no acceptable step: move to the last trial all the same
+            failed_searches[k] += 1
+            if failed_searches[k] >= 3:
+                finish(k, StallError("line search cannot reduce the residual"))
+        for k in delta:
+            if out[k] is None:
+                nodes[k], fields[k], merit[k] = trial[k]
+                if np.max(np.abs(nodes[k])) > 100.0 * scale[k]:
+                    finish(k, DivergenceError("iterates left the working region"))
+        live = [k for k in delta if out[k] is None]
     return out
 
 

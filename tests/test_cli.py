@@ -1,6 +1,7 @@
 """Command line behavior: config parsing, file outputs, exit codes, determinism."""
 
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -224,6 +225,25 @@ _REVOLUTION = "[metric]\nfamily = revolution\nprofile = poly\ncoefficients = 1.0
 _BOUND = "[run]\nlength_bound = 7.0\n"
 _AXES = "axes = 1.05, 1.0, 0.95\n"
 
+# a continuation started from the great circle (x_0, x_3) of an ellipsoid in R^4
+FOUR_AXIS_CFG = """\
+[metric.start]
+family = ellipsoid
+axes = 1.0, 1.1, 0.9, 1.2
+
+[metric.end]
+family = ellipsoid
+axes = 1.0, 1.1, 0.9, 1.25
+
+[run]
+mesh = 128
+seed = 7
+
+[continue]
+start = great_circle
+plane = 0, 3
+"""
+
 
 @pytest.mark.parametrize("command, text, fragment", [
     ("census", ELLIPSOID_CFG.replace(_AXES, "axes = 1.05, x, 0.95\n"),
@@ -275,6 +295,9 @@ _AXES = "axes = 1.05, 1.0, 0.95\n"
      "start: unknown value 'meridian'"),
     ("continue", FOLD_CFG + "plane = 0, 3\n",
      "plane: need two distinct axis indices 0..2, got (0.0, 3.0)"),
+    ("continue", FOUR_AXIS_CFG.replace("plane = 0, 3", "plane = 0, 4"),
+     "plane: need two distinct axis indices 0..3, got (0.0, 4.0)"),
+    ("continue", FOLD_CFG + "grid = 3\n", "grid: a count grid of 3 points needs window in [run]"),
     ("census", ELLIPSOID_CFG.replace("length_bound = 7.0", "length_bound = inf"),
      "length_bound: must be finite, got inf"),
     ("count", COUNT_CFG.replace("window = 0.0, 7.0", "window = 0, inf"),
@@ -299,6 +322,20 @@ def test_each_config_error_names_its_cause(tmp_path, command, text, fragment):
     with pytest.raises(cli.ConfigError) as err:
         cli.load_config(_write(tmp_path, "bad.cfg", text), command)
     assert fragment in str(err.value)
+
+
+def test_a_great_circle_start_takes_any_coordinate_plane_of_the_ambient_space(tmp_path):
+    # the section of the start ellipsoid by span(e_0, e_3): an ellipse with
+    # semi-axes 1 and 1 / 1.2, whose perimeter Ramanujan's second formula
+    # gives to far below the tolerance
+    cfg = cli.load_config(_write(tmp_path, "four.cfg", FOUR_AXIS_CFG), "continue")
+    [(ident, res)] = cli._start_results(cfg)
+    a, b = 1.0, 1.0 / 1.2
+    h = ((a - b) / (a + b)) ** 2
+    perimeter = math.pi * (a + b) * (1.0 + 3.0 * h / (10.0 + math.sqrt(4.0 - 3.0 * h)))
+    assert ident == "g000" and res.loop.nodes.shape == (128, 4)
+    assert np.all(res.loop.nodes[:, 1:3] == 0.0)
+    assert abs(res.length - perimeter) < 1e-9
 
 
 def test_inapplicable_strategy_exits_2_before_any_census(tmp_path, monkeypatch, capsys):

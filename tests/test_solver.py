@@ -1159,8 +1159,28 @@ def _far_projection(monkeypatch, target):
     monkeypatch.setattr(geometry, "surface_project", project)
 
 
+def _failing_evaluation(name, message, hit):
+    """Make ``solver.<name>`` raise GeometryError(message) on any stack
+    holding a loop x with ``hit(x, target)``."""
+    def install(monkeypatch, target):
+        real = getattr(solver, name)
+
+        def evaluate(spec, nodes):
+            if any(hit(x, target) for x in _each_loop(nodes)):
+                raise GeometryError(message)
+            return real(spec, nodes)
+        monkeypatch.setattr(solver, name, evaluate)
+    return install
+
+
 # failure message -> (failure type, the patch that makes the target seed fail)
 KERNEL_EXITS = {
+    "no residual at the seed": (
+        GeometryError, _failing_evaluation("residual_field", "no residual at the seed",
+                                           np.array_equal)),
+    "no residual at a projected trial": (
+        GeometryError, _failing_evaluation("_trial_fields", "no residual at a projected trial",
+                                           _near)),
     "non-finite Newton correction": (solver.DivergenceError, _nan_correction),
     "residual grew beyond recovery": (
         solver.DivergenceError, _stepped_scaled_residuals(lambda r, d, e: (1e300, d, e))),
