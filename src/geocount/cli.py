@@ -268,6 +268,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"probes: {above} lie above the window's end {hi}")
     if cfg.command == "continue" and cfg.grid > 0 and cfg.window is None:
         raise ConfigError(f"grid: a count grid of {cfg.grid} points needs window in [run]")
+    if cfg.command == "continue" and cfg.ds > cfg.ds_max:
+        raise ConfigError(f"ds: the first step {cfg.ds} exceeds ds_max {cfg.ds_max}")
     perturbs = cfg.command == "degenerate-weight" \
         or cfg.command == "count" and cfg.protocol != "census"
     if perturbs and cfg.strategy != "both":

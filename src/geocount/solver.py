@@ -59,26 +59,32 @@ along the rotation direction, and at a fold, where that elimination alone
 loses digits, so every solve ends with one step of residual correction on
 the full bordered system (Govaerts & Pryce, IMA J. Numer. Anal. 1993).
 
-``refine_many`` refines many seeds in phase: every Newton round evaluates
-the new iterates of all live seeds as one stack, takes their Newton steps
-as one stack, and then runs line-search rounds, in each of which every
-seed still searching tries the same step length, projected and evaluated
-as one stack, which costs far less per loop than one call per loop.  A
-round of trials reduces their merits |R|^2 in the stack, one row sum per
-trial (``_trial_fields``), so no trial is scored seed by seed; each seed
-keeps views of the stacks, not copies.  In a round of Newton steps
-(``_newton_steps``) one call computes the closed-form Jacobian blocks of
-every seed, and the bordered solve computes the velocities, the border
-rows and columns, their norms and the folded right-hand sides for the
-whole stack.  What stays per seed is the band: each seed's band is
-scattered from its blocks (on the conformal sphere, its colored
+``refine_many`` refines many seeds in phase, their state held in arrays
+with one row per live seed (nodes, residual fields, merits, a mask of the
+iterates whose fields are known, scales, failed-search counts), from
+which finished seeds are compacted out.  Every Newton round evaluates the
+new iterates of all live seeds as one stack, takes their Newton steps as
+one stack, and then runs line-search halvings, in each of which every
+seed still searching tries the same step length.  A halving is
+whole-stack numpy: one array expression builds the trials, one call
+projects them, one call evaluates them and reduces their merits |R|^2,
+one row sum per trial (``_trial_fields``), and one mask accepts them, so
+no trial costs a Python step of its own.  When a stacked call raises,
+``_each`` evaluates its loops one at a time, so only the loop at fault
+fails.  In a round of Newton steps (``_newton_steps``) one call computes
+the closed-form Jacobian blocks of every seed, and the bordered solve
+computes the velocities, the border rows and columns, their norms and the
+folded right-hand sides for the whole stack, and unfolds the stack's
+solutions at the end.  What stays per seed is the band: each seed's band
+is scattered from its blocks (on the conformal sphere, its colored
 differences, computed then) just before its LU, and its Schur elimination
 and residual correction run before the next seed's band is built, so one
 band is alive at a time; the 1 x 1 Schur complement is solved by division.
 A seed whose system is singular fails alone.  Every stacked evaluation
 gives each loop the same bits as an evaluation on its own, so each seed's
 arithmetic, iterates and outcome are unchanged by the batch it runs in;
-``refine_to_geodesic`` is a batch of one.
+``refine_to_geodesic`` is a batch of one, whose loop is evaluated
+unstacked.
 """
 
 from __future__ import annotations
@@ -294,13 +300,15 @@ def _bordered_solve(band, nodes, rhs, extra_col=None, extra_row=None):
     of ``_band``; it is called just before that loop's factorization, so
     one band is alive at a time.  The velocity, the border column and gauge
     row, their norms and the folded right-hand sides are computed for the
-    whole stack; the band LU, the Schur elimination and the residual
-    correction run one loop at a time.  Each loop gets the bits it gets in
-    a batch of one.  Refinement's 1 x 1 Schur complement s is solved as the
-    quotient r / s, the division by its one pivot that ``np.linalg.solve``
-    (LAPACK ``dgesv``) makes, so the bits are the same, and s == 0 raises
-    its ``LinAlgError("Singular matrix")``; continuation's 2 x 2 complement
-    takes ``np.linalg.solve``.
+    whole stack, and the solutions are written in the folded order and
+    unfolded once for the stack; the band LU, the Schur elimination and the
+    residual correction run one loop at a time.  Each loop gets the bits it
+    gets in a batch of one.  Refinement's 1 x 1 Schur complement s is
+    solved as the quotient r / s, the division by its one pivot that
+    ``np.linalg.solve`` (LAPACK ``dgesv``) makes, so the bits are the same,
+    and s == 0 is the singular case that raises its ``LinAlgError``
+    ("Singular matrix"); continuation's 2 x 2 complement takes
+    ``np.linalg.solve``.
 
     Returns the (B, R) solutions, the unknowns ordered (dx, [dt,] mu), and
     a dict from the index of every loop without one to its failure:
@@ -337,7 +345,14 @@ def _bordered_solve(band, nodes, rhs, extra_col=None, extra_row=None):
         corner[:, 1, 0] = extra_row[:, -1]
     below = below.transpose(0, 2, 1)
     rhs_top = rhs[:, :size].take(fold, axis=1)
-    out = np.zeros(rhs.shape)
+    rhs_bottom = rhs[:, size:]
+    # Each loop's right-hand sides [f, B] in one stack: loop k's are the
+    # Fortran-ordered (Nm, 1 + rows) view lhs[k].T, the layout dgbtrs
+    # solves in place and returns, so no loop copies them.
+    lhs = np.empty((b, 1 + rows, size))
+    lhs[:, 0] = rhs_top
+    lhs[:, 1:] = right.transpose(0, 2, 1)
+    folded = np.zeros(rhs.shape)
     failed = {k: CollapseError("loop velocity collapsed during refinement")
               for k in np.flatnonzero(collapsed).tolist()}
     for k in np.flatnonzero(~collapsed).tolist():
@@ -346,37 +361,38 @@ def _bordered_solve(band, nodes, rhs, extra_col=None, extra_row=None):
         if info > 0:
             failed[k] = RuntimeError(f"singular Jacobian: zero pivot in column {info}")
             continue
-        z = _lapack.dgbtrs(
-            lu, kl, kl, np.column_stack([rhs_top[k], right[k]]), piv)[0]
+        z = _lapack.dgbtrs(lu, kl, kl, lhs[k].T, piv, overwrite_b=1)[0]
+        zx, zb = z[:, 0], z[:, 1:]
         # block elimination of the borders: with J z = [f, B], the Schur
         # complement S = D - C J^-1 B carries the border unknowns
-        schur = corner[k] - below[k] @ z[:, 1:]
-
-        def eliminate(x0, rhs_bottom):
-            r = rhs_bottom - below[k] @ x0
-            if rows == 2:
+        schur = corner[k] - below[k] @ zb
+        r = rhs_bottom[k] - below[k] @ zx
+        if rows == 1:
+            if schur[0, 0] == 0.0:
+                failed[k] = RuntimeError("singular bordered system: Singular matrix")
+                continue
+            y = r / schur[0]
+        else:
+            try:
                 y = np.linalg.solve(schur, r)
-            elif schur[0, 0] == 0.0:
-                raise np.linalg.LinAlgError("Singular matrix")
-            else:
-                y = r / schur[0]
-            return x0 - z[:, 1:] @ y, y
-
-        try:
-            x, y = eliminate(z[:, 0], rhs[k, size:])
-        except np.linalg.LinAlgError as exc:
-            failed[k] = RuntimeError(f"singular bordered system: {exc}")
-            continue
+            except np.linalg.LinAlgError as exc:
+                failed[k] = RuntimeError(f"singular bordered system: {exc}")
+                continue
+        x = zx - zb @ y
         # block elimination loses accuracy when J is nearly singular, as at
         # a fold; one step of residual correction on the full system
         # restores it (Govaerts & Pryce 1993)
         band_jx = _lapack.dgbmv(size, size, kl, kl, 1.0, jac[kl:], x)
         res_top = rhs_top[k] - band_jx - right[k] @ y
-        res_bottom = rhs[k, size:] - below[k] @ x - corner[k] @ y
-        dx0 = _lapack.dgbtrs(lu, kl, kl, res_top[:, None], piv)[0][:, 0]
-        dx, dy = eliminate(dx0, res_bottom)
-        out[k, fold] = x + dx
-        out[k, size:] = y + dy
+        r = rhs_bottom[k] - below[k] @ x - corner[k] @ y
+        dx0 = _lapack.dgbtrs(lu, kl, kl, res_top[:, None], piv, overwrite_b=1)[0][:, 0]
+        r -= below[k] @ dx0
+        dy = r / schur[0] if rows == 1 else np.linalg.solve(schur, r)
+        np.add(x, dx0 - zb @ dy, out=folded[k, :size])
+        np.add(y, dy, out=folded[k, size:])
+    out = np.empty(rhs.shape)
+    out[:, fold] = folded[:, :size]
+    out[:, size:] = folded[:, size:]
     return out, failed
 
 
@@ -428,44 +444,56 @@ def _convergence_order(history):
     return best
 
 
-def _each(fn, spec, arrays):
-    """``fn(spec, x)`` for every loop x of ``arrays``, evaluated as one stack.
+def _each(fn, spec, stack):
+    """``fn(spec, stack)`` on a stack of loops (B, N, m), and the loops it
+    fails on.
 
-    Returns one result per loop, or the GeometryError that loop raised: when
-    the stacked call raises, the loops are evaluated one at a time, so each
-    sees its own failure.  A single loop is evaluated unstacked.  Results
-    taken from a stack are views of it, not copies.  A seed keeps its view
-    only while that loop is its trial or iterate, and a result keeps its
-    nodes through ``DiscreteLoop``, which copies them.
+    Returns fn's result, every array of it with one row per loop, and a
+    dict from the index of each loop that raised GeometryError to that
+    error.  The stack is evaluated in one call, a single loop unstacked.
+    When the stacked call raises, the loops are evaluated one at a time, so
+    each sees its own failure; the results are then stacked with NaN rows
+    for the failed loops, and are None when every loop failed.
     """
-    if len(arrays) > 1:
+    if len(stack) > 1:
         try:
-            out = fn(spec, np.stack(arrays))
+            return fn(spec, stack), {}
         except GeometryError:
             pass
-        else:
-            if isinstance(out, tuple):
-                return list(zip(*out))
-            return list(out)
-    results = []
-    for x in arrays:
+    results, failed = {}, {}
+    for k, x in enumerate(stack):
         try:
-            results.append(fn(spec, x))
+            results[k] = fn(spec, x)
         except GeometryError as exc:
-            results.append(exc)
-    return results
+            failed[k] = exc
+    if not results:
+        return None, failed
+    first = next(iter(results.values()))
+    single = not isinstance(first, tuple)
+    if len(stack) == 1:
+        out = tuple(a[None] for a in ((first,) if single else first))
+    else:
+        out = tuple(np.full((len(stack),) + np.shape(a), np.nan)
+                    for a in ((first,) if single else first))
+        for k, res in results.items():
+            for row, a in zip(out, (res,) if single else res):
+                row[k] = a
+    return (out[0] if single else out), failed
+
+
+def _merits(full):
+    """The merit |R|^2 of each loop of a residual ``full`` (..., N, m): one
+    sum over that loop's flattened squared residual, the bits of
+    ``np.sum(full ** 2)`` on that loop alone."""
+    sq = full ** 2
+    return np.sum(sq.reshape(sq.shape[:-2] + (-1,)), axis=-1)
 
 
 def _trial_fields(spec, nodes):
     """``residual_field`` of one loop or a stack of loops, and the merit
-    |R|^2 of each loop: a float array (...).
-
-    The merit is one sum over each loop's flattened squared residual, the
-    bits of ``np.sum(full ** 2)`` on that loop alone.
-    """
+    |R|^2 of each loop (``_merits``): a float array (...)."""
     full, tan, f = residual_field(spec, nodes)
-    sq = full ** 2
-    return full, tan, f, np.sum(sq.reshape(sq.shape[:-2] + (-1,)), axis=-1)
+    return full, tan, f, _merits(full)
 
 
 def _newton_steps(spec, nodes, full, scale):
@@ -473,14 +501,15 @@ def _newton_steps(spec, nodes, full, scale):
     their residuals ``full``, each capped at a move of ``_STEP_CAP`` times
     its entry of ``scale`` (B,).
 
-    Returns one entry per loop: its correction, or its failure.  A
-    CollapseError of the bordered solve stands as it is, any other failure
-    of it becomes StallError, and a non-finite correction DivergenceError.
-    An induced metric's Jacobian blocks are computed for the whole stack in
-    one call, the conformal sphere's (``_fd_jacobian``) loop by loop; each
-    loop's band is scattered from its blocks when its solve is due.
-    Every loop's residual has been evaluated at its nodes, which the
-    blocks evaluate again, so they raise no GeometryError.
+    Returns the corrections (B, N, m) and a dict from the index of every
+    loop without one to its failure.  A CollapseError of the bordered solve
+    stands as it is, any other failure of it becomes StallError, and a
+    non-finite correction DivergenceError.  An induced metric's Jacobian
+    blocks are computed for the whole stack in one call, the conformal
+    sphere's (``_fd_jacobian``) loop by loop; each loop's band is scattered
+    from its blocks when its solve is due.  Every loop's residual has been
+    evaluated at its nodes, which the blocks evaluate again, so they raise
+    no GeometryError.
     """
     b = len(nodes)
     blocks = None if spec.impl.conformal else _jacobian_blocks(spec, nodes)
@@ -496,13 +525,11 @@ def _newton_steps(spec, nodes, full, scale):
     dmax = np.where(finite, np.max(np.abs(delta), axis=(1, 2)), 0.0)
     cap = _STEP_CAP * scale
     delta *= (cap / np.maximum(dmax, cap))[:, None, None]   # 1.0 within the cap
-    steps = list(delta)
-    for k, exc in failed.items():
-        steps[k] = exc if isinstance(exc, CollapseError) \
-            else StallError(f"singular corrector system: {exc}")
-    for k in np.flatnonzero(~finite).tolist():
-        steps[k] = DivergenceError("non-finite Newton correction")
-    return steps
+    failed = {k: exc if isinstance(exc, CollapseError)
+              else StallError(f"singular corrector system: {exc}") for k, exc in failed.items()}
+    failed.update((k, DivergenceError("non-finite Newton correction"))
+                  for k in np.flatnonzero(~finite).tolist())
+    return delta, failed
 
 
 def refine_many(seeds, tol: float = 1e-10) -> list:
@@ -527,13 +554,20 @@ def refine_many(seeds, tol: float = 1e-10) -> list:
     failed searches with tiny accepted steps and would otherwise run the
     whole iteration budget.
 
-    All live seeds run each Newton round together, each evaluation as one
-    stack over them in seed order: the residuals and scaled residuals of
-    the new iterates, the Newton steps (``_newton_steps``), then line-search
-    trial rounds, where every seed still searching tries the same step
-    length, until no seed is.  Every stacked evaluation gives each loop the
-    bits it gets on its own, so each seed's iterates, history and outcome
-    are those of a batch of one, whatever else is in the batch.
+    The live seeds' state is held in arrays with one row per seed, in seed
+    order: the nodes (B, N, m), the residual fields of the iterates, their
+    merits, a mask of the iterates whose fields are known, the scales and
+    the failed-search counts; only each seed's history is a list of its
+    own.  A seed that finishes is compacted out of the arrays.  All live
+    seeds run each Newton round together, each evaluation as one stack
+    over them: the residuals and scaled residuals of the new iterates, the
+    Newton steps (``_newton_steps``), then line-search halvings, in each of
+    which every seed still searching tries the same step length, its trial
+    built, projected, evaluated and accepted or not as whole-stack array
+    operations, until no seed is.  A batch of one evaluates its loop
+    unstacked.  Every stacked evaluation gives each loop the bits it gets
+    on its own, so each seed's iterates, history and outcome are those of
+    a batch of one, whatever else is in the batch.
     """
     seeds = list(seeds)
     if not seeds:
@@ -543,44 +577,52 @@ def refine_many(seeds, tol: float = 1e-10) -> list:
     if any(s.metric != spec or s.nodes.shape != shape for s in seeds):
         raise ValueError("refine_many takes loops of one metric and one node count")
     out = [None] * len(seeds)
-    nodes = [np.array(s.nodes, dtype=float) for s in seeds]
-    scale = [max(1.0, float(np.max(np.abs(x)))) for x in nodes]
-    fields = [None] * len(seeds)    # residual_field of the iterate, None until evaluated
-    merit = [None] * len(seeds)     # |R|^2 of the iterate, with its fields
     history = [[] for _ in seeds]
-    failed_searches = [0] * len(seeds)
+    # one row per live seed: ``live`` holds its seed index, ``done`` marks
+    # the rows finished since the last compaction
+    live = np.arange(len(seeds))
+    nodes = np.array([s.nodes for s in seeds], dtype=float)
+    scale = np.maximum(1.0, np.max(np.abs(nodes), axis=(1, 2)))
+    # the iterates' fields (residual_field) and merits |R|^2, where has_fields
+    full, tan, f = np.empty_like(nodes), np.empty_like(nodes), np.empty(nodes.shape[:2])
+    merit = np.empty(len(seeds))
+    has_fields = np.zeros(len(seeds), dtype=bool)
+    failed_searches = np.zeros(len(seeds), dtype=int)
+    done = np.zeros(len(seeds), dtype=bool)
 
     def finish(k, outcome):
-        # a finished seed lets go of its views of the round's stacks
-        out[k] = outcome
-        nodes[k] = fields[k] = None
+        out[live[k]] = outcome
+        done[k] = True
 
-    live = list(range(len(seeds)))
     for it in range(_MAX_NEWTON_ITER + 1):
-        fresh = [k for k in live if fields[k] is None]
-        for k, new in zip(fresh, _each(residual_field, spec, [nodes[k] for k in fresh])):
-            if isinstance(new, GeometryError):
-                finish(k, new)
-            else:
-                fields[k], merit[k] = new, float(np.sum(new[0] ** 2))
-        live = [k for k in live if out[k] is None]
-        if not live:
+        fresh = np.flatnonzero(~(has_fields | done))
+        if len(fresh):
+            got, bad = _each(residual_field, spec, nodes[fresh])
+            if got is not None:
+                full[fresh], tan[fresh], f[fresh] = got
+                merit[fresh] = _merits(got[0])
+            for k, exc in bad.items():
+                finish(fresh[k], exc)
+        # every live row now has its fields; the line search rebuilds has_fields
+        if done.any():
+            keep = ~done
+            live, nodes, scale, full, tan, f, merit, failed_searches, done = (
+                a[keep] for a in (live, nodes, scale, full, tan, f, merit, failed_searches, done))
+        if not len(live):
             break
-        stepping = []
-        for k, (res, fdef, ell) in zip(live, _scaled_residuals(
-                spec, np.stack([nodes[k] for k in live]),
-                np.stack([fields[k][1] for k in live]), np.stack([fields[k][2] for k in live]))):
-            history[k].append(res)
+        for k, (res, fdef, ell) in enumerate(_scaled_residuals(spec, nodes, tan, f)):
+            hist = history[live[k]]
+            hist.append(res)
             if it > 0 and ell < 1e-3:
                 finish(k, CollapseError("loop length collapsed toward zero"))
-            elif it > 0 and res > 1e6 * max(history[k][0], 1.0):
+            elif it > 0 and res > 1e6 * max(hist[0], 1.0):
                 finish(k, DivergenceError("residual grew beyond recovery"))
             elif res <= tol and fdef <= _CONSTRAINT_TOL:
                 loop = DiscreteLoop(spec, nodes[k])
                 finish(k, GeodesicResult(
                     loop=loop, length=loops.length(loop), residual=res,
-                    constraint_defect=fdef, iterations=it, history=tuple(history[k]),
-                    convergence_order=_convergence_order(history[k])))
+                    constraint_defect=fdef, iterations=it, history=tuple(hist),
+                    convergence_order=_convergence_order(hist)))
             elif it == _MAX_NEWTON_ITER:
                 finish(k, StallError(f"no convergence in {_MAX_NEWTON_ITER} Newton iterations"))
             else:
@@ -588,51 +630,65 @@ def refine_many(seeds, tol: float = 1e-10) -> list:
                     geometry.check_band(spec, nodes[k])
                 except BandExitError as exc:
                     finish(k, exc)
-                else:
-                    stepping.append(k)
-        if not stepping:
+        if done.any():
+            keep = ~done
+            live, nodes, scale, full, merit, failed_searches, done = (
+                a[keep] for a in (live, nodes, scale, full, merit, failed_searches, done))
+        if not len(live):
             break
-        delta = {}
-        for k, d in zip(stepping, _newton_steps(
-                spec, np.stack([nodes[k] for k in stepping]),
-                np.stack([fields[k][0] for k in stepping]), np.array([scale[k] for k in stepping]))):
-            if isinstance(d, Exception):
-                finish(k, d)
-            else:
-                delta[k] = d
+        delta, bad = _newton_steps(spec, nodes, full, scale)
+        for k, exc in bad.items():
+            finish(k, exc)
+        if done.any():
+            keep = ~done
+            live, nodes, scale, merit, failed_searches, delta, done = (
+                a[keep] for a in (live, nodes, scale, merit, failed_searches, delta, done))
+        if not len(live):
+            break
         # Armijo backtracking on |R|^2.  Each trial is pulled back onto the
         # surface so the N^2-scaled constraint rows do not poison the merit
         # with the step's quadratic normal drift.  A trial that cannot be
-        # projected stays raw, with no fields and no merit.
-        trial = {}
-        searching = list(delta)
+        # projected stays raw, with no fields and no merit.  Every row
+        # takes a trial in the first halving, so the trials' arrays become
+        # the new iterates'.
+        trial = np.empty_like(nodes)
+        full, tan, f = np.empty_like(nodes), np.empty_like(nodes), np.empty(nodes.shape[:2])
+        trial_merit = np.empty(len(live))
+        has_fields = np.zeros(len(live), dtype=bool)
+        searching = np.arange(len(live))
         step = 1.0
         for _ in range(12):
-            raw = [nodes[k] + step * delta[k] for k in searching]
-            projected = [(k, x) for k, x in zip(searching, _each(
-                geometry.surface_project, spec, raw)) if not isinstance(x, GeometryError)]
-            trial.update((k, (x, None, None)) for k, x in zip(searching, raw))
-            for (k, x), new in zip(projected, _each(
-                    _trial_fields, spec, [x for _, x in projected])):
-                if isinstance(new, GeometryError):
-                    finish(k, new)
-                else:
-                    trial[k] = x, new[:3], float(new[3])
-            searching = [k for k in searching if out[k] is None and not (
-                trial[k][2] is not None and trial[k][2] <= (1.0 - 1e-4 * step) * merit[k])]
-            if not searching:
+            raw = nodes[searching] + step * delta[searching]
+            projected, bad = _each(geometry.surface_project, spec, raw)
+            ok = slice(None)
+            if bad:
+                ok = np.ones(len(raw), dtype=bool)
+                ok[list(bad)] = False
+                projected = raw if projected is None \
+                    else np.where(ok[:, None, None], projected, raw)
+            trial[searching] = projected
+            has_fields[searching] = False
+            rows = searching[ok]
+            if len(rows):
+                got, bad = _each(_trial_fields, spec, projected[ok])
+                if got is not None:
+                    full[rows], tan[rows], f[rows], trial_merit[rows] = got
+                    has_fields[rows] = True
+                for k, exc in bad.items():
+                    finish(rows[k], exc)
+            accepted = has_fields[searching] & (
+                trial_merit[searching] <= (1.0 - 1e-4 * step) * merit[searching])
+            searching = searching[~(accepted | done[searching])]
+            if not len(searching):
                 break
             step *= 0.5
-        for k in searching:    # no acceptable step: move to the last trial all the same
-            failed_searches[k] += 1
-            if failed_searches[k] >= 3:
-                finish(k, StallError("line search cannot reduce the residual"))
-        for k in delta:
-            if out[k] is None:
-                nodes[k], fields[k], merit[k] = trial[k]
-                if np.max(np.abs(nodes[k])) > 100.0 * scale[k]:
-                    finish(k, DivergenceError("iterates left the working region"))
-        live = [k for k in delta if out[k] is None]
+        # no acceptable step: move to the last trial all the same
+        failed_searches[searching] += 1
+        for k in searching[failed_searches[searching] >= 3].tolist():
+            finish(k, StallError("line search cannot reduce the residual"))
+        nodes, merit = trial, trial_merit
+        for k in np.flatnonzero(~done & (np.max(np.abs(nodes), axis=(1, 2)) > 100.0 * scale)):
+            finish(k, DivergenceError("iterates left the working region"))
     return out
 
 

@@ -315,6 +315,7 @@ plane = 0, 3
     ("continue", FOLD_CFG + "delta = inf\n", "delta: must be finite, got inf"),
     ("continue", FOLD_CFG + "ds = inf\n", "ds: must be finite, got inf"),
     ("continue", FOLD_CFG + "ds_max = -inf\n", "ds_max: must be finite, got -inf"),
+    ("continue", FOLD_CFG + "ds = 0.3\n", "ds: the first step 0.3 exceeds ds_max 0.12"),
     ("census", ELLIPSOID_CFG.replace(_AXES, "axes = 1.05, inf, 0.95\n"),
      "axes: every value must be finite, got (1.05, inf, 0.95)"),
 ])

@@ -957,8 +957,10 @@ def test_a_failed_stacked_evaluation_runs_loop_by_loop(ellipsoid_spec):
     # one loop through the origin fails its own projection, not the others'
     loops_ = [_kernel_nodes("ellipsoid", 32, k)[1] for k in range(3)]
     loops_[1] = np.zeros((32, 3))
-    got = solver._each(geometry.surface_project, KERNEL_SPECS["ellipsoid"], loops_)
-    assert isinstance(got[1], GeometryError) and "origin" in str(got[1])
+    got, failed = solver._each(geometry.surface_project, KERNEL_SPECS["ellipsoid"],
+                               np.stack(loops_))
+    assert list(failed) == [1] and isinstance(failed[1], GeometryError)
+    assert "origin" in str(failed[1]) and np.isnan(got[1]).all()
     for k in (0, 2):
         assert np.array_equal(got[k], geometry.surface_project(KERNEL_SPECS["ellipsoid"], loops_[k]))
 
@@ -1221,10 +1223,11 @@ def test_a_search_without_a_projected_trial_moves_to_its_last_raw_trial(
     want = []
     for seed in seeds:
         nodes = np.asarray(seed.nodes)
-        [delta] = solver._newton_steps(
+        delta, failed = solver._newton_steps(
             spec, nodes[None], solver.residual_field(spec, nodes)[0][None],
             np.array([max(1.0, float(np.max(np.abs(nodes))))]))
-        raw = nodes + 2.0 ** -11 * delta
+        assert not failed
+        raw = nodes + 2.0 ** -11 * delta[0]
         assert np.max(np.abs(geometry.constraint(spec, raw))) > 1e-9
         alone = solver.refine_to_geodesic(loops.DiscreteLoop(spec, raw))
         want.append((alone.loop.nodes.tobytes(),
@@ -1247,6 +1250,54 @@ def test_a_search_without_a_projected_trial_moves_to_its_last_raw_trial(
         assert _outcome(solver.refine_to_geodesic(seed)) == outcome
     rounds.clear()
     assert [_outcome(res) for res in solver.refine_many(seeds)] == want
+
+
+def test_a_trial_that_fails_to_project_in_a_later_halving_stays_raw(monkeypatch):
+    # In Newton round 27 of the conformal batch, seeds 1 and 3 both fail
+    # their line searches, so every halving of that round stacks both.
+    # From the second halving on, seed 1's trials cannot be projected: each
+    # stacked projection raises and is redone loop by loop, seed 1 ends the
+    # search on its last raw trial, nodes + 2^-11 delta, and goes on from
+    # there as it does alone, and the other seeds' outcomes are those of
+    # their batches of one
+    seeds = _batch_case("conformal")
+    want = _batch_outcomes("conformal")
+    steps = []
+    real_steps = solver._newton_steps
+
+    def newton_steps(spec, nodes, full, scale):
+        delta, failed = real_steps(spec, nodes, full, scale)
+        steps.append(nodes[0] + 0.5 ** np.arange(1, 12)[:, None, None] * delta[0])
+        return delta, failed
+
+    monkeypatch.setattr(solver, "_newton_steps", newton_steps)
+    solver.refine_many(seeds[1:2])
+    monkeypatch.undo()
+    later = steps[27]
+    stacks, evaluated = [], []
+    real_project, real_residual = geometry.surface_project, solver.residual_field
+
+    def project(spec, x):
+        if any(np.array_equal(y, t) for y in _each_loop(x) for t in later):
+            stacks.append(len(_each_loop(x)))
+            raise GeometryError("no projection after the first halving")
+        return real_project(spec, x)
+
+    def residual(spec, x):
+        evaluated.extend(y.tobytes() for y in _each_loop(x))
+        return real_residual(spec, x)
+
+    monkeypatch.setattr(geometry, "surface_project", project)
+    monkeypatch.setattr(solver, "residual_field", residual)
+    alone = solver.refine_many(seeds[1:2])[0]
+    assert stacks == [1] * 11 and later[-1].tobytes() in evaluated
+    stacks.clear()
+    evaluated.clear()
+    out = solver.refine_many(seeds)
+    assert stacks == [2, 1] * 11 and later[-1].tobytes() in evaluated
+    assert _outcome(out[1]) == _outcome(alone)
+    assert [_outcome(res) for k, res in enumerate(out) if k != 1] == \
+        [w for k, w in enumerate(want) if k != 1]
 
 
 def _lock_step_case(name):
